@@ -25,7 +25,6 @@ from .projection import (
     ProjectionConfig,
     RangeImage,
     back_project_labels,
-    background_distance,
     background_distances,
     project,
 )
@@ -47,7 +46,6 @@ from .uncertainty import (
     UncertainPointSet,
     aggregate_features,
     build_pool,
-    sample_training_batch,
     select_background,
     select_boundary,
 )

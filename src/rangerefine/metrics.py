@@ -41,13 +41,6 @@ class ConfusionMatrix:
         )
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes or other.ignore_class != self.ignore_class:
-            raise DataFormatError("cannot merge confusion matrices with different layouts")
-        out = ConfusionMatrix(self.num_classes, self.ignore_class)
-        out.counts = self.counts + other.counts
-        return out
-
     def per_class_iou(self) -> np.ndarray:
         """(C,) IoU values; NaN for excluded classes (ignore or empty)."""
         tp = np.diag(self.counts).astype(np.float64)

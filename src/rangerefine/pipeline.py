@@ -49,8 +49,6 @@ class PipelineConfig:
     class_map: str | None = None    # YAML path; None = packaged Semantic-KITTI map
     use_knn: bool = True
     use_refiner: bool = True
-    refine_context_limit: int = 16384
-    refine_chunk_size: int = 4096
 
     def __post_init__(self):
         if self.mode not in ("oracle", "loaded"):
@@ -76,24 +74,13 @@ class PipelineConfig:
             if f.name not in doc:
                 continue
             value = doc.pop(f.name)
-            if dataclasses.is_dataclass(f.type) or f.name in (
-                "projection", "knn", "selection", "train", "oracle", "scene",
-            ):
-                sub_cls = {
-                    "projection": ProjectionConfig,
-                    "knn": KnnConfig,
-                    "selection": SelectionConfig,
-                    "train": TrainConfig,
-                    "oracle": OracleNoiseSpec,
-                    "scene": SyntheticSceneSpec,
-                }[f.name]
-                known = {sf.name for sf in dataclasses.fields(sub_cls)}
-                unknown = set(value) - known
+            section = f.default_factory  # a config section is a dataclass-valued field
+            if dataclasses.is_dataclass(section):
+                unknown = set(value) - {sf.name for sf in dataclasses.fields(section)}
                 if unknown:
                     raise DataFormatError(f"unknown keys in config section {f.name}: {sorted(unknown)}")
-                kwargs[f.name] = sub_cls(**value)
-            else:
-                kwargs[f.name] = value
+                value = section(**value)
+            kwargs[f.name] = value
         if doc:
             raise DataFormatError(f"unknown keys in config: {sorted(doc)}")
         return cls(**kwargs)
@@ -193,10 +180,7 @@ def refine_scan(
     if cfg.use_refiner and model is not None:
         pool = _stage("pool", sid, build_pool, cloud, img, seg, cfg.selection, labels)
         if len(pool):
-            refined = _stage(
-                "refine", sid, refine, model, pool,
-                cfg.refine_context_limit, cfg.refine_chunk_size, cfg.selection.seed,
-            )
+            refined = _stage("refine", sid, refine, model, pool)
             labels = labels.copy()
             labels[pool.indices] = refined
     return ScanResult(labels=labels, image=img, pool=pool, knn_labels=knn_labels)
@@ -253,12 +237,15 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
     pred_dir = out_dir / "predictions"
+    if pred_dir.is_dir() and any(pred_dir.iterdir()):
+        raise DataFormatError(f"predictions directory {pred_dir} is not empty")
     pred_dir.mkdir(parents=True, exist_ok=True)
     class_map = cfg.load_class_map()
 
     cm = ConfusionMatrix(class_map.num_classes, class_map.ignore_class)
     have_gt = False
-    for scan_path in list_scan_paths(data_dir):
+    scan_paths = list_scan_paths(data_dir)
+    for scan_path in scan_paths:
         cloud = kitti_io.read_point_cloud(scan_path)
         label_path = _label_path(data_dir, scan_path)
         if label_path is not None:
@@ -269,7 +256,7 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
             have_gt = True
             cm.accumulate(cloud.labels, result.labels)
 
-    report = {"num_scans": len(list(pred_dir.glob("*.label")))}
+    report = {"num_scans": len(scan_paths)}
     if have_gt:
         report.update(summarize(cm, class_map))
         write_report(cm, class_map, out_dir)

@@ -68,11 +68,6 @@ class RangeImage:
         return len(self.point_u)
 
     @property
-    def point_pixel(self) -> np.ndarray:
-        """(N, 2) array of (u, v) per point."""
-        return np.stack([self.point_u, self.point_v], axis=1)
-
-    @property
     def range_channel(self) -> np.ndarray:
         return self.channels[:, :, 3]
 
@@ -138,14 +133,6 @@ def background_distances(img: RangeImage) -> np.ndarray:
     """Per-point |range - pixel foreground range|; zero for foreground points."""
     fg_range = img.range_channel[img.point_v, img.point_u]
     return np.abs(img.point_range - fg_range)
-
-
-def background_distance(img: RangeImage, point_index: int) -> float:
-    """Distance of one background point behind its pixel's foreground point."""
-    if img.is_foreground[point_index]:
-        raise DataFormatError(f"point {point_index} is a foreground point")
-    fg_range = img.range_channel[img.point_v[point_index], img.point_u[point_index]]
-    return float(abs(img.point_range[point_index] - fg_range))
 
 
 def back_project_labels(img: RangeImage, pixel_labels: np.ndarray) -> np.ndarray:

@@ -32,6 +32,11 @@ from .uncertainty import UncertainPointSet, sample_positions
 CHECKPOINT_MAGIC = b"TUPR"
 CHECKPOINT_VERSION = 1
 
+# Score elements per attention tile (8 MB of float64): a tile holds
+# max(1, _SCORE_BLOCK // n) full query rows, so the score memory of one
+# attention layer stays bounded whatever the pool size.
+_SCORE_BLOCK = 2**20
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -79,7 +84,14 @@ def attention_layer(
     return out
 
 
-def _attention_forward(f_in, wp, bp, wv, bv):
+def _row_tiles(n: int):
+    """(start, stop) of each query-row tile of an n-entry context."""
+    rows = max(1, _SCORE_BLOCK // n)
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
+
+
+def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     n, d = f_in.shape[0], wp.shape[1]
     if f_in.shape[1] != wp.shape[0]:
         raise DataFormatError(
@@ -87,22 +99,33 @@ def _attention_forward(f_in, wp, bp, wv, bv):
         )
     q = f_in @ wp + bp
     v = f_in @ wv + bv
-    scores = (q @ q.T) / np.sqrt(d)
-    attn = softmax_rows(scores)
-    out = attn @ v
+    if out is None:
+        out = np.empty_like(v)
+    for s, e in _row_tiles(n):
+        out[s:e] = softmax_rows((q[s:e] @ q.T) / np.sqrt(d)) @ v
     return out, (f_in, q, v)
 
 
 def _attention_backward(cache, wp, wv, d_out):
+    """Gradients tile by tile, recomputing each tile's attention rows.
+
+    The scores are symmetric, so d_q = (D + D^T) q for the full score
+    gradient D. A row tile D[s:e] adds D[s:e] q to rows s:e and its
+    transpose times q[s:e] to every row; the diagonal block of both terms
+    is folded into D[s:e] first, so each product runs once.
+    """
     f_in, q, v = cache
     d = q.shape[1]
-    scores = (q @ q.T) / np.sqrt(d)
-    attn = softmax_rows(scores)
-
-    d_attn = d_out @ v.T
-    d_v = attn.T @ d_out
-    d_scores = _softmax_backward(attn, d_attn) / np.sqrt(d)
-    d_q = (d_scores + d_scores.T) @ q
+    d_q = np.zeros_like(q)
+    d_v = np.zeros_like(v)
+    for s, e in _row_tiles(len(q)):
+        attn = softmax_rows((q[s:e] @ q.T) / np.sqrt(d))
+        d_v += attn.T @ d_out[s:e]
+        d_scores = _softmax_backward(attn, d_out[s:e] @ v.T) / np.sqrt(d)
+        d_scores[:, s:e] += d_scores[:, s:e].T
+        d_q[s:e] += d_scores @ q
+        d_q[:s] += d_scores[:, :s].T @ q[s:e]
+        d_q[e:] += d_scores[:, e:].T @ q[s:e]
 
     grads = {
         "wp": f_in.T @ d_q,
@@ -169,21 +192,21 @@ class RefinerModel:
         a1 = h0 @ p["embed1.w"] + p["embed1.b"]
         embedded = _relu(a1)
 
-        layer_outs = []
+        d = self.dims.embed_dim
+        concat = np.empty((len(features), self.dims.concat_dim))
         attn_caches = []
         layer_in = embedded
         for i in range(self.dims.attn_layers):
             out, cache = _attention_forward(
                 layer_in, p[f"attn{i}.p.w"], p[f"attn{i}.p.b"],
-                p[f"attn{i}.v.w"], p[f"attn{i}.v.b"],
+                p[f"attn{i}.v.w"], p[f"attn{i}.v.b"], out=concat[:, i * d : (i + 1) * d],
             )
             if not np.isfinite(out).all():
                 raise NumericError(f"non-finite activations in attention layer {i}")
-            layer_outs.append(out)
-            attn_caches.append(cache)
+            if want_cache:
+                attn_caches.append(cache)
             layer_in = out
 
-        concat = np.concatenate(layer_outs, axis=1)
         z0 = concat @ p["head0.w"] + p["head0.b"]
         r0 = _relu(z0)
         z1 = r0 @ p["head1.w"] + p["head1.b"]
@@ -470,32 +493,17 @@ def train(
     return log
 
 
-def refine(
-    model: RefinerModel,
-    pool: UncertainPointSet,
-    context_limit: int = 16384,
-    chunk_size: int = 4096,
-    seed: int = 0,
-) -> np.ndarray:
+def refine(model: RefinerModel, pool: UncertainPointSet) -> np.ndarray:
     """Predicted class per pool entry (argmax, ties to the smaller id).
 
-    Pools up to ``context_limit`` run as one attention context; larger pools
-    are split into seeded random chunks of ``chunk_size`` so every entry
-    still attends to a representative sample.
+    The whole pool is one attention context, as in the paper. Attention runs
+    in row tiles, so memory stays bounded for any pool size while time grows
+    as the square of the pool size.
     """
     features = pool.features if isinstance(pool, UncertainPointSet) else np.asarray(pool)
-    m = len(features)
-    if m == 0:
+    if len(features) == 0:
         raise DataFormatError("cannot refine an empty pool")
-    if m <= context_limit:
-        return np.argmax(model.forward(features), axis=1).astype(np.int32)
-
-    perm = generator("refine-chunks", seed).permutation(m)
-    out = np.empty(m, dtype=np.int32)
-    for start in range(0, m, chunk_size):
-        sel = perm[start : start + chunk_size]
-        out[sel] = np.argmax(model.forward(features[sel]), axis=1)
-    return out
+    return np.argmax(model.forward(features), axis=1).astype(np.int32)
 
 
 def save_checkpoint(model: RefinerModel, path) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from ._rand import generator
 from .coarse import CoarseSegmentation, top2_margin
 from .errors import DataFormatError
-from .kitti_io import PointCloud, atomic_write_bytes
+from .kitti_io import PointCloud
 from .projection import RangeImage, background_distances, window_neighbors
 
 REASON_BOUNDARY = 1
@@ -203,30 +203,3 @@ def sample_positions(pool_size: int, n_u: int, seed: int) -> np.ndarray:
         return np.arange(pool_size)
     rng = generator("pool-sample", seed)
     return np.sort(rng.choice(pool_size, size=n_u, replace=False))
-
-
-def sample_training_batch(pool: UncertainPointSet, n_u: int, seed: int) -> UncertainPointSet:
-    """Uniform no-replacement sample of the pool (whole pool if smaller)."""
-    pos = sample_positions(len(pool), n_u, seed)
-    return UncertainPointSet(
-        indices=pool.indices[pos],
-        reason=pool.reason[pos],
-        features=pool.features[pos],
-        coarse_label=pool.coarse_label[pos],
-    )
-
-
-def write_pool_debug(
-    pool: UncertainPointSet,
-    img: RangeImage,
-    seg: CoarseSegmentation,
-    path,
-) -> None:
-    """Text dump: one line ``point_index reason margin distance`` per entry."""
-    margin = top2_margin(seg)[img.point_v[pool.indices], img.point_u[pool.indices]]
-    distance = background_distances(img)[pool.indices]
-    lines = [
-        f"{int(idx)} {REASON_NAMES[int(code)]} {m:.6f} {d:.6f}"
-        for idx, code, m, d in zip(pool.indices, pool.reason, margin, distance)
-    ]
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -1,3 +1,9 @@
+import os
+
+# Pin BLAS to one thread before numpy loads its thread pools.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

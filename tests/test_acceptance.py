@@ -229,8 +229,6 @@ def e2e_config(seed=11):
         scene=SyntheticSceneSpec(
             seed=seed, azimuth_steps=1024, boxes=5, cylinders=8, planes=2
         ),
-        refine_context_limit=4096,
-        refine_chunk_size=1024,
     )
 
 

@@ -35,17 +35,6 @@ def test_ignore_class_excluded():
     assert cm.counts.sum() == 0
 
 
-def test_merge_equals_sequential_accumulation(rng):
-    gt1 = rng.integers(0, 4, 100)
-    pr1 = rng.integers(0, 4, 100)
-    gt2 = rng.integers(0, 4, 77)
-    pr2 = rng.integers(0, 4, 77)
-    a = ConfusionMatrix(4).accumulate(gt1, pr1)
-    b = ConfusionMatrix(4).accumulate(gt2, pr2)
-    both = ConfusionMatrix(4).accumulate(gt1, pr1).accumulate(gt2, pr2)
-    np.testing.assert_array_equal(a.merge(b).counts, both.counts)
-
-
 def test_length_mismatch_and_range_errors():
     cm = ConfusionMatrix(3)
     with pytest.raises(DataFormatError, match="mismatch"):

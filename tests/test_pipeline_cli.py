@@ -68,6 +68,15 @@ def test_config_rejects_unknown_keys(tmp_path):
         PipelineConfig.from_yaml(path)
 
 
+def test_config_rejects_removed_refine_keys(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("refine_context_limit: 16384\n")
+    with pytest.raises(DataFormatError, match="unknown keys in config: .*refine_context_limit"):
+        PipelineConfig.from_yaml(path)
+    assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(path)]) == 2
+    assert "unknown keys in config" in capsys.readouterr().err
+
+
 # --- gen ---
 
 
@@ -146,6 +155,22 @@ def test_pipeline_determinism_end_to_end(tmp_path, corpus, trained):
         b = (outs[1] / "predictions" / f"{stem}.label").read_bytes()
         assert a == b
     assert (outs[0] / "report.kv").read_bytes() == (outs[1] / "report.kv").read_bytes()
+
+
+def test_refine_refuses_stale_predictions(tmp_path, corpus):
+    # a 3-scan run, then a 1-scan run into the same output directory
+    root, cfg = corpus
+    one_scan = tmp_path / "one-scan"
+    generate_corpus(one_scan, cfg, 1)
+    out = tmp_path / "run"
+    assert run_refine(root, out, cfg, model=None)["num_scans"] == 3
+    before = sorted(p.name for p in (out / "predictions").iterdir())
+    with pytest.raises(DataFormatError, match="not empty") as excinfo:
+        run_refine(one_scan, out, cfg, model=None)
+    assert str(out / "predictions") in str(excinfo.value)
+    assert cli.main(["refine", "--data", str(one_scan), "--out", str(out), "--no-refiner"]) == 2
+    assert sorted(p.name for p in (out / "predictions").iterdir()) == before
+    assert run_refine(one_scan, tmp_path / "fresh", cfg, model=None)["num_scans"] == 1
 
 
 def test_empty_pool_reproduces_knn_only(corpus, trained):

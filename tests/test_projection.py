@@ -8,7 +8,6 @@ from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import (
     ProjectionConfig,
     back_project_labels,
-    background_distance,
     background_distances,
     project,
     write_range_pgm,
@@ -127,11 +126,10 @@ def test_background_distance_values():
         cloud_from_xyz([[5.0, 0.0, 0.0], [9.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
         ProjectionConfig(width=64, height=16),
     )
-    assert background_distance(img, 1) == pytest.approx(4.0)
+    dist = background_distances(img)
+    assert not img.is_foreground[1] and dist[1] == pytest.approx(4.0)
     # exact duplicate ties with the foreground; tie broken by index
-    assert background_distance(img, 2) == pytest.approx(0.0)
-    with pytest.raises(DataFormatError, match="foreground"):
-        background_distance(img, 0)
+    assert not img.is_foreground[2] and dist[2] == pytest.approx(0.0)
 
 
 def test_background_distances_nonnegative_and_minimal(rng):

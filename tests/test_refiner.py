@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rangerefine import refiner
 from rangerefine.errors import DataFormatError, NumericError
 from rangerefine.refiner import (
     Adam,
@@ -112,6 +114,60 @@ def test_attention_rows_softmax_and_symmetry(rng):
     attn = softmax_rows(scores / np.sqrt(12))
     assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-9
     assert (attn >= 0).all()
+
+
+# --- row tiles ---
+
+
+def test_single_tile_attention_bitwise_straightline(rng):
+    x, wp, bp, wv, bv = random_layer(rng, 64, 16, 16)
+    q = x @ wp + bp
+    v = x @ wv + bv
+    want = softmax_rows((q @ q.T) / np.sqrt(16)) @ v
+    assert attention_layer(x, wp, bp, wv, bv).tobytes() == want.tobytes()
+
+
+def test_tiled_attention_matches_oracle(rng, monkeypatch):
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 11 * 4)  # tiles of 4, 4 and 3 rows
+    for _ in range(3):
+        x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
+        got = attention_layer(x, wp, bp, wv, bv)
+        want = attention_oracle(x, wp, bp, wv, bv)
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
+
+
+def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
+    model = RefinerModel(TINY, seed=3)
+    feats = rng.normal(size=(7, 25))
+    targets = np.array([0, 1, 2, 3, 1, 2, 3])
+    weights = rng.uniform(0.5, 2.0, size=4)
+    untiled = total_loss(model, feats, targets, weights)
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 7 * 3)  # tiles of 3, 3 and 1 rows
+    result = total_loss(model, feats, targets, weights)
+    scale = max(np.abs(g).max() for g in untiled.grads.values())
+    for key, grad in result.grads.items():
+        assert np.abs(grad - untiled.grads[key]).max() < 1e-14 * scale
+
+    def value():
+        return total_loss(model, feats, targets, weights).total
+
+    worst = 0.0
+    for key, param in model.params.items():
+        worst = max(worst, fd_check(value, param, result.grads[key], rel_tol=1e-4))
+    assert worst < 1e-4
+
+
+def test_forward_memory_bounded():
+    # an untiled layer holds three 4096 x 4096 float64 score-sized arrays (400 MB)
+    model = RefinerModel(ModelDims(), seed=0)
+    feats = np.random.default_rng(0).normal(size=(4096, 25))
+    tracemalloc.start()
+    try:
+        model.forward(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6, f"forward peak {peak / 1e6:.0f} MB"
 
 
 # --- model forward ---
@@ -408,16 +464,6 @@ def test_refine_outputs_and_determinism(rng):
     pool.features[3] = pool.features[4]
     out = refine(model, pool)
     assert out[3] == out[4]
-
-
-def test_refine_chunked_covers_everything(rng):
-    model = RefinerModel(TINY, seed=2)
-    pool, _ = make_pool(rng, 50)
-    whole = refine(model, pool, context_limit=10_000)
-    chunked = refine(model, pool, context_limit=10, chunk_size=16, seed=3)
-    assert chunked.shape == whole.shape
-    again = refine(model, pool, context_limit=10, chunk_size=16, seed=3)
-    np.testing.assert_array_equal(chunked, again)
 
 
 def test_refine_empty_pool_rejected():

@@ -12,10 +12,9 @@ from rangerefine.uncertainty import (
     SelectionConfig,
     aggregate_features,
     build_pool,
-    sample_training_batch,
+    sample_positions,
     select_background,
     select_boundary,
-    write_pool_debug,
 )
 
 from conftest import random_cloud
@@ -258,18 +257,19 @@ def test_pool_dedupes_identical_selections(rng):
 
 
 def test_sample_training_batch(rng):
+    # training draws each batch's pool positions with sample_positions
     cloud, img, seg = scene_inputs(rng, n=1000, width=32, height=8)
     cfg = SelectionConfig(boundary_budget=500, c_u=1.0)
     pool = build_pool(cloud, img, seg, cfg, np.zeros(len(cloud), dtype=np.int32))
-    small = sample_training_batch(pool, 4096, seed=1)
-    assert len(small) == len(pool)  # undersized pool: everything returned
-    batch = sample_training_batch(pool, 64, seed=1)
-    assert len(batch) == 64
-    assert len(np.unique(batch.indices)) == 64
-    again = sample_training_batch(pool, 64, seed=1)
-    np.testing.assert_array_equal(batch.indices, again.indices)
-    other = sample_training_batch(pool, 64, seed=2)
-    assert not np.array_equal(batch.indices, other.indices)
+    small = sample_positions(len(pool), 4096, seed=1)
+    np.testing.assert_array_equal(small, np.arange(len(pool)))  # undersized pool: everything
+    batch = sample_positions(len(pool), 64, seed=1)
+    assert len(np.unique(batch)) == 64
+    assert (np.diff(batch) > 0).all() and 0 <= batch[0] and batch[-1] < len(pool)
+    again = sample_positions(len(pool), 64, seed=1)
+    np.testing.assert_array_equal(batch, again)
+    other = sample_positions(len(pool), 64, seed=2)
+    assert not np.array_equal(batch, other)
 
 
 def test_sample_empty_pool_rejected(rng):
@@ -280,17 +280,4 @@ def test_sample_empty_pool_rejected(rng):
     )
     assert len(pool) == 0
     with pytest.raises(DataFormatError, match="empty pool"):
-        sample_training_batch(pool, 10, seed=0)
-
-
-def test_pool_debug_dump(tmp_path, rng):
-    cloud, img, seg = scene_inputs(rng, n=300, width=32, height=8)
-    cfg = SelectionConfig(boundary_budget=20, c_u=1.0)
-    pool = build_pool(cloud, img, seg, cfg, np.zeros(len(cloud), dtype=np.int32))
-    path = tmp_path / "pool.txt"
-    write_pool_debug(pool, img, seg, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(pool)
-    first = lines[0].split()
-    assert int(first[0]) == pool.indices[0]
-    assert first[1] in ("boundary", "background", "both")
+        sample_positions(len(pool), 10, seed=0)
