@@ -44,27 +44,22 @@ def knn_refine(
     base = back_project_labels(img, pixel_labels)
     num_classes = int(pixel_labels.max()) + 1 if pixel_labels.size else 1
 
-    nb = window_neighbors(img, cfg.window)
-    k = min(cfg.k, nb.delta_range.shape[1])
-    order = np.argsort(nb.delta_range, axis=1, kind="stable")[:, :k]
+    pixel, delta = window_neighbors(img, cfg.window, cfg.k)
+    cand_labels = pixel_labels.ravel()[pixel]
 
-    delta = np.take_along_axis(nb.delta_range, order, axis=1)
-    cand_v = np.take_along_axis(nb.v, order, axis=1)
-    cand_u = np.take_along_axis(nb.u, order, axis=1)
-    cand_labels = np.asarray(pixel_labels)[cand_v, cand_u]
-
-    keep = np.isfinite(delta) & (delta <= cfg.range_cutoff)
+    # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so
+    # carries weight 0: whatever label it gathered never counts
+    keep = delta <= cfg.range_cutoff
     if cfg.weighted:
         weights = np.exp(-(delta * delta) / (2.0 * cfg.sigma * cfg.sigma))
     else:
         weights = np.ones_like(delta)
     weights = np.where(keep, weights, 0.0)
 
-    n = len(base)
-    votes = np.zeros((n, num_classes), dtype=np.float64)
-    rows = np.broadcast_to(np.arange(n)[:, None], cand_labels.shape)
-    np.add.at(votes, (rows, np.where(keep, cand_labels, 0)), weights)
+    # bincount adds each row's weights in rank order, nearest candidate first
+    n, k = delta.shape
+    rows = np.repeat(np.arange(n) * num_classes, k)
+    votes = np.bincount(rows + cand_labels.ravel(), weights.ravel(), minlength=n * num_classes)
 
-    refined = np.argmax(votes, axis=1).astype(base.dtype)
-    has_vote = keep.any(axis=1)
-    return np.where(has_vote, refined, base)
+    refined = np.argmax(votes.reshape(n, num_classes), axis=1).astype(base.dtype)
+    return np.where(keep.any(axis=1), refined, base)

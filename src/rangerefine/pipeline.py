@@ -341,17 +341,18 @@ def export_ply(cloud: PointCloud, labels: np.ndarray, palette: dict, path,
     labels = np.asarray(labels)
     if labels.shape != (len(cloud),):
         raise DataFormatError("labels must cover every point")
-    used = np.unique(labels)
-    colors = {}
+    used, inverse = np.unique(labels, return_inverse=True)
+    colors = []
     for cls in used.tolist():
         if cls in palette:
-            colors[cls] = tuple(palette[cls])
+            r, g, b = palette[cls]
         elif cls == ignore_class:
-            colors[cls] = DEFAULT_COLOR
+            r, g, b = DEFAULT_COLOR
         else:
             raise DataFormatError(f"palette has no color for class {cls}")
+        colors.append(f"{r} {g} {b}")
 
-    lines = [
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {len(cloud)}",
@@ -363,11 +364,13 @@ def export_ply(cloud: PointCloud, labels: np.ndarray, palette: dict, path,
         "property uchar blue",
         "end_header",
     ]
-    xyz = cloud.points[:, :3]
-    for i in range(len(cloud)):
-        r, g, b = colors[int(labels[i])]
-        lines.append(f"{xyz[i, 0]:.6f} {xyz[i, 1]:.6f} {xyz[i, 2]:.6f} {r} {g} {b}")
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    # one %-format over the whole cloud; float32 -> float64 is exact, so the
+    # digits equal formatting each float32 coordinate on its own
+    rows = np.empty((len(cloud), 4), dtype=object)
+    rows[:, :3] = cloud.points[:, :3].astype(np.float64)
+    rows[:, 3] = np.array(colors, dtype=object)[inverse]
+    body = ("%.6f %.6f %.6f %s\n" * len(cloud)) % tuple(rows.ravel().tolist())
+    atomic_write_bytes(path, ("\n".join(header) + "\n" + body).encode("ascii"))
 
 
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -146,25 +145,17 @@ def back_project_labels(img: RangeImage, pixel_labels: np.ndarray) -> np.ndarray
     return pixel_labels[img.point_v, img.point_u]
 
 
-class NeighborWindows(NamedTuple):
-    """Foreground candidates in a pixel window, row-major window order."""
-
-    valid: np.ndarray        # (M, K) bool
-    delta_range: np.ndarray  # (M, K) float64, +inf where invalid
-    fg_index: np.ndarray     # (M, K) int64, -1 where invalid
-    v: np.ndarray            # (M, K) int32 clipped pixel row
-    u: np.ndarray            # (M, K) int32 clipped pixel column
-
-
 def window_neighbors(
-    img: RangeImage, window: int, indices: np.ndarray | None = None
-) -> NeighborWindows:
-    """Gather per-point window candidates (no horizontal wrap-around).
+    img: RangeImage, window: int, k: int, indices: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k window candidates nearest in |delta range|, nearest first.
 
-    Candidates are the foreground points of valid pixels inside the
-    ``window`` x ``window`` block centered on each query point's pixel.
-    ``delta_range`` is |candidate range - query range|. Ranking ties on
-    delta_range downstream resolve by this row-major window order.
+    Candidates are the valid pixels inside the ``window`` x ``window`` block
+    centered on each query point's pixel (no horizontal wrap-around); ties on
+    delta resolve by row-major window order. Returns ``pixel`` (M, k'), the
+    flat ``v * W + u`` index of each candidate or -1 where it is invalid, and
+    ``delta`` (M, k'), |candidate range - query range| or +inf where invalid,
+    with k' = min(k, window**2).
     """
     if window < 1 or window % 2 == 0:
         raise DataFormatError(f"window must be odd and >= 1, got {window}")
@@ -173,24 +164,32 @@ def window_neighbors(
     else:
         pu, pv, pr = img.point_u[indices], img.point_v[indices], img.point_range[indices]
 
+    # pad by half a window so every window lies inside the padded image
     half = window // 2
-    dv, du = np.meshgrid(
-        np.arange(-half, half + 1), np.arange(-half, half + 1), indexing="ij"
+    h, w = img.height, img.width
+    padded_w = w + 2 * half
+    padded_range = np.full((h + 2 * half, padded_w), np.inf)
+    padded_range[half : half + h, half : half + w] = np.where(
+        img.valid_mask, img.range_channel, np.inf
     )
-    dv = dv.ravel()[None, :]
-    du = du.ravel()[None, :]
+    padded_pixel = np.full(padded_range.shape, -1, dtype=np.int64)
+    padded_pixel[half : half + h, half : half + w] = np.where(
+        img.valid_mask, np.arange(h * w).reshape(h, w), -1
+    )
 
-    vv = pv[:, None].astype(np.int64) + dv
-    uu = pu[:, None].astype(np.int64) + du
-    in_bounds = (vv >= 0) & (vv < img.height) & (uu >= 0) & (uu < img.width)
-    vc = np.clip(vv, 0, img.height - 1).astype(np.int32)
-    uc = np.clip(uu, 0, img.width - 1).astype(np.int32)
+    # in padded coordinates a point's window has its top-left corner at (v, u)
+    dv, du = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
+    offsets = (dv * padded_w + du).ravel()
+    base = pv.astype(np.int64) * padded_w + pu
+    delta = padded_range.ravel()[base[:, None] + offsets]
+    delta -= pr[:, None]
+    np.abs(delta, out=delta)
 
-    valid = in_bounds & img.valid_mask[vc, uc]
-    delta = np.abs(img.range_channel[vc, uc] - pr[:, None])
-    delta[~valid] = np.inf
-    fg = np.where(valid, img.fg_point_index[vc, uc], -1)
-    return NeighborWindows(valid=valid, delta_range=delta, fg_index=fg, v=vc, u=uc)
+    order = np.argsort(delta, axis=1, kind="stable")[:, : min(k, len(offsets))]
+    pixel = padded_pixel.ravel()[base[:, None] + offsets[order]]
+    # the ranked deltas as flat positions into (M, window**2): cheaper than take_along_axis
+    ranked = order + np.arange(0, delta.size, len(offsets))[:, None]
+    return pixel, delta.ravel()[ranked]
 
 
 def write_range_pgm(img: RangeImage, path) -> None:

@@ -34,8 +34,6 @@ REASON_NAMES = {REASON_BOUNDARY: "boundary", REASON_BACKGROUND: "background", RE
 
 GEOMETRY_FEATURES = 5
 
-_AGG_CHUNK = 16384
-
 
 @dataclass
 class SelectionConfig:
@@ -102,21 +100,15 @@ def aggregate_features(
     out[:, 3] = img.point_range[indices]
     out[:, 4] = cloud.points[indices, 3].astype(np.float64)
 
-    for start in range(0, len(indices), _AGG_CHUNK):
-        chunk = indices[start : start + _AGG_CHUNK]
-        nb = window_neighbors(img, cfg.agg_window, chunk)
-        k = min(cfg.agg_k, nb.delta_range.shape[1])
-        order = np.argsort(nb.delta_range, axis=1, kind="stable")[:, :k]
-        sel_valid = np.take_along_axis(nb.valid, order, axis=1)
-        sel_v = np.take_along_axis(nb.v, order, axis=1)
-        sel_u = np.take_along_axis(nb.u, order, axis=1)
-        vectors = seg.probs[sel_v, sel_u]            # (m, k, C)
-        weights = sel_valid.astype(np.float64)
-        summed = (vectors * weights[:, :, None]).sum(axis=1)
-        counts = weights.sum(axis=1)                 # >= 1: own pixel is always valid
-        mean = summed / counts[:, None]
-        mean /= mean.sum(axis=1)[:, None]
-        out[start : start + _AGG_CHUNK, GEOMETRY_FEATURES:] = mean
+    pixel, delta = window_neighbors(img, cfg.agg_window, cfg.agg_k, indices)
+    # an invalid candidate (pixel -1) has weight 0, so the vector it gathered never counts
+    weights = np.isfinite(delta).astype(np.float64)
+    vectors = seg.probs.reshape(-1, num_classes)[pixel]  # (M, k, C)
+    summed = (vectors * weights[:, :, None]).sum(axis=1)
+    counts = weights.sum(axis=1)  # >= 1: own pixel is always valid
+    mean = summed / counts[:, None]
+    mean /= mean.sum(axis=1)[:, None]
+    out[:, GEOMETRY_FEATURES:] = mean
     return out
 
 

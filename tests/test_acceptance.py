@@ -8,7 +8,6 @@ minutes; everything else finishes in seconds.
 import dataclasses
 import math
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from rangerefine.kitti_io import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.metrics import ConfusionMatrix
 from rangerefine.pipeline import PipelineConfig, generate_corpus, refine_scan, run_refine, run_train
-from rangerefine.projection import ProjectionConfig, project, window_neighbors
+from rangerefine.projection import ProjectionConfig, project
 from rangerefine.refiner import (
     ModelDims,
     RefinerModel,
@@ -41,13 +40,6 @@ from test_projection import project_oracle
 from test_refiner import TINY, attention_oracle, fd_check, random_layer
 from test_refiner import lovasz_oracle
 from test_uncertainty import aggregate_oracle, random_seg
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - present in the dev environment
-    @contextmanager
-    def threadpool_limits(n):
-        yield
 
 
 def report(criterion, message):
@@ -237,32 +229,31 @@ def e2e_run(tmp_path_factory):
     """Shared expensive run: 20 train + 5 held-out scans, 50 epochs, 1 thread."""
     root = tmp_path_factory.mktemp("e2e")
     cfg = e2e_config()
-    with threadpool_limits(1):
-        start = time.perf_counter()
-        train_dir = root / "train-corpus"
-        generate_corpus(train_dir, cfg, 20)
-        held_cfg = dataclasses.replace(
-            cfg, scene=dataclasses.replace(cfg.scene, seed=cfg.scene.seed + 7919)
+    start = time.perf_counter()
+    train_dir = root / "train-corpus"
+    generate_corpus(train_dir, cfg, 20)
+    held_cfg = dataclasses.replace(
+        cfg, scene=dataclasses.replace(cfg.scene, seed=cfg.scene.seed + 7919)
+    )
+    held_dir = root / "held-corpus"
+    generate_corpus(held_dir, held_cfg, 5)
+
+    model, _ = run_train(train_dir, root / "train-out", cfg)
+
+    cmap = cfg.load_class_map()
+    cm_full = ConfusionMatrix(cmap.num_classes, cmap.ignore_class)
+    cm_knn = ConfusionMatrix(cmap.num_classes, cmap.ignore_class)
+    from rangerefine import kitti_io
+
+    for scan_path in sorted((held_dir / "scans").glob("*.bin")):
+        cloud = kitti_io.read_point_cloud(scan_path)
+        cloud.labels = kitti_io.read_labels(
+            held_dir / "labels" / (scan_path.stem + ".label"), cmap
         )
-        held_dir = root / "held-corpus"
-        generate_corpus(held_dir, held_cfg, 5)
-
-        model, _ = run_train(train_dir, root / "train-out", cfg)
-
-        cmap = cfg.load_class_map()
-        cm_full = ConfusionMatrix(cmap.num_classes, cmap.ignore_class)
-        cm_knn = ConfusionMatrix(cmap.num_classes, cmap.ignore_class)
-        from rangerefine import kitti_io
-
-        for scan_path in sorted((held_dir / "scans").glob("*.bin")):
-            cloud = kitti_io.read_point_cloud(scan_path)
-            cloud.labels = kitti_io.read_labels(
-                held_dir / "labels" / (scan_path.stem + ".label"), cmap
-            )
-            result = refine_scan(cloud, cfg, cmap, model)
-            cm_full.accumulate(cloud.labels, result.labels)
-            cm_knn.accumulate(cloud.labels, result.knn_labels)
-        elapsed = time.perf_counter() - start
+        result = refine_scan(cloud, cfg, cmap, model)
+        cm_full.accumulate(cloud.labels, result.labels)
+        cm_knn.accumulate(cloud.labels, result.knn_labels)
+    elapsed = time.perf_counter() - start
     return cm_full, cm_knn, elapsed
 
 
@@ -306,18 +297,17 @@ def test_criterion_11_hot_path_performance():
     assert len(cloud) >= 130_000, f"scene too small: {len(cloud)}"
     proj = ProjectionConfig(width=2048, height=64)
     sel_cfg = SelectionConfig(boundary_budget=8192, c_u=1.0)
-    with threadpool_limits(1):
-        # warm-up outside the timed region (allocator, caches)
-        img = project(cloud, proj)
-        seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(blur_radius=1, seed=1), 20)
-        pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
+    # warm-up outside the timed region (allocator, caches)
+    img = project(cloud, proj)
+    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(blur_radius=1, seed=1), 20)
+    pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
 
-        start = time.perf_counter()
-        img = project(cloud, proj)
-        knn_refine(img, pixel_labels, KnnConfig())
-        select_boundary(img, seg, sel_cfg)
-        select_background(img, sel_cfg)
-        elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    img = project(cloud, proj)
+    knn_refine(img, pixel_labels, KnnConfig())
+    select_boundary(img, seg, sel_cfg)
+    select_background(img, sel_cfg)
+    elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(
         11,

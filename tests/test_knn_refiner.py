@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rangerefine.errors import DataFormatError
+from rangerefine.kitti_io import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.projection import ProjectionConfig, project
 
@@ -107,6 +109,23 @@ def test_matches_oracle_on_random_scenes(rng):
         np.testing.assert_array_equal(
             knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg)
         )
+
+
+def test_full_size_scan_memory_bounded():
+    # 144k points on 64 x 2048; one (N, 25) float64 candidate array is 29 MB
+    spec = SyntheticSceneSpec(seed=31, azimuth_steps=2600, boxes=6, cylinders=8, planes=2)
+    cloud = generate_scene(spec)
+    img = project(cloud, ProjectionConfig(width=2048, height=64))
+    pixel_labels = np.zeros((64, 2048), dtype=np.int32)
+    vv, uu = np.nonzero(img.valid_mask)
+    pixel_labels[vv, uu] = cloud.labels[img.fg_point_index[vv, uu]]
+    tracemalloc.start()
+    try:
+        knn_refine(img, pixel_labels, KnnConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 130e6, f"knn_refine peak {peak / 1e6:.0f} MB"
 
 
 def test_locality(rng):

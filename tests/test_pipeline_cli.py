@@ -280,6 +280,34 @@ def test_export_ply_gray_default_and_missing_class(tmp_path):
         export_ply(cloud, np.array([5]), {}, path, ignore_class=0)
 
 
+def ply_oracle(cloud, labels, palette, ignore_class):
+    """Per-point f-string formatting of the PLY file."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
+    lines += [f"property float {axis}" for axis in "xyz"]
+    lines += [f"property uchar {c}" for c in ("red", "green", "blue")]
+    lines.append("end_header")
+    for p, cls in zip(cloud.points, labels.tolist()):
+        r, g, b = palette[cls] if cls in palette else (128, 128, 128)
+        lines.append(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {r} {g} {b}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_export_ply_matches_per_point_oracle(tmp_path, rng):
+    pts = rng.normal(scale=40.0, size=(500, 4)).astype(np.float32)
+    pts[0, :3] = (-0.0, 0.0, -0.0)
+    pts[1, :3] = (-1e-9, -123.4567891, 5e-7)  # rounds to -0.000000 and 0.000001
+    pts[2, :3] = (-80.0, 1e4, -0.5)
+    cloud = PointCloud(pts)
+    palette = {1: (255, 0, 0), 2: (0, 200, 17), 4: (7, 7, 255)}
+    labels = rng.choice([0, 1, 2, 4], size=500)
+    labels[:3] = 0  # ignore class, not in the palette: gray
+    path = tmp_path / "cloud.ply"
+    export_ply(cloud, labels, palette, path, ignore_class=0)
+    assert path.read_bytes() == ply_oracle(cloud, labels, palette, 0)
+    export_ply(PointCloud(pts[:0]), labels[:0], palette, path)
+    assert path.read_bytes() == ply_oracle(PointCloud(pts[:0]), labels[:0], palette, 0)
+
+
 # --- CLI ---
 
 

@@ -7,9 +7,11 @@ from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import (
     ProjectionConfig,
+    RangeImage,
     back_project_labels,
     background_distances,
     project,
+    window_neighbors,
     write_range_pgm,
 )
 
@@ -171,6 +173,88 @@ def test_back_project_shape_mismatch(rng):
     img = project(cloud, ProjectionConfig(width=64, height=16))
     with pytest.raises(DataFormatError, match="shape"):
         back_project_labels(img, np.zeros((8, 64), dtype=np.int32))
+
+
+# --- window_neighbors ---
+
+
+def hand_image(ranges, query_v, query_u, query_range):
+    """RangeImage with the given per-pixel ranges (0 = empty) and query points."""
+    ranges = np.asarray(ranges, dtype=np.float64)
+    channels = np.zeros(ranges.shape + (5,))
+    channels[:, :, 3] = ranges
+    valid = ranges > 0
+    fg = np.where(valid, np.arange(ranges.size).reshape(ranges.shape), -1)
+    return RangeImage(
+        channels=channels,
+        valid_mask=valid,
+        fg_point_index=fg,
+        point_u=np.asarray(query_u, dtype=np.int32),
+        point_v=np.asarray(query_v, dtype=np.int32),
+        point_range=np.asarray(query_range, dtype=np.float64),
+        is_foreground=np.zeros(len(query_u), dtype=bool),
+    )
+
+
+def test_window_tie_at_kth_place_keeps_row_major_earlier():
+    # candidates at (2, 0) and (0, 2) both sit 1 m from the query: (0, 2) comes first
+    img = hand_image([[0, 0, 9], [0, 10, 0], [11, 0, 12]], [1], [1], [10.0])
+    pixel, delta = window_neighbors(img, 3, 2)
+    np.testing.assert_array_equal(pixel, [[4, 2]])
+    np.testing.assert_array_equal(delta, [[0.0, 1.0]])
+    pixel, delta = window_neighbors(img, 3, 9)
+    np.testing.assert_array_equal(pixel, [[4, 2, 6, 8, -1, -1, -1, -1, -1]])
+    assert np.isinf(delta[0, 4:]).all()
+
+
+def test_window_many_ties_rank_in_row_major_order():
+    # a full 5 x 5 window whose 24 neighbors all sit 1 m from the center
+    ranges = np.where(np.arange(25).reshape(5, 5) % 2 == 0, 9.0, 11.0)
+    ranges[2, 2] = 10.0
+    img = hand_image(ranges, [2], [2], [10.0])
+    pixel, delta = window_neighbors(img, 5, 25)
+    np.testing.assert_array_equal(pixel[0], [12] + [p for p in range(25) if p != 12])
+    np.testing.assert_array_equal(delta[0], [0.0] + [1.0] * 24)
+
+
+def test_window_wider_than_image_stays_in_bounds():
+    height, width = 4, 5
+    ranges = np.arange(1, height * width + 1, dtype=np.float64).reshape(height, width)
+    ranges[1, 2] = ranges[3, 0] = 0.0  # two empty pixels
+    vv, uu = np.divmod(np.arange(height * width), width)
+    img = hand_image(ranges, vv, uu, np.full(height * width, 0.5))
+    pixel, delta = window_neighbors(img, 7, 49)
+    assert pixel.shape == (height * width, 49)
+    assert ((pixel >= -1) & (pixel < height * width)).all()
+    assert (np.isinf(delta) == (pixel == -1)).all()
+    # every valid pixel of the clipped window, once each (all 4 rows are in reach)
+    for row in range(height * width):
+        found = pixel[row][pixel[row] >= 0]
+        in_window = (ranges > 0) & (np.abs(np.arange(width) - uu[row]) <= 3)[None, :]
+        np.testing.assert_array_equal(np.sort(found), np.flatnonzero(in_window))
+        np.testing.assert_array_equal(delta[row][: len(found)], ranges.ravel()[found] - 0.5)
+
+
+def test_window_k_above_window_area_returns_all_columns(rng):
+    img = project(random_cloud(rng, 300), ProjectionConfig(width=64, height=16))
+    pixel, delta = window_neighbors(img, 3, 20)
+    assert pixel.shape == delta.shape == (300, 9)
+    assert (delta[:, 1:] >= delta[:, :-1]).all()
+
+
+def test_window_indices_rows_match_all_points_call(rng):
+    img = project(random_cloud(rng, 1500), ProjectionConfig(width=48, height=16))
+    indices = rng.choice(1500, size=200, replace=False)
+    pixel_all, delta_all = window_neighbors(img, 5, 5)
+    pixel, delta = window_neighbors(img, 5, 5, indices)
+    np.testing.assert_array_equal(pixel, pixel_all[indices])
+    np.testing.assert_array_equal(delta, delta_all[indices])
+
+
+def test_window_rejects_even_window(rng):
+    img = project(random_cloud(rng, 10), ProjectionConfig(width=64, height=16))
+    with pytest.raises(DataFormatError, match="window"):
+        window_neighbors(img, 4, 5)
 
 
 def test_range_pgm_dump(tmp_path, rng):
