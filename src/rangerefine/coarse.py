@@ -1,10 +1,10 @@
 """Per-pixel class probabilities: loaded from a backbone export or synthesized.
 
-The oracle path one-hot encodes the foreground ground truth, box-blurs it
-over valid pixels to smear class boundaries, swaps the top-2 classes of a
-seeded fraction of pixels, and finally applies a temperature power
-transform. It reproduces the two error modes the refiner targets (blurred
-boundaries, confident mistakes) with controllable strength.
+The oracle path box-blurs the one-hot foreground ground truth over valid
+pixels from exact integer class counts per window, then, on valid pixels
+only, swaps the top-2 classes of a seeded fraction and applies a temperature
+power transform. It reproduces the two error modes the refiner targets
+(blurred boundaries, confident mistakes) with controllable strength.
 
 File format for loaded probabilities: raw little-endian float32, row-major
 (row, col, class), no header.
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import uniform01
-from .errors import DataFormatError
+from .errors import DataFormatError, require_int
 from .projection import RangeImage
 
 SUM_TOLERANCE = 1e-3
@@ -51,6 +51,7 @@ class OracleNoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_int(self, "blur_radius", "seed")
         if self.blur_radius < 0:
             raise DataFormatError("blur_radius must be >= 0")
         if not 0.0 <= self.flip_rate < 1.0:
@@ -89,24 +90,6 @@ def load_coarse(path, height: int, width: int, num_classes: int) -> CoarseSegmen
     )
 
 
-def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2r+1)^2 window clipped at image edges, per channel."""
-    pad = np.zeros((arr.shape[0] + 1, arr.shape[1] + 1) + arr.shape[2:], dtype=np.float64)
-    pad[1:, 1:] = arr
-    sat = pad.cumsum(axis=0).cumsum(axis=1)
-    h, w = arr.shape[0], arr.shape[1]
-    r0 = np.clip(np.arange(h) - radius, 0, h)
-    r1 = np.clip(np.arange(h) + radius + 1, 0, h)
-    c0 = np.clip(np.arange(w) - radius, 0, w)
-    c1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    return (
-        sat[r1[:, None], c1[None, :]]
-        - sat[r0[:, None], c1[None, :]]
-        - sat[r1[:, None], c0[None, :]]
-        + sat[r0[:, None], c0[None, :]]
-    )
-
-
 def oracle_coarse(
     img: RangeImage,
     gt_labels: np.ndarray,
@@ -123,41 +106,41 @@ def oracle_coarse(
         raise DataFormatError("ground-truth labels outside 0..C-1")
 
     h, w = img.height, img.width
+    # radii beyond h - 1 (rows) or w - 1 (columns) add no pixel to any window
+    rv, ru = min(spec.blur_radius, h - 1), min(spec.blur_radius, w - 1)
     valid = img.valid_mask
-    probs = np.zeros((h, w, num_classes), dtype=np.float64)
     fv, fu = np.nonzero(valid)
-    probs[fv, fu, gt_labels[img.fg_point_index[fv, fu]]] = 1.0
+    # per-class counts over the clipped window in exact small integers, plus a
+    # last channel counting the window's valid pixels; the zero padding clips
+    # the window at the image edges
+    dtype = np.min_scalar_type((2 * rv + 1) * (2 * ru + 1))
+    pad = np.zeros((h + 2 * rv, w + 2 * ru, num_classes + 1), dtype=dtype)
+    pad[fv + rv, fu + ru, gt_labels[img.fg_point_index[fv, fu]]] = 1
+    pad[fv + rv, fu + ru, num_classes] = 1
+    vsum = sum(pad[d : d + h] for d in range(2 * rv + 1))
+    counts = sum(vsum[:, d : d + w] for d in range(2 * ru + 1))
 
-    if spec.blur_radius > 0:
-        sums = _box_sum(probs * valid[:, :, None], spec.blur_radius)
-        counts = _box_sum(valid.astype(np.float64), spec.blur_radius)
-        blurred = np.zeros_like(probs)
-        blurred[valid] = sums[valid] / counts[valid][:, None]
-        probs = blurred
-        probs[valid] /= probs[valid].sum(axis=1)[:, None]
+    # noise runs on the (M, C) rows of the valid pixels only
+    counts = counts[fv, fu]
+    probs = counts[:, :num_classes] / counts[:, num_classes:]
+    probs /= probs.sum(axis=1)[:, None]
 
     if spec.flip_rate > 0:
-        draw = uniform01(spec.seed, "flip", np.arange(h)[:, None], np.arange(w)[None, :])
-        flip = (draw < spec.flip_rate) & valid
-        if flip.any():
-            rows = probs[flip]
-            sel = np.arange(len(rows))
-            top = np.argmax(rows, axis=1)
-            masked = rows.copy()
-            masked[sel, top] = -np.inf
-            runner = np.argmax(masked, axis=1)  # ties to the smallest class id
-            rows[sel, top], rows[sel, runner] = (
-                rows[sel, runner].copy(),
-                rows[sel, top].copy(),
-            )
-            probs[flip] = rows
+        # counter-based draws: a pixel's draw does not depend on which others are drawn
+        flip = np.flatnonzero(uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate)
+        masked = probs[flip]
+        top = np.argmax(masked, axis=1)
+        masked[np.arange(len(flip)), top] = -np.inf
+        runner = np.argmax(masked, axis=1)  # ties to the smallest class id
+        probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
 
     if spec.temperature != 1.0:
-        sharp = probs[valid] ** (1.0 / spec.temperature)
-        probs[valid] = sharp / sharp.sum(axis=1)[:, None]
+        sharp = probs ** (1.0 / spec.temperature)
+        probs = sharp / sharp.sum(axis=1)[:, None]
 
-    probs[~valid] = 1.0 / num_classes
-    return CoarseSegmentation(probs=probs, source="oracle", valid_mask=valid.copy())
+    out = np.full((h, w, num_classes), 1.0 / num_classes)
+    out[fv, fu] = probs
+    return CoarseSegmentation(probs=out, source="oracle", valid_mask=valid.copy())
 
 
 def top2_margin(seg: CoarseSegmentation) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the integer-field check.
 
 The CLI maps these onto exit codes: DataFormatError -> 2, NumericError -> 3.
 """
+
+import numbers
 
 
 class DataFormatError(ValueError):
@@ -10,3 +12,11 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required (divergence, NaN activations)."""
+
+
+def require_int(cfg, *names: str) -> None:
+    """Reject config fields that are not integers (floats and bools included)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DataFormatError(f"{name} must be an integer, got {value!r}")

@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from ._rand import generator
-from .errors import DataFormatError
+from .errors import DataFormatError, require_int
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -277,6 +277,9 @@ class SyntheticSceneSpec:
     fov_up_deg: float = 3.0
     fov_down_deg: float = -25.0
     sensor_height: float = 1.7
+
+    def __post_init__(self):
+        require_int(self, "seed", "boxes", "cylinders", "planes", "rings", "azimuth_steps")
 
     def validate(self) -> None:
         if min(self.boxes, self.cylinders, self.planes) < 0:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import derive_seed, generator
-from .errors import DataFormatError, NumericError
+from .errors import DataFormatError, NumericError, require_int
 from .kitti_io import atomic_write_bytes
 from .uncertainty import UncertainPointSet, sample_positions
 
@@ -378,6 +378,7 @@ class TrainConfig:
     class_weights: np.ndarray | None = None
 
     def __post_init__(self):
+        require_int(self, "epochs", "seed")
         if self.epochs < 1:
             raise DataFormatError("epochs must be >= 1")
         if self.learning_rate <= 0:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rangerefine._rand import uniform01
 from rangerefine.coarse import (
     CoarseSegmentation,
     OracleNoiseSpec,
@@ -166,6 +169,70 @@ def test_blur_errors_confined_to_boundary_band(rng):
             u0, u1 = max(0, u - radius), min(img.width, u + radius + 1)
             block = gt_pix[v0:v1, u0:u1]
             assert ((block >= 0) & (block != gt_pix[v, u])).any()
+
+
+def window_average_oracle(img, labels, radius, num_classes):
+    """Per valid pixel: mean of the valid neighbours' one-hot vectors over the
+    clipped (2r+1)^2 window, renormalized; also the largest class count."""
+    onehot = np.zeros((img.height, img.width, num_classes))
+    vv, uu = np.nonzero(img.valid_mask)
+    onehot[vv, uu, labels[img.fg_point_index[vv, uu]]] = 1.0
+    out = np.empty((len(vv), num_classes))
+    max_count = 0
+    for i, (v, u) in enumerate(zip(vv, uu)):
+        v0, v1 = max(0, v - radius), min(img.height, v + radius + 1)
+        u0, u1 = max(0, u - radius), min(img.width, u + radius + 1)
+        window = onehot[v0:v1, u0:u1][img.valid_mask[v0:v1, u0:u1]]
+        max_count = max(max_count, int(window.sum(axis=0).max()))
+        mean = window.mean(axis=0)
+        out[i] = mean / mean.sum()
+    return out, max_count
+
+
+@pytest.mark.parametrize(
+    "radius, steps, width",
+    # r = 8 overflows a uint8 count; r = 10**6 is a window wider than the image
+    [(1, 384, 192), (2, 384, 192), (3, 384, 192), (8, 256, 128), (10**6, 96, 48)],
+)
+def test_blur_matches_window_average_oracle(radius, steps, width):
+    cloud, img = projected_scene(steps=steps, width=width)
+    valid = img.valid_mask
+    # edge pixels are part of the comparison
+    assert valid[0].any() and valid[-1].any() and valid[:, 0].any() and valid[:, -1].any()
+    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(radius, 0.0, 1.0, 0), 20)
+    expected, max_count = window_average_oracle(img, cloud.labels, radius, 20)
+    if radius == 8:
+        assert max_count > 255  # a uint8 window count would wrap here
+    got = seg.probs[valid]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(expected, axis=1))
+    np.testing.assert_array_equal(seg.probs[~valid], 1 / 20)
+
+
+def test_flip_draws_on_valid_pixels_equal_full_grid_draws():
+    # the oracle draws flips only at valid pixels; counter-based hashing makes
+    # those draws the same entries as a draw over the whole grid
+    _, img = projected_scene()
+    vv, uu = np.nonzero(img.valid_mask)
+    full = uniform01(7, "flip", np.arange(img.height)[:, None], np.arange(img.width)[None, :])
+    np.testing.assert_array_equal(uniform01(7, "flip", vv, uu), full[vv, uu])
+    pick = np.array([5, 0, len(vv) - 1, 5])  # any order, repeats
+    np.testing.assert_array_equal(uniform01(7, "flip", vv[pick], uu[pick]), full[vv, uu][pick])
+
+
+def test_oracle_full_size_scan_memory_bounded():
+    # criterion-11 scene: 64 x 2048, 144k points; the (H, W, 20) float64
+    # output alone is 21 MB
+    spec = SyntheticSceneSpec(seed=31, azimuth_steps=2600, boxes=6, cylinders=8, planes=2)
+    cloud = generate_scene(spec)
+    img = project(cloud, ProjectionConfig(width=2048, height=64))
+    tracemalloc.start()
+    try:
+        oracle_coarse(img, cloud.labels, OracleNoiseSpec(blur_radius=1, seed=1), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"oracle_coarse peak {peak / 2**20:.0f} MiB"
 
 
 # --- top2_margin ---

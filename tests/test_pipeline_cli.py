@@ -77,6 +77,27 @@ def test_config_rejects_removed_refine_keys(tmp_path, capsys):
     assert "unknown keys in config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("oracle", "blur_radius", "1.5"),
+        ("selection", "agg_k", "2.5"),
+        ("selection", "n_u", "true"),
+        ("knn", "window", "5.0"),
+        ("projection", "width", "'2048'"),
+        ("train", "epochs", "2.0"),
+        ("scene", "seed", "1.5"),
+    ],
+)
+def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}: {{{field}: {value}}}\n")
+    args = ["refine", "--data", str(tmp_path / "c"), "--out", str(tmp_path / "r")]
+    assert cli.main([*args, "--config", str(path)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # --- gen ---
 
 
