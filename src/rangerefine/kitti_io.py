@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from ._rand import generator
-from .errors import DataFormatError, require_int
+from .errors import DataFormatError, require_float, require_int
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -280,6 +280,9 @@ class SyntheticSceneSpec:
 
     def __post_init__(self):
         require_int(self, "seed", "boxes", "cylinders", "planes", "rings", "azimuth_steps")
+        require_float(
+            self, "ground_extent", "noise_sigma", "fov_up_deg", "fov_down_deg", "sensor_height"
+        )
 
     def validate(self) -> None:
         if min(self.boxes, self.cylinders, self.planes) < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, require_int
+from .errors import DataFormatError, require_float, require_int
 from .projection import RangeImage, back_project_labels, window_neighbors
 
 
@@ -28,6 +28,7 @@ class KnnConfig:
 
     def __post_init__(self):
         require_int(self, "k", "window")
+        require_float(self, "sigma", "range_cutoff")
         if self.k < 1:
             raise DataFormatError("k must be >= 1")
         if self.window < 1 or self.window % 2 == 0:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import derive_seed, generator
-from .errors import DataFormatError, NumericError, require_int
+from .errors import DataFormatError, NumericError, require_float, require_int
 from .kitti_io import atomic_write_bytes
 from .uncertainty import UncertainPointSet, sample_positions
 
@@ -34,7 +34,9 @@ CHECKPOINT_VERSION = 1
 
 # Score elements per attention tile (8 MB of float64): a tile holds
 # max(1, _SCORE_BLOCK // n) full query rows, so the score memory of one
-# attention layer stays bounded whatever the pool size.
+# attention layer stays bounded whatever the pool size. BLAS blocks the score
+# product by its row count, so another tile height can change the last bits
+# of the logits, and with them the byte-compared artifacts.
 _SCORE_BLOCK = 2**20
 
 
@@ -91,8 +93,28 @@ def _row_tiles(n: int):
         yield start, min(start + rows, n)
 
 
+def _tile_workspace(n: int) -> np.ndarray:
+    """One (rows, n) float64 buffer that holds a full tile of scores."""
+    s, e = next(_row_tiles(n))
+    return np.empty((e - s, n))
+
+
+def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarray:
+    """softmax_rows((q[s:e] @ q.T) / sqrt(d)), computed in place in work[:e - s].
+
+    The same IEEE operations in the same order as the allocating expression,
+    so the result is bitwise equal to it.
+    """
+    attn = np.matmul(q[s:e], q.T, out=work[: e - s])
+    attn /= np.sqrt(q.shape[1])
+    attn -= attn.max(axis=1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=1, keepdims=True)
+    return attn
+
+
 def _attention_forward(f_in, wp, bp, wv, bv, out=None):
-    n, d = f_in.shape[0], wp.shape[1]
+    n = f_in.shape[0]
     if f_in.shape[1] != wp.shape[0]:
         raise DataFormatError(
             f"attention input width {f_in.shape[1]} does not match projection {wp.shape}"
@@ -101,8 +123,9 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     v = f_in @ wv + bv
     if out is None:
         out = np.empty_like(v)
+    work = _tile_workspace(n)
     for s, e in _row_tiles(n):
-        out[s:e] = softmax_rows((q[s:e] @ q.T) / np.sqrt(d)) @ v
+        np.matmul(_attention_rows(q, s, e, work), v, out=out[s:e])
     return out, (f_in, q, v)
 
 
@@ -113,19 +136,33 @@ def _attention_backward(cache, wp, wv, d_out):
     gradient D. A row tile D[s:e] adds D[s:e] q to rows s:e and its
     transpose times q[s:e] to every row; the diagonal block of both terms
     is folded into D[s:e] first, so each product runs once.
+
+    Every tile reuses three score-sized workspaces (attention, score
+    gradient, the product whose row sum the softmax backward needs) and one
+    (n, d) product buffer; each product is formed there, then added.
     """
     f_in, q, v = cache
-    d = q.shape[1]
+    n, d = q.shape
     d_q = np.zeros_like(q)
     d_v = np.zeros_like(v)
-    for s, e in _row_tiles(len(q)):
-        attn = softmax_rows((q[s:e] @ q.T) / np.sqrt(d))
-        d_v += attn.T @ d_out[s:e]
-        d_scores = _softmax_backward(attn, d_out[s:e] @ v.T) / np.sqrt(d)
+    attn_work = _tile_workspace(n)
+    grad_work = np.empty_like(attn_work)
+    prod_work = np.empty_like(attn_work)
+    rows_work = np.empty_like(q)
+    for s, e in _row_tiles(n):
+        k = e - s
+        attn = _attention_rows(q, s, e, attn_work)
+        d_v += np.matmul(attn.T, d_out[s:e], out=rows_work)
+        # _softmax_backward(attn, d_out[s:e] @ v.T) / sqrt(d), in place.
+        d_scores = np.matmul(d_out[s:e], v.T, out=grad_work[:k])
+        inner = np.multiply(d_scores, attn, out=prod_work[:k]).sum(axis=1, keepdims=True)
+        d_scores -= inner
+        d_scores *= attn
+        d_scores /= np.sqrt(d)
         d_scores[:, s:e] += d_scores[:, s:e].T
-        d_q[s:e] += d_scores @ q
-        d_q[:s] += d_scores[:, :s].T @ q[s:e]
-        d_q[e:] += d_scores[:, e:].T @ q[s:e]
+        d_q[s:e] += np.matmul(d_scores, q, out=rows_work[:k])
+        d_q[:s] += np.matmul(d_scores[:, :s].T, q[s:e], out=rows_work[:s])
+        d_q[e:] += np.matmul(d_scores[:, e:].T, q[s:e], out=rows_work[: n - e])
 
     grads = {
         "wp": f_in.T @ d_q,
@@ -379,12 +416,28 @@ class TrainConfig:
 
     def __post_init__(self):
         require_int(self, "epochs", "seed")
+        require_float(self, "learning_rate", "beta1", "beta2", "adam_eps", "class_weight_eps")
         if self.epochs < 1:
             raise DataFormatError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise DataFormatError("learning_rate must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise DataFormatError(f"{name} must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise DataFormatError("adam_eps must be > 0")
+        if self.class_weight_eps <= 1:
+            raise DataFormatError("class_weight_eps must be > 1")
         if self.class_weights is not None:
-            self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
+            try:
+                weights = np.asarray(self.class_weights, dtype=np.float64)
+            except (TypeError, ValueError):
+                weights = None
+            if weights is None or weights.ndim != 1 or not np.isfinite(weights).all():
+                raise DataFormatError(
+                    f"class_weights must be a list of finite numbers, got {self.class_weights!r}"
+                )
+            self.class_weights = weights
 
 
 class Adam:
@@ -403,12 +456,21 @@ class Adam:
         correction1 = 1.0 - cfg.beta1**self.t
         correction2 = 1.0 - cfg.beta2**self.t
         for key, param in self.model.params.items():
-            g = grads[key]
-            self.m[key] = cfg.beta1 * self.m[key] + (1.0 - cfg.beta1) * g
-            self.v[key] = cfg.beta2 * self.v[key] + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m[key] / correction1
-            v_hat = self.v[key] / correction2
-            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            g, m, v = grads[key], self.m[key], self.v[key]
+            # In place, in the order of the textbook expressions
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # param -= lr m_hat / (sqrt(v_hat) + eps), so every bit is kept.
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            step = m / correction1
+            step *= cfg.learning_rate
+            denom = v / correction2
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_eps
+            step /= denom
+            param -= step
 
 
 def class_frequency_weights(
@@ -463,6 +525,11 @@ def train(
     if weights is None:
         weights = class_frequency_weights(
             [gt for _, gt in scans], model.dims.num_classes, ignore_class, cfg.class_weight_eps
+        )
+    elif weights.shape != (model.dims.num_classes,):
+        raise DataFormatError(
+            f"class_weights has {weights.size} entries, expected one per class "
+            f"({model.dims.num_classes})"
         )
 
     model.set_feature_standardization(

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rand import generator
 from .coarse import CoarseSegmentation, top2_margin
-from .errors import DataFormatError, require_int
+from .errors import DataFormatError, require_float, require_int
 from .kitti_io import PointCloud
 from .projection import RangeImage, background_distances, window_neighbors
 
@@ -47,6 +47,7 @@ class SelectionConfig:
 
     def __post_init__(self):
         require_int(self, "boundary_budget", "n_u", "agg_k", "agg_window", "seed")
+        require_float(self, "c_u")
         if self.boundary_budget < 0:
             raise DataFormatError("boundary_budget must be >= 0")
         if self.c_u <= 0:

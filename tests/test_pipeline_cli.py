@@ -98,6 +98,37 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("selection", "c_u", "true", "c_u must be a finite number"),
+        ("selection", "c_u", ".nan", "c_u must be a finite number"),
+        ("knn", "sigma", "x", "sigma must be a finite number"),
+        ("oracle", "flip_rate", "false", "flip_rate must be a finite number"),
+        ("projection", "fov_up_deg", "'3.0'", "fov_up_deg must be a finite number"),
+        ("train", "learning_rate", ".inf", "learning_rate must be a finite number"),
+        ("train", "beta1", "1.0", "beta1 must be in [0, 1)"),
+        ("train", "class_weights", "[a, b]", "class_weights must be a list of finite numbers"),
+        ("train", "class_weights", "[.nan, 1.0]", "class_weights must be a list of finite numbers"),
+        ("scene", "noise_sigma", "-.inf", "noise_sigma must be a finite number"),
+    ],
+)
+def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}: {{{field}: {value}}}\n")
+    args = ["refine", "--data", str(tmp_path / "c"), "--out", str(tmp_path / "r")]
+    assert cli.main([*args, "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_accepts_integer_float_fields():
+    cfg = PipelineConfig.from_dict(
+        {"selection": {"c_u": 1}, "knn": {"sigma": 2}, "train": {"beta1": 0}}
+    )
+    assert (cfg.selection.c_u, cfg.knn.sigma, cfg.train.beta1) == (1, 2, 0)
+
+
 # --- gen ---
 
 

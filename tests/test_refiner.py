@@ -157,6 +157,56 @@ def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
     assert worst < 1e-4
 
 
+def straightline_attention_backward(cache, wp, wv, d_out):
+    """The allocating per-tile expressions the in-place backward must equal bit for bit."""
+    f_in, q, v = cache
+    d = q.shape[1]
+    d_q = np.zeros_like(q)
+    d_v = np.zeros_like(v)
+    for s, e in refiner._row_tiles(len(q)):
+        attn = softmax_rows((q[s:e] @ q.T) / np.sqrt(d))
+        d_v += attn.T @ d_out[s:e]
+        grad = d_out[s:e] @ v.T
+        inner = (grad * attn).sum(axis=1, keepdims=True)
+        d_scores = attn * (grad - inner) / np.sqrt(d)
+        d_scores[:, s:e] += d_scores[:, s:e].T
+        d_q[s:e] += d_scores @ q
+        d_q[:s] += d_scores[:, :s].T @ q[s:e]
+        d_q[e:] += d_scores[:, e:].T @ q[s:e]
+    grads = {"wp": f_in.T @ d_q, "bp": d_q.sum(axis=0), "wv": f_in.T @ d_v, "bv": d_v.sum(axis=0)}
+    return d_q @ wp.T + d_v @ wv.T, grads
+
+
+def test_tiled_forward_bitwise_per_tile_straightline(rng, monkeypatch):
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 64 * 22)  # tiles of 22, 22 and 20 rows
+    # d = 24: 1/sqrt(d) is inexact, so scaling by it differs from dividing
+    x, wp, bp, wv, bv = random_layer(rng, 64, 16, 24)
+    q = x @ wp + bp
+    v = x @ wv + bv
+    want = np.concatenate([
+        softmax_rows((q[s:e] @ q.T) / np.sqrt(24)) @ v for s, e in [(0, 22), (22, 44), (44, 64)]
+    ])
+    assert attention_layer(x, wp, bp, wv, bv).tobytes() == want.tobytes()
+    # written into a column slice, as RefinerModel.forward does
+    concat = np.zeros((64, 72))
+    refiner._attention_forward(x, wp, bp, wv, bv, out=concat[:, 24:48])
+    assert concat[:, 24:48].tobytes() == want.tobytes()
+    assert not concat[:, :24].any() and not concat[:, 48:].any()
+
+
+@pytest.mark.parametrize("block", [2**20, 50 * 17])  # 1 tile; tiles of 17, 17 and 16 rows
+def test_attention_backward_bitwise_straightline(rng, monkeypatch, block):
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
+    x, wp, bp, wv, bv = random_layer(rng, 50, 24, 24)
+    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
+    d_out = rng.normal(size=(50, 24))
+    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
+    want_in, want = straightline_attention_backward(cache, wp, wv, d_out)
+    assert d_in.tobytes() == want_in.tobytes()
+    for key in ("wp", "bp", "wv", "bv"):
+        assert grads[key].tobytes() == want[key].tobytes(), key
+
+
 def test_forward_memory_bounded():
     # an untiled layer holds three 4096 x 4096 float64 score-sized arrays (400 MB)
     model = RefinerModel(ModelDims(), seed=0)
@@ -168,6 +218,21 @@ def test_forward_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 300e6, f"forward peak {peak / 1e6:.0f} MB"
+
+
+def test_train_step_memory_bounded():
+    # backward recomputes attention in tiles; its workspaces are score-tile sized
+    model = RefinerModel(ModelDims(), seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(4096, 25))
+    targets = rng.integers(0, 20, size=4096)
+    tracemalloc.start()
+    try:
+        total_loss(model, feats, targets, np.ones(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400e6, f"train step peak {peak / 1e6:.0f} MB"
 
 
 # --- model forward ---
@@ -428,10 +493,51 @@ def test_train_requires_nonempty_pool(rng):
 
 
 def test_train_config_validation():
-    with pytest.raises(DataFormatError):
-        TrainConfig(epochs=0)
-    with pytest.raises(DataFormatError):
-        TrainConfig(learning_rate=0.0)
+    for kwargs, message in [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+        ({"learning_rate": True}, "learning_rate must be a finite number"),
+        ({"learning_rate": float("inf")}, "learning_rate must be a finite number"),
+        ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
+        ({"beta1": -0.1}, r"beta1 must be in \[0, 1\)"),
+        ({"beta2": 1.0}, r"beta2 must be in \[0, 1\)"),
+        ({"adam_eps": 0.0}, "adam_eps must be > 0"),
+        ({"class_weight_eps": 1.0}, "class_weight_eps must be > 1"),
+    ]:
+        with pytest.raises(DataFormatError, match=message):
+            TrainConfig(**kwargs)
+
+
+def test_train_rejects_class_weights_of_wrong_length(rng):
+    scans = [make_pool(rng, 20)]
+    cfg = TrainConfig(epochs=1, class_weights=[1.0, 2.0])
+    with pytest.raises(DataFormatError, match="class_weights has 2 entries"):
+        train(RefinerModel(TINY), scans, cfg, n_u=8)
+
+
+def test_adam_steps_bitwise_textbook(rng):
+    model = RefinerModel(TINY, seed=4)
+    start = {k: p.copy() for k, p in model.params.items()}
+    cfg = TrainConfig(learning_rate=1e-2)
+    optimizer = Adam(model, cfg)
+    m = {k: np.zeros_like(p) for k, p in start.items()}
+    v = {k: np.zeros_like(p) for k, p in start.items()}
+    want = {k: p.copy() for k, p in start.items()}
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.shape) for k, p in start.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        optimizer.step(grads)
+        for k, g in kept.items():
+            assert grads[k].tobytes() == g.tobytes(), k
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[k] / (1.0 - cfg.beta1**t)
+            v_hat = v[k] / (1.0 - cfg.beta2**t)
+            want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    for k in start:
+        assert model.params[k].tobytes() == want[k].tobytes(), k
+        assert optimizer.m[k].tobytes() == m[k].tobytes(), k
+        assert optimizer.v[k].tobytes() == v[k].tobytes(), k
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
