@@ -32,7 +32,6 @@ from .refiner import (
     ModelDims,
     RefinerModel,
     TrainConfig,
-    attention_layer,
     load_checkpoint,
     lovasz_softmax_loss,
     refine,

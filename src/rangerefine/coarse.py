@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rand import uniform01
-from .errors import DataFormatError, require_float, require_int
+from .errors import DataFormatError, check_field_types
 from .projection import RangeImage
 
 SUM_TOLERANCE = 1e-3
@@ -51,8 +51,7 @@ class OracleNoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_int(self, "blur_radius", "seed")
-        require_float(self, "flip_rate", "temperature")
+        check_field_types(self)
         if self.blur_radius < 0:
             raise DataFormatError("blur_radius must be >= 0")
         if not 0.0 <= self.flip_rate < 1.0:

@@ -1,8 +1,9 @@
-"""Exception types shared across the pipeline, and the config field type checks.
+"""Exception types shared across the pipeline, and the config field type check.
 
 The CLI maps these onto exit codes: DataFormatError -> 2, NumericError -> 3.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -15,21 +16,28 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required (divergence, NaN activations)."""
 
 
-def require_int(cfg, *names: str) -> None:
-    """Reject config fields that are not integers (floats and bools included)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DataFormatError(f"{name} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def require_float(cfg, *names: str) -> None:
-    """Reject config fields that are not finite real numbers (bools included; ints pass)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise DataFormatError(f"{name} must be a finite number, got {value!r}")
+# Field annotation -> (test of the value, what the value must be). The config
+# modules postpone annotation evaluation, so each annotation is its source text.
+_FIELD_CHECKS = {
+    "int": (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "float": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
+def check_field_types(cfg) -> None:
+    """Reject each dataclass field annotated ``int``, ``float``, ``bool``, ``str``
+    or ``str | None`` whose value does not fit it. Bools are not numbers, ints
+    pass as floats unconverted, and floats must be finite."""
+    for f in dataclasses.fields(cfg):
+        if f.type in _FIELD_CHECKS:
+            accepts, kind = _FIELD_CHECKS[f.type]
+            value = getattr(cfg, f.name)
+            if not accepts(value):
+                raise DataFormatError(f"{f.name} must be {kind}, got {value!r}")

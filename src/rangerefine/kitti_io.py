@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from ._rand import generator
-from .errors import DataFormatError, require_float, require_int
+from .errors import DataFormatError, check_field_types
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -229,35 +229,6 @@ class SceneObject:
     yaw: float
     train_id: int
 
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounds of the shape in sensor coordinates."""
-        cx, cy, cz = self.center
-        if self.kind == "box":
-            hx, hy, hz = self.size[0] / 2, self.size[1] / 2, self.size[2] / 2
-            corners = np.array(
-                [[sx * hx, sy * hy] for sx in (-1, 1) for sy in (-1, 1)]
-            )
-            c, s = math.cos(self.yaw), math.sin(self.yaw)
-            rotated = corners @ np.array([[c, -s], [s, c]]).T
-            lo = np.array([cx + rotated[:, 0].min(), cy + rotated[:, 1].min(), cz - hz])
-            hi = np.array([cx + rotated[:, 0].max(), cy + rotated[:, 1].max(), cz + hz])
-            return lo, hi
-        if self.kind == "cylinder":
-            r, h = self.size[0], self.size[1]
-            return (
-                np.array([cx - r, cy - r, cz - h / 2]),
-                np.array([cx + r, cy + r, cz + h / 2]),
-            )
-        if self.kind == "plane":
-            w, h = self.size[0], self.size[1]
-            ux, uy = math.cos(self.yaw), math.sin(self.yaw)
-            dx, dy = abs(ux) * w / 2, abs(uy) * w / 2
-            return (
-                np.array([cx - dx, cy - dy, cz - h / 2]),
-                np.array([cx + dx, cy + dy, cz + h / 2]),
-            )
-        raise DataFormatError(f"unknown shape kind {self.kind!r}")
-
 
 @dataclass
 class SyntheticSceneSpec:
@@ -279,10 +250,13 @@ class SyntheticSceneSpec:
     sensor_height: float = 1.7
 
     def __post_init__(self):
-        require_int(self, "seed", "boxes", "cylinders", "planes", "rings", "azimuth_steps")
-        require_float(
-            self, "ground_extent", "noise_sigma", "fov_up_deg", "fov_down_deg", "sensor_height"
-        )
+        check_field_types(self)
+        kinds, assignment = sorted(DEFAULT_CLASS_ASSIGNMENT), self.class_assignment
+        if not isinstance(assignment, dict) or any(type(assignment.get(k)) is not int for k in kinds):
+            raise DataFormatError(
+                f"class_assignment must map each of {kinds} to an integer class id, "
+                f"got {assignment!r}"
+            )
 
     def validate(self) -> None:
         if min(self.boxes, self.cylinders, self.planes) < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, require_float, require_int
+from .errors import DataFormatError, check_field_types
 from .projection import RangeImage, back_project_labels, window_neighbors
 
 
@@ -27,8 +27,7 @@ class KnnConfig:
     weighted: bool = True  # unweighted voting kept for ablation
 
     def __post_init__(self):
-        require_int(self, "k", "window")
-        require_float(self, "sigma", "range_cutoff")
+        check_field_types(self)
         if self.k < 1:
             raise DataFormatError("k must be >= 1")
         if self.window < 1 or self.window % 2 == 0:

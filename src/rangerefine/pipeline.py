@@ -18,7 +18,7 @@ import yaml
 from . import kitti_io
 from ._rand import derive_seed
 from .coarse import CoarseSegmentation, OracleNoiseSpec, load_coarse, oracle_coarse
-from .errors import DataFormatError, NumericError
+from .errors import DataFormatError, NumericError, check_field_types
 from .kitti_io import ClassMap, PointCloud, SyntheticSceneSpec, atomic_write_bytes
 from .knn_refiner import KnnConfig, knn_refine
 from .metrics import ConfusionMatrix
@@ -51,6 +51,7 @@ class PipelineConfig:
     use_refiner: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in ("oracle", "loaded"):
             raise DataFormatError("mode must be 'oracle' or 'loaded'")
 
@@ -68,6 +69,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if doc is not None and not isinstance(doc, dict):
+            raise DataFormatError(f"config must be a mapping of sections, got {doc!r}")
         doc = dict(doc or {})
         kwargs = {}
         for f in dataclasses.fields(cls):
@@ -76,6 +79,8 @@ class PipelineConfig:
             value = doc.pop(f.name)
             section = f.default_factory  # a config section is a dataclass-valued field
             if dataclasses.is_dataclass(section):
+                if not isinstance(value, dict):
+                    raise DataFormatError(f"config section {f.name} must be a mapping, got {value!r}")
                 unknown = set(value) - {sf.name for sf in dataclasses.fields(section)}
                 if unknown:
                     raise DataFormatError(f"unknown keys in config section {f.name}: {sorted(unknown)}")

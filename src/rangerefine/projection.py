@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, require_float, require_int
+from .errors import DataFormatError, check_field_types
 from .kitti_io import PointCloud, atomic_write_bytes
 
 MIN_RANGE = 1e-6
@@ -36,8 +36,7 @@ class ProjectionConfig:
     fov_down_deg: float = -25.0
 
     def __post_init__(self):
-        require_int(self, "width", "height")
-        require_float(self, "fov_up_deg", "fov_down_deg")
+        check_field_types(self)
         if self.width < 1 or self.height < 1:
             raise DataFormatError("projection width and height must be >= 1")
         if not self.fov_up_deg > self.fov_down_deg:

@@ -3,7 +3,8 @@
 Architecture: a two-layer embedding lifts the 5 + C point features to a
 256-d token, four stacked self-attention layers follow (each layer's input
 is its predecessor's output), their outputs are concatenated and a
-three-layer head maps the 1024-d result to class logits.
+three-layer head maps the 1024-d result to class logits. The embedding and
+the head are dense-layer lists that one loop runs forward and another back.
 
 Each attention layer computes Q and K with ONE shared projection (so the raw
 score matrix Q K^T is symmetric by construction), V with a second
@@ -19,13 +20,13 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._rand import derive_seed, generator
-from .errors import DataFormatError, NumericError, require_float, require_int
+from .errors import DataFormatError, NumericError, check_field_types
 from .kitti_io import atomic_write_bytes
 from .uncertainty import UncertainPointSet, sample_positions
 
@@ -55,10 +56,6 @@ class ModelDims:
         return self.attn_layers * self.embed_dim
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -68,22 +65,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 def _softmax_backward(softmaxed: np.ndarray, grad: np.ndarray) -> np.ndarray:
     inner = (grad * softmaxed).sum(axis=1, keepdims=True)
     return softmaxed * (grad - inner)
-
-
-def attention_layer(
-    f_in: np.ndarray,
-    wp: np.ndarray,
-    bp: np.ndarray,
-    wv: np.ndarray,
-    bv: np.ndarray,
-) -> np.ndarray:
-    """One self-attention layer with shared Q/K projection.
-
-    Q = K = f_in @ wp + bp, V = f_in @ wv + bv, scores = Q K^T / sqrt(d),
-    output = row_softmax(scores) @ V.
-    """
-    out, _ = _attention_forward(f_in, wp, bp, wv, bv)
-    return out
 
 
 def _row_tiles(n: int):
@@ -115,10 +96,6 @@ def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarr
 
 def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     n = f_in.shape[0]
-    if f_in.shape[1] != wp.shape[0]:
-        raise DataFormatError(
-            f"attention input width {f_in.shape[1]} does not match projection {wp.shape}"
-        )
     q = f_in @ wp + bp
     v = f_in @ wv + bv
     if out is None:
@@ -183,6 +160,10 @@ class RefinerModel:
     buffers.
     """
 
+    # Dense layers as (name, relu), run in order by forward and in reverse by backward.
+    EMBED_LAYERS = (("embed0", True), ("embed1", True))
+    HEAD_LAYERS = (("head0", True), ("head1", True), ("head2", False))
+
     def __init__(self, dims: ModelDims = ModelDims(), seed: int = 0):
         self.dims = dims
         rng = generator("refiner-init", seed)
@@ -224,15 +205,11 @@ class RefinerModel:
         p = self.params
 
         x = (features - self.feature_mean) / self.feature_scale
-        a0 = x @ p["embed0.w"] + p["embed0.b"]
-        h0 = _relu(a0)
-        a1 = h0 @ p["embed1.w"] + p["embed1.b"]
-        embedded = _relu(a1)
+        layer_in, embed_cache = self._dense_forward(self.EMBED_LAYERS, x)
 
         d = self.dims.embed_dim
         concat = np.empty((len(features), self.dims.concat_dim))
         attn_caches = []
-        layer_in = embedded
         for i in range(self.dims.attn_layers):
             out, cache = _attention_forward(
                 layer_in, p[f"attn{i}.p.w"], p[f"attn{i}.p.b"],
@@ -244,39 +221,19 @@ class RefinerModel:
                 attn_caches.append(cache)
             layer_in = out
 
-        z0 = concat @ p["head0.w"] + p["head0.b"]
-        r0 = _relu(z0)
-        z1 = r0 @ p["head1.w"] + p["head1.b"]
-        r1 = _relu(z1)
-        logits = r1 @ p["head2.w"] + p["head2.b"]
+        logits, head_cache = self._dense_forward(self.HEAD_LAYERS, concat)
         if not np.isfinite(logits).all():
             raise NumericError("non-finite logits")
 
         if not want_cache:
             return logits
-        cache = {
-            "x": x, "a0": a0, "h0": h0, "a1": a1,
-            "attn": attn_caches, "concat": concat,
-            "z0": z0, "r0": r0, "z1": z1, "r1": r1,
-        }
-        return logits, cache
+        return logits, {"embed": embed_cache, "attn": attn_caches, "head": head_cache}
 
     def backward(self, cache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
         """Analytic gradients of every trainable parameter."""
         p = self.params
         grads: dict[str, np.ndarray] = {}
-
-        grads["head2.w"] = cache["r1"].T @ d_logits
-        grads["head2.b"] = d_logits.sum(axis=0)
-        d_r1 = d_logits @ p["head2.w"].T
-        d_z1 = d_r1 * (cache["z1"] > 0)
-        grads["head1.w"] = cache["r0"].T @ d_z1
-        grads["head1.b"] = d_z1.sum(axis=0)
-        d_r0 = d_z1 @ p["head1.w"].T
-        d_z0 = d_r0 * (cache["z0"] > 0)
-        grads["head0.w"] = cache["concat"].T @ d_z0
-        grads["head0.b"] = d_z0.sum(axis=0)
-        d_concat = d_z0 @ p["head0.w"].T
+        d_concat = self._dense_backward(self.HEAD_LAYERS, cache["head"], d_logits, grads)
 
         d = self.dims.embed_dim
         d_carry = np.zeros_like(d_concat[:, :d])
@@ -285,19 +242,30 @@ class RefinerModel:
             d_carry, layer_grads = _attention_backward(
                 cache["attn"][i], p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
             )
-            grads[f"attn{i}.p.w"] = layer_grads["wp"]
-            grads[f"attn{i}.p.b"] = layer_grads["bp"]
-            grads[f"attn{i}.v.w"] = layer_grads["wv"]
-            grads[f"attn{i}.v.b"] = layer_grads["bv"]
+            for key, name in (("wp", "p.w"), ("bp", "p.b"), ("wv", "v.w"), ("bv", "v.b")):
+                grads[f"attn{i}.{name}"] = layer_grads[key]
 
-        d_a1 = d_carry * (cache["a1"] > 0)
-        grads["embed1.w"] = cache["h0"].T @ d_a1
-        grads["embed1.b"] = d_a1.sum(axis=0)
-        d_h0 = d_a1 @ p["embed1.w"].T
-        d_a0 = d_h0 * (cache["a0"] > 0)
-        grads["embed0.w"] = cache["x"].T @ d_a0
-        grads["embed0.b"] = d_a0.sum(axis=0)
+        self._dense_backward(self.EMBED_LAYERS, cache["embed"], d_carry, grads)
         return grads
+
+    def _dense_forward(self, layers, x: np.ndarray):
+        """Run ``layers`` in order; returns the output and each layer's (input, pre-activation)."""
+        cache = []
+        for name, relu in layers:
+            a = x @ self.params[f"{name}.w"] + self.params[f"{name}.b"]
+            cache.append((x, a))
+            x = np.maximum(a, 0.0) if relu else a
+        return x, cache
+
+    def _dense_backward(self, layers, cache, d_out: np.ndarray, grads: dict) -> np.ndarray:
+        """Walk ``layers`` in reverse into ``grads``; returns the gradient of their input."""
+        for (name, relu), (x, a) in zip(reversed(layers), reversed(cache)):
+            if relu:
+                d_out = d_out * (a > 0)
+            grads[f"{name}.w"] = x.T @ d_out
+            grads[f"{name}.b"] = d_out.sum(axis=0)
+            d_out = d_out @ self.params[f"{name}.w"].T
+        return d_out
 
 
 def wce_loss(
@@ -415,8 +383,7 @@ class TrainConfig:
     class_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        require_int(self, "epochs", "seed")
-        require_float(self, "learning_rate", "beta1", "beta2", "adam_eps", "class_weight_eps")
+        check_field_types(self)
         if self.epochs < 1:
             raise DataFormatError("epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -568,10 +535,12 @@ def refine(model: RefinerModel, pool: UncertainPointSet) -> np.ndarray:
     in row tiles, so memory stays bounded for any pool size while time grows
     as the square of the pool size.
     """
-    features = pool.features if isinstance(pool, UncertainPointSet) else np.asarray(pool)
-    if len(features) == 0:
-        raise DataFormatError("cannot refine an empty pool")
-    return np.argmax(model.forward(features), axis=1).astype(np.int32)
+    return np.argmax(model.forward(pool.features), axis=1).astype(np.int32)
+
+
+def _checkpoint_arrays(model: RefinerModel) -> list[np.ndarray]:
+    """The stored arrays in file order: parameters as declared, feature mean, feature scale."""
+    return [*model.params.values(), model.feature_mean, model.feature_scale]
 
 
 def save_checkpoint(model: RefinerModel, path) -> None:
@@ -581,9 +550,7 @@ def save_checkpoint(model: RefinerModel, path) -> None:
         "<8I", CHECKPOINT_VERSION, d.in_dim, d.embed_hidden, d.embed_dim,
         d.attn_layers, d.head_hidden1, d.head_hidden2, d.num_classes,
     )
-    blocks = [np.ascontiguousarray(p, dtype="<f8").tobytes() for p in model.params.values()]
-    blocks.append(np.ascontiguousarray(model.feature_mean, dtype="<f8").tobytes())
-    blocks.append(np.ascontiguousarray(model.feature_scale, dtype="<f8").tobytes())
+    blocks = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in _checkpoint_arrays(model)]
     atomic_write_bytes(path, header + b"".join(blocks))
 
 
@@ -594,19 +561,15 @@ def load_checkpoint(path) -> RefinerModel:
     fields = struct.unpack_from("<8I", data, 4)
     if fields[0] != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {fields[0]}")
-    dims = ModelDims(*fields[1:])
-    model = RefinerModel(dims)
+    model = RefinerModel(ModelDims(*fields[1:]))
+    arrays = _checkpoint_arrays(model)
     offset = 4 + struct.calcsize("<8I")
-    expected = offset + 8 * (model.num_parameters() + 2 * dims.in_dim)
+    expected = offset + 8 * sum(a.size for a in arrays)
     if len(data) != expected:
         raise DataFormatError(
             f"{path}: size {len(data)} does not match header (expected {expected})"
         )
-    for key, param in model.params.items():
-        block = np.frombuffer(data, dtype="<f8", count=param.size, offset=offset)
-        model.params[key] = block.reshape(param.shape).copy()
-        offset += 8 * param.size
-    model.feature_mean = np.frombuffer(data, dtype="<f8", count=dims.in_dim, offset=offset).copy()
-    offset += 8 * dims.in_dim
-    model.feature_scale = np.frombuffer(data, dtype="<f8", count=dims.in_dim, offset=offset).copy()
+    for a in arrays:  # the fresh model's own float64 arrays, overwritten in place
+        a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
+        offset += 8 * a.size
     return model

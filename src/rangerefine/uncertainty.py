@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rand import generator
 from .coarse import CoarseSegmentation, top2_margin
-from .errors import DataFormatError, require_float, require_int
+from .errors import DataFormatError, check_field_types
 from .kitti_io import PointCloud
 from .projection import RangeImage, background_distances, window_neighbors
 
@@ -46,8 +46,7 @@ class SelectionConfig:
     background_mode: str = "far"  # "near" selects the opposite side of the cutoff
 
     def __post_init__(self):
-        require_int(self, "boundary_budget", "n_u", "agg_k", "agg_window", "seed")
-        require_float(self, "c_u")
+        check_field_types(self)
         if self.boundary_budget < 0:
             raise DataFormatError("boundary_budget must be >= 0")
         if self.c_u <= 0:

@@ -22,7 +22,7 @@ from rangerefine.refiner import (
     ModelDims,
     RefinerModel,
     TrainConfig,
-    attention_layer,
+    _attention_forward,
     lovasz_softmax_loss,
     softmax_rows,
     total_loss,
@@ -135,7 +135,7 @@ def test_criterion_4_selection_semantics():
 def test_criterion_5_attention_correctness():
     rng = np.random.default_rng(505)
     x, wp, bp, wv, bv = random_layer(rng, 1, 8, 8)
-    assert np.abs(attention_layer(x, wp, bp, wv, bv) - (x @ wv + bv)).max() < 1e-12
+    assert np.abs(_attention_forward(x, wp, bp, wv, bv)[0] - (x @ wv + bv)).max() < 1e-12
 
     x, wp, bp, wv, bv = random_layer(rng, 32, 16, 16)
     q = x @ wp + bp
@@ -147,7 +147,7 @@ def test_criterion_5_attention_correctness():
     worst = 0.0
     for _ in range(10):
         x, wp, bp, wv, bv = random_layer(rng, 4, 8, 8)
-        got = attention_layer(x, wp, bp, wv, bv)
+        got = _attention_forward(x, wp, bp, wv, bv)[0]
         want = attention_oracle(x, wp, bp, wv, bv)
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
     assert worst < 1e-10

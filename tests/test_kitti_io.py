@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -172,7 +173,12 @@ def test_box_points_inside_inflated_aabb():
     )
     objects = place_objects(spec)
     assert len(objects) == 1 and objects[0].kind == "box"
-    lo, hi = objects[0].aabb()
+    box = objects[0]
+    # bounds of the yaw-rotated box: each half-extent projected onto x and y
+    hx, hy, hz = np.asarray(box.size) / 2
+    c, s = abs(math.cos(box.yaw)), abs(math.sin(box.yaw))
+    half = np.array([hx * c + hy * s, hx * s + hy * c, hz])
+    lo, hi = np.asarray(box.center) - half, np.asarray(box.center) + half
     cloud = generate_scene(spec)
     box_pts = cloud.points[cloud.labels == objects[0].train_id, :3].astype(np.float64)
     assert len(box_pts) > 10

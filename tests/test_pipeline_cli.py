@@ -111,15 +111,54 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         ("train", "class_weights", "[a, b]", "class_weights must be a list of finite numbers"),
         ("train", "class_weights", "[.nan, 1.0]", "class_weights must be a list of finite numbers"),
         ("scene", "noise_sigma", "-.inf", "noise_sigma must be a finite number"),
+        ("knn", "weighted", "'false'", "weighted must be true or false"),
+        (None, "use_refiner", "0", "use_refiner must be true or false"),
+        (None, "class_map", "5", "class_map must be a string or null"),
     ],
 )
 def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value, message):
     path = tmp_path / "config.yaml"
-    path.write_text(f"{section}: {{{field}: {value}}}\n")
+    path.write_text(f"{field}: {value}\n" if section is None else f"{section}: {{{field}: {value}}}\n")
     args = ["refine", "--data", str(tmp_path / "c"), "--out", str(tmp_path / "r")]
     assert cli.main([*args, "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- 1\n", "config must be a mapping of sections, got [1]"),
+        ("knn: 5\n", "config section knn must be a mapping, got 5"),
+        ("scene: {class_assignment: {box: 1}}\n", "class_assignment must map each of ['box', "),
+    ],
+    ids=["document", "section", "class_assignment"],
+)
+def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("missing", ["config", "class_map", "model", "scan", "labels"])
+def test_cli_missing_input_file_exits_2(tmp_path, capsys, missing):
+    gone = str(tmp_path / "no-such-file")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"class_map: {gone}\n")
+    scan = tmp_path / "scan.bin"
+    scan.write_bytes(np.zeros((4, 4), dtype="<f4").tobytes())
+    out = str(tmp_path / "out")
+    argv = {
+        "config": ["gen", "--out", out, "--config", gone],
+        "class_map": ["gen", "--out", out, "--config", str(config)],
+        "model": ["refine", "--data", out, "--out", out, "--model", gone],
+        "scan": ["project", "--scan", gone, "--out", out],
+        "labels": ["export", "--scan", str(scan), "--labels", gone, "--out", out],
+    }[missing]
+    assert cli.main(argv) == 2
+    assert gone in capsys.readouterr().err
 
 
 def test_config_accepts_integer_float_fields():

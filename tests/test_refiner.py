@@ -12,7 +12,6 @@ from rangerefine.refiner import (
     ModelDims,
     RefinerModel,
     TrainConfig,
-    attention_layer,
     class_frequency_weights,
     load_checkpoint,
     lovasz_softmax_loss,
@@ -84,7 +83,7 @@ def random_layer(rng, n, d_in, d):
 
 def test_single_token_returns_v(rng):
     x, wp, bp, wv, bv = random_layer(rng, 1, 8, 8)
-    out = attention_layer(x, wp, bp, wv, bv)
+    out = refiner._attention_forward(x, wp, bp, wv, bv)[0]
     v = x @ wv + bv
     assert np.abs(out - v).max() < 1e-12
 
@@ -93,7 +92,7 @@ def test_identical_rows_average_v(rng):
     x, _, bp, wv, bv = random_layer(rng, 2, 8, 8)
     x[1] = x[0]  # identical tokens -> identical Q rows -> uniform attention
     wp = rng.normal(size=(8, 8))
-    out = attention_layer(x, wp, bp, wv, bv)
+    out = refiner._attention_forward(x, wp, bp, wv, bv)[0]
     v = x @ wv + bv
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
@@ -101,7 +100,7 @@ def test_identical_rows_average_v(rng):
 def test_attention_matches_straightline_oracle(rng):
     for _ in range(5):
         x, wp, bp, wv, bv = random_layer(rng, 4, 8, 8)
-        got = attention_layer(x, wp, bp, wv, bv)
+        got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
         want = attention_oracle(x, wp, bp, wv, bv)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -124,14 +123,14 @@ def test_single_tile_attention_bitwise_straightline(rng):
     q = x @ wp + bp
     v = x @ wv + bv
     want = softmax_rows((q @ q.T) / np.sqrt(16)) @ v
-    assert attention_layer(x, wp, bp, wv, bv).tobytes() == want.tobytes()
+    assert refiner._attention_forward(x, wp, bp, wv, bv)[0].tobytes() == want.tobytes()
 
 
 def test_tiled_attention_matches_oracle(rng, monkeypatch):
     monkeypatch.setattr(refiner, "_SCORE_BLOCK", 11 * 4)  # tiles of 4, 4 and 3 rows
     for _ in range(3):
         x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
-        got = attention_layer(x, wp, bp, wv, bv)
+        got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
         want = attention_oracle(x, wp, bp, wv, bv)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -186,7 +185,7 @@ def test_tiled_forward_bitwise_per_tile_straightline(rng, monkeypatch):
     want = np.concatenate([
         softmax_rows((q[s:e] @ q.T) / np.sqrt(24)) @ v for s, e in [(0, 22), (22, 44), (44, 64)]
     ])
-    assert attention_layer(x, wp, bp, wv, bv).tobytes() == want.tobytes()
+    assert refiner._attention_forward(x, wp, bp, wv, bv)[0].tobytes() == want.tobytes()
     # written into a column slice, as RefinerModel.forward does
     concat = np.zeros((64, 72))
     refiner._attention_forward(x, wp, bp, wv, bv, out=concat[:, 24:48])
@@ -205,6 +204,79 @@ def test_attention_backward_bitwise_straightline(rng, monkeypatch, block):
     assert d_in.tobytes() == want_in.tobytes()
     for key in ("wp", "bp", "wv", "bv"):
         assert grads[key].tobytes() == want[key].tobytes(), key
+
+
+def straightline_model(model, features, d_logits):
+    """The hand-unrolled embed and head, forward and backward, that the model's
+    layer loops must equal bit for bit; attention uses the kernels guarded above."""
+    p = model.params
+    d = model.dims.embed_dim
+    x = (features - model.feature_mean) / model.feature_scale
+    a0 = x @ p["embed0.w"] + p["embed0.b"]
+    h0 = np.maximum(a0, 0.0)
+    a1 = h0 @ p["embed1.w"] + p["embed1.b"]
+    layer_in = np.maximum(a1, 0.0)
+    concat = np.empty((len(features), model.dims.concat_dim))
+    caches = []
+    for i in range(model.dims.attn_layers):
+        layer_in, cache = refiner._attention_forward(
+            layer_in, p[f"attn{i}.p.w"], p[f"attn{i}.p.b"], p[f"attn{i}.v.w"],
+            p[f"attn{i}.v.b"], out=concat[:, i * d : (i + 1) * d],
+        )
+        caches.append(cache)
+    z0 = concat @ p["head0.w"] + p["head0.b"]
+    r0 = np.maximum(z0, 0.0)
+    z1 = r0 @ p["head1.w"] + p["head1.b"]
+    r1 = np.maximum(z1, 0.0)
+    logits = r1 @ p["head2.w"] + p["head2.b"]
+
+    grads = {"head2.w": r1.T @ d_logits, "head2.b": d_logits.sum(axis=0)}
+    d_r1 = d_logits @ p["head2.w"].T
+    d_z1 = d_r1 * (z1 > 0)
+    grads["head1.w"] = r0.T @ d_z1
+    grads["head1.b"] = d_z1.sum(axis=0)
+    d_r0 = d_z1 @ p["head1.w"].T
+    d_z0 = d_r0 * (z0 > 0)
+    grads["head0.w"] = concat.T @ d_z0
+    grads["head0.b"] = d_z0.sum(axis=0)
+    d_concat = d_z0 @ p["head0.w"].T
+    d_carry = np.zeros_like(d_concat[:, :d])
+    for i in reversed(range(model.dims.attn_layers)):
+        d_out = d_concat[:, i * d : (i + 1) * d] + d_carry
+        d_carry, layer = refiner._attention_backward(
+            caches[i], p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
+        )
+        grads[f"attn{i}.p.w"], grads[f"attn{i}.p.b"] = layer["wp"], layer["bp"]
+        grads[f"attn{i}.v.w"], grads[f"attn{i}.v.b"] = layer["wv"], layer["bv"]
+    d_a1 = d_carry * (a1 > 0)
+    grads["embed1.w"] = h0.T @ d_a1
+    grads["embed1.b"] = d_a1.sum(axis=0)
+    d_h0 = d_a1 @ p["embed1.w"].T
+    d_a0 = d_h0 * (a0 > 0)
+    grads["embed0.w"] = x.T @ d_a0
+    grads["embed0.b"] = d_a0.sum(axis=0)
+    return logits, grads
+
+
+@pytest.mark.parametrize(
+    "dims, n, block",
+    [(TINY, 50, 50 * 17), (ModelDims(), 512, 2**20)],  # tiles of 17, 17 and 16 rows; 1 tile
+    ids=["tiny-3-tiles", "default-512"],
+)
+def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, block):
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
+    model = RefinerModel(dims, seed=6)
+    feats = rng.normal(size=(n, dims.in_dim))
+    model.set_feature_standardization(feats)
+    d_logits = rng.normal(size=(n, dims.num_classes))
+    logits, cache = model.forward(feats, want_cache=True)
+    grads = model.backward(cache, d_logits)
+    want_logits, want = straightline_model(model, feats, d_logits)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert model.forward(feats).tobytes() == want_logits.tobytes()
+    assert sorted(grads) == sorted(want) == sorted(model.params)
+    for key, grad in want.items():
+        assert grads[key].tobytes() == grad.tobytes(), key
 
 
 def test_forward_memory_bounded():
