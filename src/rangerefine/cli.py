@@ -40,32 +40,37 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=["oracle", "loaded"], help="coarse probability source")
 
 
+# flag dest -> the (section, field) pairs it sets; section None is the top level
+_OVERRIDES = {
+    "c_u": [("selection", "c_u")],
+    "boundary_budget": [("selection", "boundary_budget")],
+    "n_u": [("selection", "n_u")],
+    "knn_k": [("knn", "k")],
+    "seed": [("scene", "seed"), ("oracle", "seed"), ("selection", "seed"), ("train", "seed")],
+    "mode": [(None, "mode")],
+    "epochs": [("train", "epochs")],
+    "use_knn": [(None, "use_knn")],
+    "use_refiner": [(None, "use_refiner")],
+}
+
+
 def _load_config(args) -> pipeline.PipelineConfig:
+    """The YAML config (or the defaults) with each given flag applied through
+    ``dataclasses.replace``, so every override is checked like a YAML value."""
     if args.config:
         cfg = pipeline.PipelineConfig.from_yaml(args.config)
     else:
         cfg = pipeline.PipelineConfig()
-    if args.c_u is not None:
-        cfg.selection.c_u = args.c_u
-    if args.boundary_budget is not None:
-        cfg.selection.boundary_budget = args.boundary_budget
-    if args.n_u is not None:
-        cfg.selection.n_u = args.n_u
-    if args.knn_k is not None:
-        cfg.knn.k = args.knn_k
-    if args.seed is not None:
-        cfg.scene.seed = args.seed
-        cfg.oracle.seed = args.seed
-        cfg.selection.seed = args.seed
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if getattr(args, "epochs", None) is not None:
-        cfg.train = dataclasses.replace(cfg.train, epochs=args.epochs)
-    if getattr(args, "no_knn", False):
-        cfg.use_knn = False
-    if getattr(args, "no_refiner", False):
-        cfg.use_refiner = False
+    for dest, targets in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        for section, name in targets:
+            if section is None:
+                cfg = dataclasses.replace(cfg, **{name: value})
+            else:
+                part = dataclasses.replace(getattr(cfg, section), **{name: value})
+                cfg = dataclasses.replace(cfg, **{section: part})
     return cfg
 
 
@@ -93,8 +98,10 @@ def build_parser() -> _Parser:
     rf.add_argument("--data", required=True, help="corpus directory")
     rf.add_argument("--out", required=True, help="run output directory")
     rf.add_argument("--model", help="refiner checkpoint (omit for KNN-only)")
-    rf.add_argument("--no-knn", action="store_true", help="skip KNN (pure back-projection)")
-    rf.add_argument("--no-refiner", action="store_true", help="skip the refiner stage")
+    rf.add_argument("--no-knn", action="store_const", const=False, dest="use_knn",
+                    help="skip KNN (pure back-projection)")
+    rf.add_argument("--no-refiner", action="store_const", const=False, dest="use_refiner",
+                    help="skip the refiner stage")
     _add_common(rf)
 
     ev = commands.add_parser("eval", help="evaluate predictions against ground truth")

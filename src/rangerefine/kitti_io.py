@@ -59,14 +59,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
-
-    @property
-    def remission(self) -> np.ndarray:
-        return self.points[:, 3]
-
 
 class ClassMap:
     """Raw 16-bit semantic ids <-> contiguous train ids ``0..C-1``.
@@ -128,6 +120,11 @@ class ClassMap:
     def from_yaml(cls, path) -> "ClassMap":
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
+        if not isinstance(doc, dict):
+            raise DataFormatError(f"class map {path} must be a mapping, got {doc!r}")
+        for key in ("raw_to_train", "names", "train_to_raw", "palette"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise DataFormatError(f"class map {path}: {key} must be a mapping, got {doc[key]!r}")
         try:
             return cls(
                 raw_to_train={int(k): int(v) for k, v in doc["raw_to_train"].items()},
@@ -143,6 +140,8 @@ class ClassMap:
             )
         except KeyError as exc:
             raise DataFormatError(f"class map {path} is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a non-integer id, or a map __init__ rejects
+            raise DataFormatError(f"class map {path}: {exc}") from exc
 
     @classmethod
     def semantic_kitti(cls) -> "ClassMap":
@@ -257,8 +256,6 @@ class SyntheticSceneSpec:
                 f"class_assignment must map each of {kinds} to an integer class id, "
                 f"got {assignment!r}"
             )
-
-    def validate(self) -> None:
         if min(self.boxes, self.cylinders, self.planes) < 0:
             raise DataFormatError("object counts must be >= 0")
         if self.ground_extent < 0:
@@ -273,7 +270,6 @@ class SyntheticSceneSpec:
 
 def place_objects(spec: SyntheticSceneSpec) -> list[SceneObject]:
     """Sample deterministic object poses for a scene spec."""
-    spec.validate()
     rng = generator("scene-objects", spec.seed)
     ground_z = -spec.sensor_height
     reach = max(spec.ground_extent, 12.0)
@@ -406,7 +402,6 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
     Range noise is truncated at +-3 sigma so labeled points stay inside the
     generating shape's bounds inflated by 3 sigma.
     """
-    spec.validate()
     objects = place_objects(spec)
     dirs = _ray_directions(spec)
     n_rays = len(dirs)

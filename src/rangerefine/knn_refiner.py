@@ -24,7 +24,6 @@ class KnnConfig:
     window: int = 5
     sigma: float = 1.0
     range_cutoff: float = 1.0
-    weighted: bool = True  # unweighted voting kept for ablation
 
     def __post_init__(self):
         check_field_types(self)
@@ -51,10 +50,7 @@ def knn_refine(
     # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so
     # carries weight 0: whatever label it gathered never counts
     keep = delta <= cfg.range_cutoff
-    if cfg.weighted:
-        weights = np.exp(-(delta * delta) / (2.0 * cfg.sigma * cfg.sigma))
-    else:
-        weights = np.ones_like(delta)
+    weights = np.exp(-(delta * delta) / (2.0 * cfg.sigma * cfg.sigma))
     weights = np.where(keep, weights, 0.0)
 
     # bincount adds each row's weights in rank order, nearest candidate first

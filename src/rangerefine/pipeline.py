@@ -60,13 +60,6 @@ class PipelineConfig:
             return ClassMap.semantic_kitti()
         return ClassMap.from_yaml(self.class_map)
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        weights = doc["train"]["class_weights"]
-        if weights is not None:
-            doc["train"]["class_weights"] = [float(w) for w in np.asarray(weights)]
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         if doc is not None and not isinstance(doc, dict):
@@ -96,7 +89,7 @@ class PipelineConfig:
             return cls.from_dict(yaml.safe_load(fh))
 
     def save_yaml(self, path) -> None:
-        payload = yaml.safe_dump(self.to_dict(), sort_keys=True, default_flow_style=False)
+        payload = yaml.safe_dump(dataclasses.asdict(self), sort_keys=True, default_flow_style=False)
         atomic_write_bytes(path, payload.encode("utf-8"))
 
 
@@ -151,7 +144,6 @@ def coarse_for_scan(
 @dataclass
 class ScanResult:
     labels: np.ndarray
-    image: RangeImage
     pool: UncertainPointSet | None
     knn_labels: np.ndarray
 
@@ -188,7 +180,7 @@ def refine_scan(
             refined = _stage("refine", sid, refine, model, pool)
             labels = labels.copy()
             labels[pool.indices] = refined
-    return ScanResult(labels=labels, image=img, pool=pool, knn_labels=knn_labels)
+    return ScanResult(labels=labels, pool=pool, knn_labels=knn_labels)
 
 
 def build_pool_for_scan(

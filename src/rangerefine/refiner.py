@@ -380,7 +380,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     class_weight_eps: float = 1.02
-    class_weights: np.ndarray | None = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -395,16 +394,6 @@ class TrainConfig:
             raise DataFormatError("adam_eps must be > 0")
         if self.class_weight_eps <= 1:
             raise DataFormatError("class_weight_eps must be > 1")
-        if self.class_weights is not None:
-            try:
-                weights = np.asarray(self.class_weights, dtype=np.float64)
-            except (TypeError, ValueError):
-                weights = None
-            if weights is None or weights.ndim != 1 or not np.isfinite(weights).all():
-                raise DataFormatError(
-                    f"class_weights must be a list of finite numbers, got {self.class_weights!r}"
-                )
-            self.class_weights = weights
 
 
 class Adam:
@@ -488,16 +477,9 @@ def train(
         if len(gt) != len(pool):
             raise DataFormatError("ground-truth labels must cover the pool")
 
-    weights = cfg.class_weights
-    if weights is None:
-        weights = class_frequency_weights(
-            [gt for _, gt in scans], model.dims.num_classes, ignore_class, cfg.class_weight_eps
-        )
-    elif weights.shape != (model.dims.num_classes,):
-        raise DataFormatError(
-            f"class_weights has {weights.size} entries, expected one per class "
-            f"({model.dims.num_classes})"
-        )
+    weights = class_frequency_weights(
+        [gt for _, gt in scans], model.dims.num_classes, ignore_class, cfg.class_weight_eps
+    )
 
     model.set_feature_standardization(
         np.concatenate([pool.features for pool, _ in scans], axis=0)

@@ -43,7 +43,6 @@ class SelectionConfig:
     agg_k: int = 5
     agg_window: int = 5
     seed: int = 0
-    background_mode: str = "far"  # "near" selects the opposite side of the cutoff
 
     def __post_init__(self):
         check_field_types(self)
@@ -57,8 +56,6 @@ class SelectionConfig:
             raise DataFormatError("agg_k must be >= 1")
         if self.agg_window < 1 or self.agg_window % 2 == 0:
             raise DataFormatError("agg_window must be odd and >= 1")
-        if self.background_mode not in ("far", "near"):
-            raise DataFormatError("background_mode must be 'far' or 'near'")
 
 
 @dataclass
@@ -145,14 +142,10 @@ def select_boundary(
 
 
 def select_background(img: RangeImage, cfg: SelectionConfig) -> np.ndarray:
-    """Background points on the configured side of the c_u range-gap cutoff."""
-    distances = background_distances(img)
-    background = ~img.is_foreground
-    if cfg.background_mode == "far":
-        mask = background & (distances >= cfg.c_u)
-    else:
-        mask = background & (distances < cfg.c_u)
-    return np.flatnonzero(mask).astype(np.int64)
+    """Ascending indices of the background points whose range gap behind
+    their pixel's foreground point is at least c_u."""
+    far = ~img.is_foreground & (background_distances(img) >= cfg.c_u)
+    return np.flatnonzero(far).astype(np.int64)
 
 
 def build_pool(

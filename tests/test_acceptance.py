@@ -88,7 +88,6 @@ def test_criterion_2_knn_oracle():
             window=int(rng.choice([1, 3, 5, 7])),
             sigma=float(rng.uniform(0.3, 2.0)),
             range_cutoff=float(rng.uniform(0.5, 4.0)),
-            weighted=bool(rng.integers(0, 2)),
         )
         np.testing.assert_array_equal(
             knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg)

@@ -160,9 +160,8 @@ def test_scene_point_count_within_ray_budget():
 
 
 def test_scene_empty_spec_rejected():
-    spec = SyntheticSceneSpec(seed=0, ground_extent=0.0, boxes=0, cylinders=0, planes=0)
     with pytest.raises(DataFormatError, match="empty scene"):
-        generate_scene(spec)
+        SyntheticSceneSpec(seed=0, ground_extent=0.0, boxes=0, cylinders=0, planes=0)
 
 
 def test_box_points_inside_inflated_aabb():

@@ -35,7 +35,7 @@ def knn_oracle(img, pixel_labels, cfg):
         for dr, label in cands[: cfg.k]:
             if dr > cfg.range_cutoff:
                 continue
-            w = math.exp(-(dr * dr) / (2.0 * cfg.sigma * cfg.sigma)) if cfg.weighted else 1.0
+            w = math.exp(-(dr * dr) / (2.0 * cfg.sigma * cfg.sigma))
             votes[label] += w
             any_vote = True
         if not any_vote:
@@ -104,7 +104,6 @@ def test_matches_oracle_on_random_scenes(rng):
             window=int(rng.choice([1, 3, 5, 7])),
             sigma=float(rng.uniform(0.3, 2.0)),
             range_cutoff=float(rng.uniform(0.5, 4.0)),
-            weighted=bool(rng.integers(0, 2)),
         )
         np.testing.assert_array_equal(
             knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg)

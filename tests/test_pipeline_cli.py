@@ -108,10 +108,10 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         ("projection", "fov_up_deg", "'3.0'", "fov_up_deg must be a finite number"),
         ("train", "learning_rate", ".inf", "learning_rate must be a finite number"),
         ("train", "beta1", "1.0", "beta1 must be in [0, 1)"),
-        ("train", "class_weights", "[a, b]", "class_weights must be a list of finite numbers"),
-        ("train", "class_weights", "[.nan, 1.0]", "class_weights must be a list of finite numbers"),
+        # class_weights is no longer a field: any value, well-formed or not, is an unknown key.
+        ("train", "class_weights", "[a, b]", "class_weights']"),
+        ("train", "class_weights", "[.nan, 1.0]", "class_weights']"),
         ("scene", "noise_sigma", "-.inf", "noise_sigma must be a finite number"),
-        ("knn", "weighted", "'false'", "weighted must be true or false"),
         (None, "use_refiner", "0", "use_refiner must be true or false"),
         (None, "class_map", "5", "class_map must be a string or null"),
     ],
@@ -123,6 +123,57 @@ def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value
     assert cli.main([*args, "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("knn", "weighted"), ("selection", "background_mode"), ("train", "class_weights")],
+)
+def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{section}: {{{key}: null}}\n")
+    args = ["refine", "--data", str(tmp_path / "c"), "--out", str(tmp_path / "r")]
+    assert cli.main([*args, "--config", str(path)]) == 2
+    assert f"unknown keys in config section {section}: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--knn-k", "0", "k must be >= 1"),
+        ("--boundary-budget", "-5", "boundary_budget must be >= 0"),
+        ("--n-u", "0", "n_u must be >= 1"),
+        ("--c-u", "-3", "c_u must be > 0"),
+    ],
+)
+def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "c"
+    assert cli.main(["gen", "--out", str(out), "--scans", "1", flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- 1\n", "must be a mapping, got [1]"),
+        ("raw_to_train: 5\nnum_classes: 2\n", "raw_to_train must be a mapping, got 5"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: x\n", "invalid literal for int()"),
+    ],
+    ids=["document", "table", "integer"],
+)
+def test_class_map_errors_are_located(tmp_path, capsys, text, message):
+    class_map = tmp_path / "classes.yaml"
+    class_map.write_text(text)
+    with pytest.raises(DataFormatError, match="class map"):
+        ClassMap.from_yaml(class_map)
+    config = tmp_path / "config.yaml"
+    config.write_text(f"class_map: {class_map}\n")
+    assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"class map {class_map}" in err and message in err
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(
@@ -452,15 +503,32 @@ def test_cli_full_workflow(tmp_path, capsys):
 
 
 def test_cli_overrides_apply(tmp_path):
+    config = tmp_path / "config.yaml"
+    tiny_config().save_yaml(config)
+    common = ["--config", str(config)]
     corpus_dir = tmp_path / "c"
-    assert cli.main(["gen", "--out", str(corpus_dir), "--scans", "1", "--seed", "9"]) == 0
+    gen = ["gen", "--out", str(corpus_dir), "--scans", "2", "--seed", "9", "--mode", "loaded"]
+    assert cli.main([*gen, *common]) == 0
+    echoed = PipelineConfig.from_yaml(corpus_dir / "config.yaml")
+    assert [echoed.scene.seed, echoed.oracle.seed, echoed.selection.seed, echoed.train.seed] == [9] * 4
+    assert echoed.mode == "loaded"
+
     run_dir = tmp_path / "r"
     assert cli.main([
-        "refine", "--data", str(corpus_dir), "--out", str(run_dir),
-        "--no-refiner", "--c-u", "2.5", "--knn-k", "3", "--boundary-budget", "11",
+        "refine", "--data", str(corpus_dir), "--out", str(run_dir), *common,
+        "--no-refiner", "--no-knn", "--c-u", "2.5", "--knn-k", "3", "--boundary-budget", "11",
+        "--n-u", "7",
     ]) == 0
-    echoed = (run_dir / "config.yaml").read_text()
-    assert "c_u: 2.5" in echoed
-    assert "k: 3" in echoed
-    assert "boundary_budget: 11" in echoed
-    assert "use_refiner: false" in echoed
+    echoed = PipelineConfig.from_yaml(run_dir / "config.yaml")
+    assert echoed.selection.c_u == 2.5
+    assert echoed.knn.k == 3
+    assert echoed.selection.boundary_budget == 11
+    assert echoed.selection.n_u == 7
+    assert echoed.use_refiner is False and echoed.use_knn is False
+
+    train_dir = tmp_path / "t"
+    assert cli.main([
+        "train", "--data", str(corpus_dir), "--out", str(train_dir), *common, "--epochs", "1",
+    ]) == 0
+    assert PipelineConfig.from_yaml(train_dir / "config.yaml").train.epochs == 1
+    assert len((train_dir / "train_log.txt").read_text().splitlines()) == 1

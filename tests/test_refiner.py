@@ -580,13 +580,6 @@ def test_train_config_validation():
             TrainConfig(**kwargs)
 
 
-def test_train_rejects_class_weights_of_wrong_length(rng):
-    scans = [make_pool(rng, 20)]
-    cfg = TrainConfig(epochs=1, class_weights=[1.0, 2.0])
-    with pytest.raises(DataFormatError, match="class_weights has 2 entries"):
-        train(RefinerModel(TINY), scans, cfg, n_u=8)
-
-
 def test_adam_steps_bitwise_textbook(rng):
     model = RefinerModel(TINY, seed=4)
     start = {k: p.copy() for k, p in model.params.items()}

@@ -204,8 +204,6 @@ def test_background_threshold_rule():
     img = project(PointCloud(pts), ProjectionConfig(width=64, height=16))
     sel = select_background(img, SelectionConfig(c_u=1.0))
     assert sel.tolist() == [1]
-    near = select_background(img, SelectionConfig(c_u=1.0, background_mode="near"))
-    assert near.tolist() == [2]
 
 
 def test_background_empty_when_no_background(rng):
