@@ -167,13 +167,8 @@ def _cmd_eval(args) -> int:
 def _cmd_export(args) -> int:
     cfg = _load_config(args)
     class_map = cfg.load_class_map()
-    cloud = kitti_io.read_point_cloud(args.scan)
-    labels = kitti_io.read_labels(args.labels, class_map)
-    if len(labels) != len(cloud):
-        raise DataFormatError(
-            f"{args.labels}: {len(labels)} labels for {len(cloud)} points"
-        )
-    pipeline.export_ply(cloud, labels, class_map.palette, args.out, class_map.ignore_class)
+    cloud = pipeline.read_scan(args.scan, args.labels, class_map)
+    pipeline.export_ply(cloud, cloud.labels, class_map.palette, args.out, class_map.ignore_class)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -26,21 +26,11 @@ SUM_TOLERANCE = 1e-3
 
 @dataclass
 class CoarseSegmentation:
-    probs: np.ndarray       # (H, W, C) float64, rows of valid pixels sum to 1
-    source: str             # "loaded" | "oracle"
-    valid_mask: np.ndarray  # (H, W) bool
+    probs: np.ndarray  # (H, W, C) float64, rows sum to 1; only point pixels are read
 
     @property
     def num_classes(self) -> int:
         return self.probs.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.probs.shape[1]
 
 
 @dataclass
@@ -83,11 +73,7 @@ def load_coarse(path, height: int, width: int, num_classes: int) -> CoarseSegmen
             f"{path}: pixel ({v}, {u}) sums to {sums[v, u]:.6f}, outside 1 +- {SUM_TOLERANCE}"
         )
     probs /= sums[:, :, None]
-    return CoarseSegmentation(
-        probs=probs,
-        source="loaded",
-        valid_mask=np.ones((height, width), dtype=bool),
-    )
+    return CoarseSegmentation(probs=probs)
 
 
 def oracle_coarse(
@@ -108,8 +94,7 @@ def oracle_coarse(
     h, w = img.height, img.width
     # radii beyond h - 1 (rows) or w - 1 (columns) add no pixel to any window
     rv, ru = min(spec.blur_radius, h - 1), min(spec.blur_radius, w - 1)
-    valid = img.valid_mask
-    fv, fu = np.nonzero(valid)
+    fv, fu = np.nonzero(img.valid_mask)
     # per-class counts over the clipped window in exact small integers, plus a
     # last channel counting the window's valid pixels; the zero padding clips
     # the window at the image edges
@@ -140,14 +125,13 @@ def oracle_coarse(
 
     out = np.full((h, w, num_classes), 1.0 / num_classes)
     out[fv, fu] = probs
-    return CoarseSegmentation(probs=out, source="oracle", valid_mask=valid.copy())
+    return CoarseSegmentation(probs=out)
 
 
 def top2_margin(seg: CoarseSegmentation) -> np.ndarray:
-    """Largest minus second-largest probability per pixel; +inf where invalid."""
+    """Largest minus second-largest probability per pixel. A margin at a pixel
+    that no point projects to means nothing; callers read point pixels only."""
     if seg.num_classes < 2:
         raise DataFormatError("top-2 margin needs at least 2 classes")
     part = np.partition(seg.probs, seg.num_classes - 2, axis=2)
-    margin = part[:, :, -1] - part[:, :, -2]
-    margin[~seg.valid_mask] = np.inf
-    return margin
+    return part[:, :, -1] - part[:, :, -2]

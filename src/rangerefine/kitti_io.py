@@ -118,8 +118,7 @@ class ClassMap:
 
     @classmethod
     def from_yaml(cls, path) -> "ClassMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        doc = read_yaml(path, "class map")
         if not isinstance(doc, dict):
             raise DataFormatError(f"class map {path} must be a mapping, got {doc!r}")
         for key in ("raw_to_train", "names", "train_to_raw", "palette"):
@@ -149,6 +148,15 @@ class ClassMap:
         ref = resources.files("rangerefine").joinpath("data/semantic_kitti.yaml")
         with resources.as_file(ref) as path:
             return cls.from_yaml(path)
+
+
+def read_yaml(path, kind: str):
+    """Parse a YAML file; a syntax error is a DataFormatError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise DataFormatError(f"{kind} {path} is not valid YAML: {exc}") from exc
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

@@ -85,8 +85,7 @@ class PipelineConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(yaml.safe_load(fh))
+        return cls.from_dict(kitti_io.read_yaml(path, "config"))
 
     def save_yaml(self, path) -> None:
         payload = yaml.safe_dump(dataclasses.asdict(self), sort_keys=True, default_flow_style=False)
@@ -110,6 +109,17 @@ def list_scan_paths(data_dir) -> list[Path]:
 def _label_path(data_dir, scan_path: Path) -> Path | None:
     candidate = Path(data_dir) / "labels" / (scan_path.stem + ".label")
     return candidate if candidate.exists() else None
+
+
+def read_scan(scan_path, label_path, class_map: ClassMap) -> PointCloud:
+    """A scan plus, when ``label_path`` is given, its labels, one per point."""
+    cloud = kitti_io.read_point_cloud(scan_path)
+    if label_path is not None:
+        labels = kitti_io.read_labels(label_path, class_map)
+        if len(labels) != len(cloud):
+            raise DataFormatError(f"{label_path}: {len(labels)} labels for {len(cloud)} points")
+        cloud.labels = labels
+    return cloud
 
 
 def _stage(stage: str, scan_id: str, fn, *args, **kwargs):
@@ -154,7 +164,6 @@ def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, dat
     img = _stage("project", sid, project, cloud, cfg.projection)
     seg = _stage("coarse", sid, coarse_for_scan, cloud, img, cfg, class_map, data_dir)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
-    pixel_labels[~seg.valid_mask] = class_map.ignore_class
     if cfg.use_knn:
         labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
     else:
@@ -206,8 +215,7 @@ def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Pat
         label_path = _label_path(data_dir, scan_path)
         if label_path is None:
             continue
-        cloud = kitti_io.read_point_cloud(scan_path)
-        cloud.labels = kitti_io.read_labels(label_path, class_map)
+        cloud = read_scan(scan_path, label_path, class_map)
         scans.append(build_pool_for_scan(cloud, cfg, class_map, data_dir))
     if not scans:
         raise DataFormatError(f"no labeled scans under {data_dir}")
@@ -243,10 +251,7 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
     have_gt = False
     scan_paths = list_scan_paths(data_dir)
     for scan_path in scan_paths:
-        cloud = kitti_io.read_point_cloud(scan_path)
-        label_path = _label_path(data_dir, scan_path)
-        if label_path is not None:
-            cloud.labels = kitti_io.read_labels(label_path, class_map)
+        cloud = read_scan(scan_path, _label_path(data_dir, scan_path), class_map)
         result = refine_scan(cloud, cfg, class_map, model, data_dir)
         kitti_io.write_labels(result.labels, class_map, pred_dir / (scan_path.stem + ".label"))
         if cloud.labels is not None:

@@ -1,9 +1,9 @@
 """Spherical projection of a point cloud onto a range image.
 
-Each pixel keeps the five channels ``(x, y, z, range, remission)`` of its
-foreground point, i.e. the projected point with the smallest range (ties
-broken by lowest point index). Full point<->pixel bookkeeping is kept so
-labels can be projected back and background structure inspected later.
+Each pixel keeps only the range of its foreground point, i.e. the projected
+point with the smallest range (ties broken by lowest point index): no stage
+reads the backbone's other input channels. Full point<->pixel bookkeeping is
+kept so labels can be projected back and background structure inspected later.
 
 Column/row mapping for a point with azimuth ``atan2(y, x)`` and elevation
 ``arcsin(z / range)``::
@@ -47,7 +47,7 @@ class ProjectionConfig:
 class RangeImage:
     """Projection result; immutable by convention once constructed."""
 
-    channels: np.ndarray        # (H, W, 5) float64: x, y, z, range, remission
+    range_channel: np.ndarray   # (H, W) float64 foreground range, 0 where no point projects
     valid_mask: np.ndarray      # (H, W) bool
     fg_point_index: np.ndarray  # (H, W) int64, -1 where no point projects
     point_u: np.ndarray         # (N,) int32 column per point
@@ -57,19 +57,15 @@ class RangeImage:
 
     @property
     def height(self) -> int:
-        return self.channels.shape[0]
+        return self.range_channel.shape[0]
 
     @property
     def width(self) -> int:
-        return self.channels.shape[1]
+        return self.range_channel.shape[1]
 
     @property
     def num_points(self) -> int:
         return len(self.point_u)
-
-    @property
-    def range_channel(self) -> np.ndarray:
-        return self.channels[:, :, 3]
 
 
 def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
@@ -79,7 +75,6 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
         raise DataFormatError("cannot project an empty cloud")
 
     xyz = cloud.points[:, :3].astype(np.float64)
-    remission = cloud.points[:, 3].astype(np.float64)
     rng = np.sqrt((xyz * xyz).sum(axis=1))
     if (rng <= MIN_RANGE).any():
         bad = int(np.flatnonzero(rng <= MIN_RANGE)[0])
@@ -105,21 +100,19 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
     first[1:] = sorted_flat[1:] != sorted_flat[:-1]
     fg_points = order[first]
 
-    channels = np.zeros((cfg.height, cfg.width, 5), dtype=np.float64)
+    range_channel = np.zeros((cfg.height, cfg.width), dtype=np.float64)
     valid_mask = np.zeros((cfg.height, cfg.width), dtype=bool)
     fg_index = np.full((cfg.height, cfg.width), -1, dtype=np.int64)
     is_foreground = np.zeros(n, dtype=bool)
 
     fv, fu = v[fg_points], u[fg_points]
-    channels[fv, fu, 0:3] = xyz[fg_points]
-    channels[fv, fu, 3] = rng[fg_points]
-    channels[fv, fu, 4] = remission[fg_points]
+    range_channel[fv, fu] = rng[fg_points]
     valid_mask[fv, fu] = True
     fg_index[fv, fu] = fg_points
     is_foreground[fg_points] = True
 
     return RangeImage(
-        channels=channels,
+        range_channel=range_channel,
         valid_mask=valid_mask,
         fg_point_index=fg_index,
         point_u=u.astype(np.int32),

@@ -186,9 +186,6 @@ class RefinerModel:
         self.feature_mean = np.zeros(dims.in_dim)
         self.feature_scale = np.ones(dims.in_dim)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def set_feature_standardization(self, features: np.ndarray) -> None:
         self.feature_mean = features.mean(axis=0)
         self.feature_scale = np.maximum(features.std(axis=0), 1e-6)
@@ -348,7 +345,6 @@ class LossResult:
     wce: float
     lovasz: float
     grads: dict[str, np.ndarray]
-    logits: np.ndarray
 
 
 def total_loss(
@@ -365,7 +361,7 @@ def total_loss(
     lovasz, d_probs = lovasz_softmax_loss(probs, targets, ignore_class)
     d_logits = d_logits_wce + _softmax_backward(probs, d_probs)
     grads = model.backward(cache, d_logits)
-    result = LossResult(total=wce + lovasz, wce=wce, lovasz=lovasz, grads=grads, logits=logits)
+    result = LossResult(total=wce + lovasz, wce=wce, lovasz=lovasz, grads=grads)
     if not np.isfinite(result.total):
         raise NumericError(f"non-finite loss: wce={wce}, lovasz={lovasz}")
     return result

@@ -64,11 +64,8 @@ def test_criterion_1_projection_oracle():
         sel = img.fg_point_index[vv, uu]
         np.testing.assert_array_equal(img.point_v[sel], vv)
         np.testing.assert_array_equal(img.point_u[sel], uu)
-        np.testing.assert_allclose(
-            np.sqrt((img.channels[vv, uu, :3] ** 2).sum(axis=1)),
-            img.channels[vv, uu, 3],
-            atol=1e-5,
-        )
+        np.testing.assert_array_equal(img.range_channel[vv, uu], img.point_range[sel])
+        assert (img.range_channel[~img.valid_mask] == 0).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(1, f"200 clouds vs brute-force foreground scan, {elapsed:.1f}s < 10s")

@@ -36,7 +36,6 @@ def test_load_one_hot(tmp_path):
     path = tmp_path / "x.probs"
     path.write_bytes(probs.tobytes())
     seg = load_coarse(path, 2, 3, 4)
-    assert seg.source == "loaded"
     np.testing.assert_array_equal(seg.probs[..., 1], 1.0)
     np.testing.assert_array_equal(seg.probs[..., 0], 0.0)
 
@@ -137,7 +136,7 @@ def test_oracle_normalization_preserved():
         OracleNoiseSpec(1, 0.5, 2.0, 5),
     ):
         seg = oracle_coarse(img, cloud.labels, spec, 20)
-        sums = seg.probs[seg.valid_mask].sum(axis=1)
+        sums = seg.probs.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
 
@@ -239,10 +238,7 @@ def test_oracle_full_size_scan_memory_bounded():
 
 
 def make_seg(rows):
-    probs = np.asarray(rows, dtype=np.float64)[None, :, :]
-    return CoarseSegmentation(
-        probs=probs, source="loaded", valid_mask=np.ones(probs.shape[:2], dtype=bool)
-    )
+    return CoarseSegmentation(probs=np.asarray(rows, dtype=np.float64)[None, :, :])
 
 
 def test_margin_values():
@@ -258,12 +254,6 @@ def test_margin_uniform_20_classes():
     assert top2_margin(seg)[0, 0] == pytest.approx(0.0)
 
 
-def test_margin_invalid_pixel_sentinel():
-    seg = make_seg([[0.6, 0.4]])
-    seg.valid_mask[0, 0] = False
-    assert top2_margin(seg)[0, 0] == np.inf
-
-
 def test_margin_needs_two_classes():
     seg = make_seg([[1.0]])
     with pytest.raises(DataFormatError):
@@ -273,5 +263,5 @@ def test_margin_needs_two_classes():
 def test_margin_range_on_random_scene(rng):
     cloud, img = projected_scene()
     seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(2, 0.1, 0.9, 7), 20)
-    margin = top2_margin(seg)[seg.valid_mask]
+    margin = top2_margin(seg)[img.valid_mask]
     assert (margin >= -1e-12).all() and (margin <= 1.0 + 1e-12).all()

@@ -1,10 +1,11 @@
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
 from rangerefine import cli
-from rangerefine.coarse import OracleNoiseSpec
+from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import (
     ClassMap,
@@ -24,7 +25,7 @@ from rangerefine.pipeline import (
     run_refine,
     run_train,
 )
-from rangerefine.projection import ProjectionConfig
+from rangerefine.projection import ProjectionConfig, back_project_labels, project
 from rangerefine.refiner import TrainConfig, load_checkpoint
 from rangerefine.uncertainty import SelectionConfig
 
@@ -193,6 +194,23 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [("config", "knn: {k: [\n"), ("class map", "num_classes: [\n")],
+    ids=["config", "class_map"],
+)
+def test_malformed_yaml_is_located(tmp_path, capsys, kind, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    config = bad
+    if kind == "class map":
+        config = tmp_path / "config.yaml"
+        config.write_text(f"class_map: {bad}\n")
+    assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(config)]) == 2
+    assert f"{kind} {bad} is not valid YAML" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("missing", ["config", "class_map", "model", "scan", "labels"])
 def test_cli_missing_input_file_exits_2(tmp_path, capsys, missing):
     gone = str(tmp_path / "no-such-file")
@@ -315,6 +333,62 @@ def test_refine_refuses_stale_predictions(tmp_path, corpus):
     assert run_refine(one_scan, tmp_path / "fresh", cfg, model=None)["num_scans"] == 1
 
 
+@pytest.mark.parametrize(
+    "command, change", [("train", "short"), ("train", "long"), ("refine", "short")]
+)
+def test_label_length_mismatch_is_located(tmp_path, capsys, corpus, command, change):
+    root, _ = corpus
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    label = data / "labels" / "000001.label"
+    words = label.read_bytes()
+    # half the records, or 100 records too many
+    label.write_bytes(words[: len(words) // 8 * 4] if change == "short" else words + bytes(400))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
+    assert cli.main(argv) == 2
+    assert f"{label}: " in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
+def export_oracle_probs(data, cfg, fill_empty_pixels=None):
+    """Write each scan's oracle probabilities as ``coarse/<scan>.probs``; with
+    ``fill_empty_pixels``, pixels no point projects to put all mass on that class."""
+    cmap = cfg.load_class_map()
+    for scan in sorted((data / "scans").glob("*.bin")):
+        cloud = read_point_cloud(scan)
+        img = project(cloud, cfg.projection)
+        labels = read_labels(data / "labels" / (scan.stem + ".label"), cmap)
+        probs = oracle_coarse(img, labels, cfg.oracle, cmap.num_classes).probs
+        if fill_empty_pixels is not None:
+            probs[~img.valid_mask] = 0.0
+            probs[~img.valid_mask, fill_empty_pixels] = 1.0
+        (data / "coarse").mkdir(exist_ok=True)
+        (data / "coarse" / (scan.stem + ".probs")).write_bytes(probs.astype("<f4").tobytes())
+
+
+def test_loaded_mode_end_to_end_ignores_empty_pixels(tmp_path, corpus):
+    root, cfg = corpus
+    for name, fill in (("oracle-rows", None), ("class-19-rows", 19)):
+        data = tmp_path / name / "data"
+        shutil.copytree(root, data)
+        export_oracle_probs(data, cfg, fill)
+        common = ["--config", str(data / "config.yaml"), "--mode", "loaded"]
+        train_dir, run_dir = tmp_path / name / "train", tmp_path / name / "run"
+        assert cli.main(["train", "--data", str(data), "--out", str(train_dir), *common]) == 0
+        assert cli.main([
+            "refine", "--data", str(data), "--out", str(run_dir),
+            "--model", str(train_dir / "model.ckpt"), *common,
+        ]) == 0
+    a, b = tmp_path / "oracle-rows", tmp_path / "class-19-rows"
+    for artifact in ("train/model.ckpt", "train/train_log.txt", "run/report.kv"):
+        assert (a / artifact).read_bytes() == (b / artifact).read_bytes()
+    preds = sorted((a / "run" / "predictions").glob("*.label"))
+    assert len(preds) == 3
+    for pred in preds:
+        assert pred.read_bytes() == (b / "run" / "predictions" / pred.name).read_bytes()
+
+
 def test_empty_pool_reproduces_knn_only(corpus, trained):
     root, cfg = corpus
     model = load_checkpoint(trained[1])
@@ -346,9 +420,6 @@ def test_refiner_rewrites_only_pool_members(corpus, trained):
 
 
 def test_no_knn_reproduces_back_projection(corpus):
-    from rangerefine.coarse import oracle_coarse
-    from rangerefine.projection import back_project_labels, project
-
     root, cfg = corpus
     cmap = cfg.load_class_map()
     cloud = read_point_cloud(root / "scans" / "000001.bin")
@@ -358,7 +429,7 @@ def test_no_knn_reproduces_back_projection(corpus):
     img = project(cloud, cfg.projection)
     seg = oracle_coarse(img, cloud.labels, cfg.oracle, cmap.num_classes)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
-    pixel_labels[~seg.valid_mask] = cmap.ignore_class
+    pixel_labels[~img.valid_mask] = cmap.ignore_class
     np.testing.assert_array_equal(result.labels, back_project_labels(img, pixel_labels))
 
 

@@ -68,7 +68,7 @@ def test_same_ray_foreground_is_nearest():
     assert img.is_foreground[0] and not img.is_foreground[1]
     v, u = img.point_v[0], img.point_u[0]
     assert img.fg_point_index[v, u] == 0
-    assert img.channels[v, u, 3] == pytest.approx(5.0)
+    assert img.range_channel[v, u] == pytest.approx(5.0)
 
 
 def test_empty_cloud_rejected():
@@ -106,12 +106,8 @@ def test_bookkeeping_invariants(rng):
     fg = img.fg_point_index[vv, uu]
     np.testing.assert_array_equal(img.point_v[fg], vv)
     np.testing.assert_array_equal(img.point_u[fg], uu)
-    np.testing.assert_array_equal(img.channels[vv, uu, 3], img.point_range[fg])
-    # stored xyz reproduces the range channel
-    stored = img.channels[vv, uu, :3]
-    np.testing.assert_allclose(
-        np.sqrt((stored**2).sum(axis=1)), img.channels[vv, uu, 3], atol=1e-5
-    )
+    np.testing.assert_array_equal(img.range_channel[vv, uu], img.point_range[fg])
+    assert (img.range_channel[~img.valid_mask] == 0).all()
 
 
 def test_projection_deterministic(rng):
@@ -119,7 +115,7 @@ def test_projection_deterministic(rng):
     cfg = ProjectionConfig(width=128, height=32)
     a = project(cloud, cfg)
     b = project(cloud, cfg)
-    assert a.channels.tobytes() == b.channels.tobytes()
+    assert a.range_channel.tobytes() == b.range_channel.tobytes()
     assert a.fg_point_index.tobytes() == b.fg_point_index.tobytes()
 
 
@@ -181,12 +177,10 @@ def test_back_project_shape_mismatch(rng):
 def hand_image(ranges, query_v, query_u, query_range):
     """RangeImage with the given per-pixel ranges (0 = empty) and query points."""
     ranges = np.asarray(ranges, dtype=np.float64)
-    channels = np.zeros(ranges.shape + (5,))
-    channels[:, :, 3] = ranges
     valid = ranges > 0
     fg = np.where(valid, np.arange(ranges.size).reshape(ranges.shape), -1)
     return RangeImage(
-        channels=channels,
+        range_channel=ranges,
         valid_mask=valid,
         fg_point_index=fg,
         point_u=np.asarray(query_u, dtype=np.int32),

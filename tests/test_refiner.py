@@ -336,7 +336,7 @@ def test_zero_weights_give_zero_logits(rng):
 def test_parameter_count_pure_function_of_dims():
     a = RefinerModel(TINY, seed=0)
     b = RefinerModel(TINY, seed=999)
-    assert a.num_parameters() == b.num_parameters()
+    assert sum(p.size for p in a.params.values()) == sum(p.size for p in b.params.values())
     full = RefinerModel(ModelDims(), seed=0)
     d = ModelDims()
     expected = (
@@ -347,7 +347,7 @@ def test_parameter_count_pure_function_of_dims():
         + d.head_hidden1 * d.head_hidden2 + d.head_hidden2
         + d.head_hidden2 * d.num_classes + d.num_classes
     )
-    assert full.num_parameters() == expected
+    assert sum(p.size for p in full.params.values()) == expected
 
 
 def test_forward_rejects_bad_shapes():

@@ -23,7 +23,7 @@ from conftest import random_cloud
 def random_seg(rng, img, num_classes=6):
     probs = rng.uniform(0.05, 1.0, size=(img.height, img.width, num_classes))
     probs /= probs.sum(axis=2, keepdims=True)
-    return CoarseSegmentation(probs=probs, source="loaded", valid_mask=img.valid_mask.copy())
+    return CoarseSegmentation(probs=probs)
 
 
 def scene_inputs(rng, n=1500, num_classes=6, width=48, height=16):
@@ -87,7 +87,7 @@ def test_two_pixel_mean(rng):
     probs = np.zeros((16, 128, 2))
     probs[img.point_v[0], img.point_u[0], 0] = 1.0
     probs[img.point_v[1], img.point_u[1], 1] = 1.0
-    seg = CoarseSegmentation(probs=probs, source="loaded", valid_mask=img.valid_mask.copy())
+    seg = CoarseSegmentation(probs=probs)
     feats = aggregate_features(cloud, img, seg, SelectionConfig(agg_k=2, agg_window=5))
     np.testing.assert_allclose(feats[:, 5:], 0.5)
 
@@ -121,7 +121,7 @@ def test_feature_assembly_order_independent(rng):
     perm = rng.permutation(len(cloud))
     cloud2 = PointCloud(cloud.points[perm], labels=cloud.labels[perm])
     img2 = project(cloud2, ProjectionConfig(width=48, height=16))
-    seg2 = CoarseSegmentation(probs=seg.probs, source="loaded", valid_mask=img2.valid_mask.copy())
+    seg2 = CoarseSegmentation(probs=seg.probs)
     feats2 = aggregate_features(cloud2, img2, seg2, cfg)
     np.testing.assert_allclose(feats2, feats[perm], atol=1e-12)
 
@@ -162,7 +162,7 @@ def test_boundary_distinct_margins_seed_independent(rng):
     for i in range(10):
         v, u = img.point_v[i], img.point_u[i]
         probs[v, u] = [(1 + margins[i]) / 2, (1 - margins[i]) / 2]
-    seg = CoarseSegmentation(probs=probs, source="loaded", valid_mask=img.valid_mask.copy())
+    seg = CoarseSegmentation(probs=probs)
     expected = set(np.argsort(margins)[:4].tolist())
     for seed in (0, 1, 99):
         sel = select_boundary(img, seg, SelectionConfig(boundary_budget=4, seed=seed))
