@@ -11,8 +11,6 @@ from .errors import DataFormatError, NumericError
 from .kitti_io import (
     ClassMap,
     PointCloud,
-    SyntheticSceneSpec,
-    generate_scene,
     read_labels,
     read_point_cloud,
     write_labels,
@@ -40,6 +38,7 @@ from .refiner import (
     train,
     wce_loss,
 )
+from .scanner import SyntheticSceneSpec, generate_scene
 from .uncertainty import (
     SelectionConfig,
     UncertainPointSet,

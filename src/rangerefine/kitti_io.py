@@ -1,4 +1,4 @@
-"""Semantic-KITTI style scan/label IO and a synthetic labeled scene source.
+"""Semantic-KITTI style scan/label IO.
 
 On-disk conventions:
 
@@ -9,31 +9,25 @@ On-disk conventions:
 * class map: a YAML file with the raw->train mapping, names and palette
   (a default Semantic-KITTI map ships with the package).
 
-The synthetic generator simulates a rotating scanner (rings x azimuth steps)
-over a ground plane plus boxes, thin cylinders and wall segments, and labels
-every point by the shape that produced it. It exists so the whole pipeline
-can be exercised and trained at desk scale without the real dataset.
+Writes go through a temp file and a rename, so a reader never sees a
+partial file. The synthetic scene source lives in ``scanner``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from ._rand import generator
-from .errors import DataFormatError, check_field_types
+from .errors import DataFormatError
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
-
-DEFAULT_CLASS_ASSIGNMENT = {"ground": 9, "box": 1, "cylinder": 16, "plane": 13}
 
 
 @dataclass
@@ -219,236 +213,3 @@ def write_labels(labels: np.ndarray, class_map: ClassMap, path) -> None:
         )
     words = class_map.to_raw(labels.astype(np.int64)).astype("<u4")
     atomic_write_bytes(path, words.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# synthetic scenes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SceneObject:
-    """A placed primitive: box (lx,ly,lz), vertical cylinder (r,h) or wall (w,h)."""
-
-    kind: str
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    yaw: float
-    train_id: int
-
-
-@dataclass
-class SyntheticSceneSpec:
-    """Deterministic scene description; identical specs generate identical clouds."""
-
-    seed: int = 0
-    ground_extent: float = 40.0
-    boxes: int = 6
-    cylinders: int = 8
-    planes: int = 2
-    noise_sigma: float = 0.02
-    class_assignment: dict[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_ASSIGNMENT)
-    )
-    rings: int = 64
-    azimuth_steps: int = 2048
-    fov_up_deg: float = 3.0
-    fov_down_deg: float = -25.0
-    sensor_height: float = 1.7
-
-    def __post_init__(self):
-        check_field_types(self)
-        kinds, assignment = sorted(DEFAULT_CLASS_ASSIGNMENT), self.class_assignment
-        if not isinstance(assignment, dict) or any(type(assignment.get(k)) is not int for k in kinds):
-            raise DataFormatError(
-                f"class_assignment must map each of {kinds} to an integer class id, "
-                f"got {assignment!r}"
-            )
-        if min(self.boxes, self.cylinders, self.planes) < 0:
-            raise DataFormatError("object counts must be >= 0")
-        if self.ground_extent < 0:
-            raise DataFormatError("ground_extent must be >= 0")
-        if self.ground_extent == 0 and self.boxes + self.cylinders + self.planes == 0:
-            raise DataFormatError("empty scene: no ground and no objects")
-        if self.noise_sigma < 0:
-            raise DataFormatError("noise_sigma must be >= 0")
-        if self.rings < 1 or self.azimuth_steps < 1:
-            raise DataFormatError("scanner needs at least one ring and azimuth step")
-
-
-def place_objects(spec: SyntheticSceneSpec) -> list[SceneObject]:
-    """Sample deterministic object poses for a scene spec."""
-    rng = generator("scene-objects", spec.seed)
-    ground_z = -spec.sensor_height
-    reach = max(spec.ground_extent, 12.0)
-    objects: list[SceneObject] = []
-
-    def sample_xy(min_radius: float) -> tuple[float, float]:
-        radius = rng.uniform(min_radius, 0.85 * reach)
-        angle = rng.uniform(-math.pi, math.pi)
-        return radius * math.cos(angle), radius * math.sin(angle)
-
-    for _ in range(spec.boxes):
-        x, y = sample_xy(4.0)
-        lx, ly = rng.uniform(1.6, 4.5, size=2)
-        lz = rng.uniform(1.2, 2.6)
-        objects.append(
-            SceneObject(
-                "box",
-                (x, y, ground_z + lz / 2),
-                (lx, ly, lz),
-                rng.uniform(-math.pi, math.pi),
-                spec.class_assignment["box"],
-            )
-        )
-    for _ in range(spec.cylinders):
-        x, y = sample_xy(3.0)
-        radius = rng.uniform(0.08, 0.35)
-        height = rng.uniform(2.5, 6.0)
-        objects.append(
-            SceneObject(
-                "cylinder",
-                (x, y, ground_z + height / 2),
-                (radius, height, 0.0),
-                0.0,
-                spec.class_assignment["cylinder"],
-            )
-        )
-    for _ in range(spec.planes):
-        x, y = sample_xy(6.0)
-        width = rng.uniform(4.0, 12.0)
-        height = rng.uniform(2.0, 4.0)
-        objects.append(
-            SceneObject(
-                "plane",
-                (x, y, ground_z + height / 2),
-                (width, height, 0.0),
-                rng.uniform(-math.pi, math.pi),
-                spec.class_assignment["plane"],
-            )
-        )
-    return objects
-
-
-def _ray_directions(spec: SyntheticSceneSpec) -> np.ndarray:
-    elev = np.deg2rad(
-        np.linspace(spec.fov_up_deg, spec.fov_down_deg, spec.rings, dtype=np.float64)
-    )
-    azim = (np.arange(spec.azimuth_steps, dtype=np.float64) + 0.5) / spec.azimuth_steps
-    azim = (1.0 - 2.0 * azim) * math.pi  # matches the projection's column ordering
-    ce, se = np.cos(elev), np.sin(elev)
-    ca, sa = np.cos(azim), np.sin(azim)
-    dirs = np.empty((spec.rings * spec.azimuth_steps, 3))
-    dirs[:, 0] = np.outer(ce, ca).ravel()
-    dirs[:, 1] = np.outer(ce, sa).ravel()
-    dirs[:, 2] = np.repeat(se, spec.azimuth_steps)
-    return dirs
-
-
-def _intersect_box(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
-    c, s = math.cos(obj.yaw), math.sin(obj.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    origin = rot @ (-np.asarray(obj.center))
-    d = dirs @ rot.T
-    half = np.asarray(obj.size) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-half - origin) / d
-        t2 = (half - origin) / d
-        t_near = np.nanmax(np.minimum(t1, t2), axis=1)
-        t_far = np.nanmin(np.maximum(t1, t2), axis=1)
-    t = np.where((t_near <= t_far) & (t_near > 1e-6), t_near, np.inf)
-    return t
-
-
-def _intersect_cylinder(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
-    cx, cy, cz = obj.center
-    radius, height = obj.size[0], obj.size[1]
-    a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
-    b = -2.0 * (dirs[:, 0] * cx + dirs[:, 1] * cy)
-    c0 = cx * cx + cy * cy - radius * radius
-    disc = b * b - 4.0 * a * c0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        tc1 = (-b - sq) / (2.0 * a)
-        tc2 = (-b + sq) / (2.0 * a)
-        z1 = (cz - height / 2) / dirs[:, 2]
-        z2 = (cz + height / 2) / dirs[:, 2]
-        tz1 = np.minimum(z1, z2)
-        tz2 = np.maximum(z1, z2)
-    t_near = np.maximum(tc1, tz1)
-    t_far = np.minimum(tc2, tz2)
-    hit = (disc > 0) & (t_near <= t_far) & (t_near > 1e-6)
-    return np.where(hit, t_near, np.inf)
-
-
-def _intersect_plane(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
-    cx, cy, cz = obj.center
-    width, height = obj.size[0], obj.size[1]
-    ux, uy = math.cos(obj.yaw), math.sin(obj.yaw)
-    nx, ny = -uy, ux
-    denom = dirs[:, 0] * nx + dirs[:, 1] * ny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (cx * nx + cy * ny) / denom
-    px = t * dirs[:, 0] - cx
-    py = t * dirs[:, 1] - cy
-    pz = t * dirs[:, 2]
-    hit = (
-        (np.abs(denom) > 1e-12)
-        & (t > 1e-6)
-        & (np.abs(px * ux + py * uy) <= width / 2)
-        & (np.abs(pz - cz) <= height / 2)
-    )
-    return np.where(hit, t, np.inf)
-
-
-_INTERSECT = {"box": _intersect_box, "cylinder": _intersect_cylinder, "plane": _intersect_plane}
-
-
-def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
-    """Ray-cast the scene with a rotating scanner and label points by shape.
-
-    Range noise is truncated at +-3 sigma so labeled points stay inside the
-    generating shape's bounds inflated by 3 sigma.
-    """
-    objects = place_objects(spec)
-    dirs = _ray_directions(spec)
-    n_rays = len(dirs)
-
-    t_best = np.full(n_rays, np.inf)
-    label = np.full(n_rays, -1, dtype=np.int32)
-
-    if spec.ground_extent > 0:
-        dz = dirs[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ground = np.where(dz < 0, -spec.sensor_height / dz, np.inf)
-        horiz = t_ground * np.hypot(dirs[:, 0], dirs[:, 1])
-        t_ground = np.where(horiz <= spec.ground_extent, t_ground, np.inf)
-        t_best = t_ground
-        label[np.isfinite(t_ground)] = spec.class_assignment["ground"]
-
-    for obj in objects:
-        t_obj = _INTERSECT[obj.kind](dirs, obj)
-        closer = t_obj < t_best
-        t_best = np.where(closer, t_obj, t_best)
-        label[closer] = obj.train_id
-
-    hit = np.isfinite(t_best)
-    if not hit.any():
-        raise DataFormatError("scene produced no points; check extent and object counts")
-
-    rng = generator("scene-noise", spec.seed)
-    noise = rng.normal(0.0, spec.noise_sigma, size=n_rays)
-    noise = np.clip(noise, -3.0 * spec.noise_sigma, 3.0 * spec.noise_sigma)
-    rem_jitter = rng.uniform(-0.05, 0.05, size=n_rays)
-
-    t_hit = t_best[hit] + noise[hit]
-    xyz = dirs[hit] * t_hit[:, None]
-    labels = label[hit]
-    remission = np.clip(
-        0.15 + 0.8 * ((labels * 37) % 97) / 97.0 + rem_jitter[hit], 0.0, 1.0
-    )
-
-    points = np.empty((hit.sum(), 4), dtype=np.float32)
-    points[:, :3] = xyz.astype(np.float32)
-    points[:, 3] = remission.astype(np.float32)
-    return PointCloud(points, labels=labels, scan_id=f"synthetic-{spec.seed}")

@@ -19,7 +19,7 @@ from . import kitti_io
 from ._rand import derive_seed
 from .coarse import CoarseSegmentation, OracleNoiseSpec, load_coarse, oracle_coarse
 from .errors import DataFormatError, NumericError, check_field_types
-from .kitti_io import ClassMap, PointCloud, SyntheticSceneSpec, atomic_write_bytes
+from .kitti_io import ClassMap, PointCloud, atomic_write_bytes
 from .knn_refiner import KnnConfig, knn_refine
 from .metrics import ConfusionMatrix
 from .projection import ProjectionConfig, RangeImage, back_project_labels, project
@@ -32,7 +32,8 @@ from .refiner import (
     train,
     TrainConfig,
 )
-from .uncertainty import SelectionConfig, UncertainPointSet, build_pool
+from .scanner import SyntheticSceneSpec, generate_scene
+from .uncertainty import GEOMETRY_FEATURES, SelectionConfig, UncertainPointSet, build_pool
 
 COARSE_SUFFIX = ".probs"
 
@@ -221,9 +222,8 @@ def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Pat
         raise DataFormatError(f"no labeled scans under {data_dir}")
 
     num_classes = class_map.num_classes
-    model = RefinerModel(
-        ModelDims(in_dim=5 + num_classes, num_classes=num_classes), seed=cfg.train.seed
-    )
+    dims = ModelDims(in_dim=GEOMETRY_FEATURES + num_classes, num_classes=num_classes)
+    model = RefinerModel(dims, seed=cfg.train.seed)
     log = train(
         model, scans, cfg.train, n_u=cfg.selection.n_u, ignore_class=class_map.ignore_class
     )
@@ -384,7 +384,7 @@ def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
     stems = []
     for i in range(num_scans):
         spec = dataclasses.replace(cfg.scene, seed=derive_seed(cfg.scene.seed, "scan", i))
-        cloud = kitti_io.generate_scene(spec)
+        cloud = generate_scene(spec)
         stem = f"{i:06d}"
         kitti_io.write_point_cloud(cloud, out_dir / "scans" / (stem + ".bin"))
         kitti_io.write_labels(cloud.labels, class_map, out_dir / "labels" / (stem + ".label"))

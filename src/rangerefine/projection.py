@@ -189,6 +189,5 @@ def window_neighbors(
 def write_range_pgm(img: RangeImage, path) -> None:
     """Debug dump of the range channel as a 16-bit PGM (millimeter steps)."""
     mm = np.clip(np.round(img.range_channel * 1000.0), 0, 65535).astype(">u2")
-    mm[~img.valid_mask] = 0
     header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
     atomic_write_bytes(path, header + mm.tobytes())

@@ -40,6 +40,13 @@ CHECKPOINT_VERSION = 1
 # of the logits, and with them the byte-compared artifacts.
 _SCORE_BLOCK = 2**20
 
+# Adam's moment decays and denominator guard, and the class-weight offset
+# eps in w_c = 1 / ln(eps + f_c).
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLASS_WEIGHT_EPS = 1.02
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -54,6 +61,19 @@ class ModelDims:
     @property
     def concat_dim(self) -> int:
         return self.attn_layers * self.embed_dim
+
+    def dense_layers(self) -> list[tuple[str, int, int]]:
+        """(name, fan_in, fan_out) of every dense layer, in declaration (and checkpoint) order."""
+        attn = [(f"attn{i}.{w}", self.embed_dim, self.embed_dim)
+                for i in range(self.attn_layers) for w in ("p", "v")]
+        return [
+            ("embed0", self.in_dim, self.embed_hidden),
+            ("embed1", self.embed_hidden, self.embed_dim),
+            *attn,
+            ("head0", self.concat_dim, self.head_hidden1),
+            ("head1", self.head_hidden1, self.head_hidden2),
+            ("head2", self.head_hidden2, self.num_classes),
+        ]
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -169,19 +189,10 @@ class RefinerModel:
         rng = generator("refiner-init", seed)
         self.params: dict[str, np.ndarray] = {}
 
-        def dense(name, fan_in, fan_out):
+        for name, fan_in, fan_out in dims.dense_layers():
             bound = 1.0 / np.sqrt(fan_in)
             self.params[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             self.params[f"{name}.b"] = np.zeros(fan_out)
-
-        dense("embed0", dims.in_dim, dims.embed_hidden)
-        dense("embed1", dims.embed_hidden, dims.embed_dim)
-        for i in range(dims.attn_layers):
-            dense(f"attn{i}.p", dims.embed_dim, dims.embed_dim)
-            dense(f"attn{i}.v", dims.embed_dim, dims.embed_dim)
-        dense("head0", dims.concat_dim, dims.head_hidden1)
-        dense("head1", dims.head_hidden1, dims.head_hidden2)
-        dense("head2", dims.head_hidden2, dims.num_classes)
 
         self.feature_mean = np.zeros(dims.in_dim)
         self.feature_scale = np.ones(dims.in_dim)
@@ -371,11 +382,7 @@ def total_loss(
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    class_weight_eps: float = 1.02
 
     def __post_init__(self):
         check_field_types(self)
@@ -383,13 +390,6 @@ class TrainConfig:
             raise DataFormatError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise DataFormatError("learning_rate must be > 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise DataFormatError(f"{name} must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise DataFormatError("adam_eps must be > 0")
-        if self.class_weight_eps <= 1:
-            raise DataFormatError("class_weight_eps must be > 1")
 
 
 class Adam:
@@ -403,31 +403,28 @@ class Adam:
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
         self.t += 1
-        correction1 = 1.0 - cfg.beta1**self.t
-        correction2 = 1.0 - cfg.beta2**self.t
+        correction1 = 1.0 - BETA1**self.t
+        correction2 = 1.0 - BETA2**self.t
         for key, param in self.model.params.items():
             g, m, v = grads[key], self.m[key], self.v[key]
             # In place, in the order of the textbook expressions
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
             # param -= lr m_hat / (sqrt(v_hat) + eps), so every bit is kept.
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             step = m / correction1
-            step *= cfg.learning_rate
+            step *= self.cfg.learning_rate
             denom = v / correction2
             np.sqrt(denom, out=denom)
-            denom += cfg.adam_eps
+            denom += ADAM_EPS
             step /= denom
             param -= step
 
 
-def class_frequency_weights(
-    label_arrays, num_classes: int, ignore_class: int | None, eps: float = 1.02
-) -> np.ndarray:
+def class_frequency_weights(label_arrays, num_classes: int, ignore_class: int | None) -> np.ndarray:
     """w_c = 1 / ln(eps + f_c) from corpus class frequencies; ignore weight 0."""
     counts = np.zeros(num_classes, dtype=np.int64)
     for labels in label_arrays:
@@ -437,7 +434,7 @@ def class_frequency_weights(
     total = counts.sum()
     if total == 0:
         raise DataFormatError("cannot derive class weights: no labeled points")
-    weights = 1.0 / np.log(eps + counts / total)
+    weights = 1.0 / np.log(CLASS_WEIGHT_EPS + counts / total)
     if ignore_class is not None:
         weights[ignore_class] = 0.0
     return weights
@@ -473,9 +470,7 @@ def train(
         if len(gt) != len(pool):
             raise DataFormatError("ground-truth labels must cover the pool")
 
-    weights = class_frequency_weights(
-        [gt for _, gt in scans], model.dims.num_classes, ignore_class, cfg.class_weight_eps
-    )
+    weights = class_frequency_weights([gt for _, gt in scans], model.dims.num_classes, ignore_class)
 
     model.set_feature_standardization(
         np.concatenate([pool.features for pool, _ in scans], axis=0)
@@ -533,21 +528,29 @@ def save_checkpoint(model: RefinerModel, path) -> None:
 
 
 def load_checkpoint(path) -> RefinerModel:
+    """Read a checkpoint; the header is checked against the file size before
+    any array is allocated, so a corrupt header cannot exhaust memory."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a refiner checkpoint (bad magic)")
-    fields = struct.unpack_from("<8I", data, 4)
-    if fields[0] != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {fields[0]}")
-    model = RefinerModel(ModelDims(*fields[1:]))
-    arrays = _checkpoint_arrays(model)
     offset = 4 + struct.calcsize("<8I")
-    expected = offset + 8 * sum(a.size for a in arrays)
+    if len(data) < offset:
+        raise DataFormatError(f"{path}: truncated header ({len(data)} of {offset} bytes)")
+    version, *dims = struct.unpack_from("<8I", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+    if min(dims) < 1:
+        raise DataFormatError(f"{path}: header dims must be >= 1, got {dims}")
+    dims = ModelDims(*dims)
+    # every weight and bias, then the feature mean and scale
+    values = sum(n_out * (n_in + 1) for _, n_in, n_out in dims.dense_layers()) + 2 * dims.in_dim
+    expected = offset + 8 * values
     if len(data) != expected:
         raise DataFormatError(
             f"{path}: size {len(data)} does not match header (expected {expected})"
         )
-    for a in arrays:  # the fresh model's own float64 arrays, overwritten in place
+    model = RefinerModel(dims)
+    for a in _checkpoint_arrays(model):  # the fresh model's own arrays, overwritten in place
         a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
         offset += 8 * a.size
     return model

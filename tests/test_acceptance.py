@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
-from rangerefine.kitti_io import SyntheticSceneSpec, generate_scene
+from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.metrics import ConfusionMatrix
 from rangerefine.pipeline import PipelineConfig, generate_corpus, refine_scan, run_refine, run_train

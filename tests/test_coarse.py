@@ -12,7 +12,7 @@ from rangerefine.coarse import (
     top2_margin,
 )
 from rangerefine.errors import DataFormatError
-from rangerefine.kitti_io import SyntheticSceneSpec, generate_scene
+from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.projection import ProjectionConfig, project
 
 from conftest import random_cloud

@@ -10,13 +10,22 @@ from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import (
     ClassMap,
     PointCloud,
-    SyntheticSceneSpec,
-    generate_scene,
-    place_objects,
     read_labels,
     read_point_cloud,
     write_labels,
     write_point_cloud,
+)
+from rangerefine.scanner import (
+    FOV_DOWN_DEG,
+    FOV_UP_DEG,
+    GROUND_EXTENT,
+    NOISE_SIGMA,
+    RINGS,
+    SENSOR_HEIGHT,
+    SHAPE_CLASS,
+    SyntheticSceneSpec,
+    generate_scene,
+    place_objects,
 )
 
 
@@ -141,7 +150,7 @@ def test_scene_ground_only_single_class():
     spec = SyntheticSceneSpec(seed=3, boxes=0, cylinders=0, planes=0, azimuth_steps=256)
     cloud = generate_scene(spec)
     assert len(cloud) > 0
-    assert set(np.unique(cloud.labels)) == {spec.class_assignment["ground"]}
+    assert set(np.unique(cloud.labels)) == {SHAPE_CLASS["ground"]}
 
 
 def test_scene_deterministic():
@@ -155,21 +164,37 @@ def test_scene_deterministic():
 def test_scene_point_count_within_ray_budget():
     spec = SyntheticSceneSpec(seed=5, azimuth_steps=512)
     cloud = generate_scene(spec)
-    nominal = spec.rings * spec.azimuth_steps
+    nominal = RINGS * spec.azimuth_steps
     assert 0.5 * nominal <= len(cloud) <= 1.5 * nominal
 
 
-def test_scene_empty_spec_rejected():
-    with pytest.raises(DataFormatError, match="empty scene"):
-        SyntheticSceneSpec(seed=0, ground_extent=0.0, boxes=0, cylinders=0, planes=0)
+def test_scene_ground_points_on_plane_within_extent():
+    # range noise is truncated at 3 sigma along the ray, so a ground point
+    # leaves the plane and the extent by at most that much
+    cloud = generate_scene(SyntheticSceneSpec(seed=3, azimuth_steps=256))
+    ground = cloud.points[cloud.labels == SHAPE_CLASS["ground"], :3].astype(np.float64)
+    assert len(ground) > 1000
+    pad = 3 * NOISE_SIGMA + 1e-5  # plus float32 rounding of the coordinates
+    assert np.abs(ground[:, 2] + SENSOR_HEIGHT).max() <= pad
+    assert np.hypot(ground[:, 0], ground[:, 1]).max() <= GROUND_EXTENT + pad
+
+
+def test_scene_points_lie_on_evenly_spaced_rings():
+    # noise moves a point along its ray, so its elevation is its ring's exactly
+    cloud = generate_scene(SyntheticSceneSpec(seed=13, azimuth_steps=256))
+    x, y, z = cloud.points[:, :3].astype(np.float64).T
+    elevation = np.degrees(np.arctan2(z, np.hypot(x, y)))
+    ring = (FOV_UP_DEG - elevation) * (RINGS - 1) / (FOV_UP_DEG - FOV_DOWN_DEG)
+    nearest = np.round(ring)
+    assert np.abs(ring - nearest).max() < 1e-3
+    assert nearest.min() >= 0 and nearest.max() <= RINGS - 1
+    assert RINGS // 2 < len(np.unique(nearest)) <= RINGS
 
 
 def test_box_points_inside_inflated_aabb():
     # derived check: every box-labeled point must lie in the box's AABB
-    # inflated by 3 * noise_sigma (range noise is truncated there)
-    spec = SyntheticSceneSpec(
-        seed=7, boxes=1, cylinders=0, planes=0, noise_sigma=0.05, azimuth_steps=512
-    )
+    # inflated by 3 * NOISE_SIGMA (range noise is truncated there)
+    spec = SyntheticSceneSpec(seed=7, boxes=1, cylinders=0, planes=0, azimuth_steps=512)
     objects = place_objects(spec)
     assert len(objects) == 1 and objects[0].kind == "box"
     box = objects[0]
@@ -179,9 +204,9 @@ def test_box_points_inside_inflated_aabb():
     half = np.array([hx * c + hy * s, hx * s + hy * c, hz])
     lo, hi = np.asarray(box.center) - half, np.asarray(box.center) + half
     cloud = generate_scene(spec)
-    box_pts = cloud.points[cloud.labels == objects[0].train_id, :3].astype(np.float64)
+    box_pts = cloud.points[cloud.labels == SHAPE_CLASS["box"], :3].astype(np.float64)
     assert len(box_pts) > 10
-    pad = 3 * spec.noise_sigma + 1e-9
+    pad = 3 * NOISE_SIGMA + 1e-9
     assert (box_pts >= lo - pad).all() and (box_pts <= hi + pad).all()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rangerefine.errors import DataFormatError
-from rangerefine.kitti_io import SyntheticSceneSpec, generate_scene
+from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.projection import ProjectionConfig, project
 

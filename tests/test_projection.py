@@ -260,5 +260,9 @@ def test_range_pgm_dump(tmp_path, rng):
     assert data.startswith(b"P5\n64 16\n65535\n")
     pixels = np.frombuffer(data, dtype=">u2", offset=len(b"P5\n64 16\n65535\n"))
     assert pixels.shape == (16 * 64,)
-    v, u = np.argwhere(img.valid_mask)[0]
-    assert pixels.reshape(16, 64)[v, u] == round(img.range_channel[v, u] * 1000)
+    grid = pixels.reshape(16, 64)
+    # every pixel no point projects to reads 0, every other its range in mm
+    assert 0 < img.valid_mask.sum() < img.valid_mask.size
+    assert (grid[~img.valid_mask] == 0).all()
+    for v, u in np.argwhere(img.valid_mask):
+        assert grid[v, u] == round(img.range_channel[v, u] * 1000)

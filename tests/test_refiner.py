@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from rangerefine import refiner
 from rangerefine.errors import DataFormatError, NumericError
 from rangerefine.refiner import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     Adam,
     EpochStats,
     ModelDims,
@@ -570,11 +574,6 @@ def test_train_config_validation():
         ({"learning_rate": 0.0}, "learning_rate must be > 0"),
         ({"learning_rate": True}, "learning_rate must be a finite number"),
         ({"learning_rate": float("inf")}, "learning_rate must be a finite number"),
-        ({"beta1": 1.0}, r"beta1 must be in \[0, 1\)"),
-        ({"beta1": -0.1}, r"beta1 must be in \[0, 1\)"),
-        ({"beta2": 1.0}, r"beta2 must be in \[0, 1\)"),
-        ({"adam_eps": 0.0}, "adam_eps must be > 0"),
-        ({"class_weight_eps": 1.0}, "class_weight_eps must be > 1"),
     ]:
         with pytest.raises(DataFormatError, match=message):
             TrainConfig(**kwargs)
@@ -594,11 +593,11 @@ def test_adam_steps_bitwise_textbook(rng):
         optimizer.step(grads)
         for k, g in kept.items():
             assert grads[k].tobytes() == g.tobytes(), k
-            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g * g
-            m_hat = m[k] / (1.0 - cfg.beta1**t)
-            v_hat = v[k] / (1.0 - cfg.beta2**t)
-            want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            m_hat = m[k] / (1.0 - BETA1**t)
+            v_hat = v[k] / (1.0 - BETA2**t)
+            want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     for k in start:
         assert model.params[k].tobytes() == want[k].tobytes(), k
         assert optimizer.m[k].tobytes() == m[k].tobytes(), k
@@ -671,8 +670,32 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"nope" + b"\x00" * 64)
     with pytest.raises(DataFormatError, match="magic"):
         load_checkpoint(path)
+    path.write_bytes(b"TUPR\x01\x00")
+    with pytest.raises(DataFormatError, match="truncated header"):
+        load_checkpoint(path)
     model = RefinerModel(TINY)
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataFormatError, match="size"):
+        load_checkpoint(path)
+    # a 52-byte file whose header claims embed_dim 1500 is rejected before
+    # any array of that size is allocated
+    d = ModelDims()
+    path.write_bytes(b"TUPR" + struct.pack(
+        "<8I", 1, d.in_dim, d.embed_hidden, 1500, d.attn_layers,
+        d.head_hidden1, d.head_hidden2, d.num_classes,
+    ) + b"\x00" * 16)
+    assert path.stat().st_size == 52
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="size"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # zero attention layers, every other dim 1: the size matches 11 float64
+    # values (embed 2 + 2, head 1 + 2 + 2, feature mean and scale 1 + 1)
+    path.write_bytes(b"TUPR" + struct.pack("<8I", 1, 1, 1, 1, 0, 1, 1, 1) + b"\x00" * 88)
+    with pytest.raises(DataFormatError, match="dims must be >= 1"):
         load_checkpoint(path)

@@ -3,8 +3,9 @@ import pytest
 
 from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
-from rangerefine.kitti_io import PointCloud, SyntheticSceneSpec, generate_scene
+from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import ProjectionConfig, background_distances, project
+from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.uncertainty import (
     REASON_BACKGROUND,
     REASON_BOTH,
