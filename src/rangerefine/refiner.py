@@ -1,4 +1,4 @@
-"""Trainable attention refiner for uncertain points, in plain float64 numpy.
+"""Trainable attention refiner for uncertain points, in plain float32 numpy.
 
 Architecture: a two-layer embedding lifts the 5 + C point features to a
 256-d token, four stacked self-attention layers follow (each layer's input
@@ -15,10 +15,17 @@ network is permutation-equivariant.
 The loss is weighted softmax cross-entropy plus the Lovasz-Softmax Jaccard
 surrogate; gradients are exact analytic expressions, verified against
 central finite differences in the test suite.
+
+Parameters, activations, gradients, Adam state and checkpoint blocks are
+float32: the model creates its arrays as ``DTYPE`` and every other array
+follows the dtype of its inputs. The float64 pool features are cast once,
+after standardization, so a model whose arrays are cast to float64 computes
+in float64 throughout (the test suite's oracles run it that way).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,9 +38,12 @@ from .kitti_io import atomic_write_bytes
 from .uncertainty import UncertainPointSet, sample_positions
 
 CHECKPOINT_MAGIC = b"TUPR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-# Score elements per attention tile (8 MB of float64): a tile holds
+# The dtype of every parameter and buffer a new model creates.
+DTYPE = np.float32
+
+# Score elements per attention tile (4 MB of float32): a tile holds
 # max(1, _SCORE_BLOCK // n) full query rows, so the score memory of one
 # attention layer stays bounded whatever the pool size. BLAS blocks the score
 # product by its row count, so another tile height can change the last bits
@@ -94,10 +104,10 @@ def _row_tiles(n: int):
         yield start, min(start + rows, n)
 
 
-def _tile_workspace(n: int) -> np.ndarray:
-    """One (rows, n) float64 buffer that holds a full tile of scores."""
+def _tile_workspace(n: int, dtype) -> np.ndarray:
+    """One (rows, n) buffer of ``dtype`` that holds a full tile of scores."""
     s, e = next(_row_tiles(n))
-    return np.empty((e - s, n))
+    return np.empty((e - s, n), dtype=dtype)
 
 
 def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarray:
@@ -107,7 +117,7 @@ def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarr
     so the result is bitwise equal to it.
     """
     attn = np.matmul(q[s:e], q.T, out=work[: e - s])
-    attn /= np.sqrt(q.shape[1])
+    attn /= math.sqrt(q.shape[1])  # a Python float keeps the division in q's dtype
     attn -= attn.max(axis=1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=1, keepdims=True)
@@ -120,7 +130,7 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     v = f_in @ wv + bv
     if out is None:
         out = np.empty_like(v)
-    work = _tile_workspace(n)
+    work = _tile_workspace(n, q.dtype)
     for s, e in _row_tiles(n):
         np.matmul(_attention_rows(q, s, e, work), v, out=out[s:e])
     return out, (f_in, q, v)
@@ -142,7 +152,7 @@ def _attention_backward(cache, wp, wv, d_out):
     n, d = q.shape
     d_q = np.zeros_like(q)
     d_v = np.zeros_like(v)
-    attn_work = _tile_workspace(n)
+    attn_work = _tile_workspace(n, q.dtype)
     grad_work = np.empty_like(attn_work)
     prod_work = np.empty_like(attn_work)
     rows_work = np.empty_like(q)
@@ -155,7 +165,7 @@ def _attention_backward(cache, wp, wv, d_out):
         inner = np.multiply(d_scores, attn, out=prod_work[:k]).sum(axis=1, keepdims=True)
         d_scores -= inner
         d_scores *= attn
-        d_scores /= np.sqrt(d)
+        d_scores /= math.sqrt(d)
         d_scores[:, s:e] += d_scores[:, s:e].T
         d_q[s:e] += np.matmul(d_scores, q, out=rows_work[:k])
         d_q[:s] += np.matmul(d_scores[:, :s].T, q[s:e], out=rows_work[:s])
@@ -191,15 +201,21 @@ class RefinerModel:
 
         for name, fan_in, fan_out in dims.dense_layers():
             bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.params[f"{name}.b"] = np.zeros(fan_out)
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.params[f"{name}.w"] = w.astype(DTYPE)
+            self.params[f"{name}.b"] = np.zeros(fan_out, dtype=DTYPE)
 
-        self.feature_mean = np.zeros(dims.in_dim)
-        self.feature_scale = np.ones(dims.in_dim)
+        self.feature_mean = np.zeros(dims.in_dim, dtype=DTYPE)
+        self.feature_scale = np.ones(dims.in_dim, dtype=DTYPE)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in: that of its parameters."""
+        return self.params["embed0.w"].dtype
 
     def set_feature_standardization(self, features: np.ndarray) -> None:
-        self.feature_mean = features.mean(axis=0)
-        self.feature_scale = np.maximum(features.std(axis=0), 1e-6)
+        self.feature_mean = features.mean(axis=0).astype(self.dtype)
+        self.feature_scale = np.maximum(features.std(axis=0), 1e-6).astype(self.dtype)
 
     def forward(self, features: np.ndarray, want_cache: bool = False):
         """Logits (n, C) for feature rows (n, 5 + C)."""
@@ -212,11 +228,11 @@ class RefinerModel:
             raise DataFormatError("forward needs at least one point")
         p = self.params
 
-        x = (features - self.feature_mean) / self.feature_scale
+        x = ((features - self.feature_mean) / self.feature_scale).astype(self.dtype)
         layer_in, embed_cache = self._dense_forward(self.EMBED_LAYERS, x)
 
         d = self.dims.embed_dim
-        concat = np.empty((len(features), self.dims.concat_dim))
+        concat = np.empty((len(features), self.dims.concat_dim), dtype=self.dtype)
         attn_caches = []
         for i in range(self.dims.attn_layers):
             out, cache = _attention_forward(
@@ -284,7 +300,7 @@ def wce_loss(
 ):
     """Weighted cross entropy, mean over non-ignored points; returns (loss, d_logits)."""
     targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=logits.dtype)
     n = logits.shape[0]
     mask = np.ones(n, dtype=bool) if ignore_class is None else targets != ignore_class
     m = int(mask.sum())
@@ -327,7 +343,7 @@ def lovasz_softmax_loss(
     d_probs = np.zeros_like(probs)
     total = 0.0
     for c in present:
-        fg = (kept_targets == c).astype(np.float64)
+        fg = (kept_targets == c).astype(probs.dtype)
         p_c = probs[rows, c]
         errors = np.abs(fg - p_c)
         order = np.argsort(-errors, kind="stable")
@@ -517,13 +533,13 @@ def _checkpoint_arrays(model: RefinerModel) -> list[np.ndarray]:
 
 
 def save_checkpoint(model: RefinerModel, path) -> None:
-    """Magic + version + dims header, then raw f64 blocks in declaration order."""
+    """Magic + version + dims header, then raw little-endian float32 blocks in declaration order."""
     d = model.dims
     header = CHECKPOINT_MAGIC + struct.pack(
         "<8I", CHECKPOINT_VERSION, d.in_dim, d.embed_hidden, d.embed_dim,
         d.attn_layers, d.head_hidden1, d.head_hidden2, d.num_classes,
     )
-    blocks = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in _checkpoint_arrays(model)]
+    blocks = [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in _checkpoint_arrays(model)]
     atomic_write_bytes(path, header + b"".join(blocks))
 
 
@@ -544,13 +560,13 @@ def load_checkpoint(path) -> RefinerModel:
     dims = ModelDims(*dims)
     # every weight and bias, then the feature mean and scale
     values = sum(n_out * (n_in + 1) for _, n_in, n_out in dims.dense_layers()) + 2 * dims.in_dim
-    expected = offset + 8 * values
+    expected = offset + 4 * values
     if len(data) != expected:
         raise DataFormatError(
             f"{path}: size {len(data)} does not match header (expected {expected})"
         )
     model = RefinerModel(dims)
     for a in _checkpoint_arrays(model):  # the fresh model's own arrays, overwritten in place
-        a[...] = np.frombuffer(data, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
-        offset += 8 * a.size
+        a[...] = np.frombuffer(data, dtype="<f4", count=a.size, offset=offset).reshape(a.shape)
+        offset += 4 * a.size
     return model

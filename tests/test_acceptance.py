@@ -37,7 +37,7 @@ from rangerefine.uncertainty import (
 from conftest import random_cloud
 from test_knn_refiner import knn_oracle
 from test_projection import project_oracle
-from test_refiner import TINY, attention_oracle, fd_check, random_layer
+from test_refiner import TINY, attention_oracle, fd_check, float64_model, random_layer
 from test_refiner import lovasz_oracle
 from test_uncertainty import aggregate_oracle, random_seg
 
@@ -153,7 +153,7 @@ def test_criterion_5_attention_correctness():
 def test_criterion_6_gradient_check():
     start = time.perf_counter()
     rng = np.random.default_rng(606)
-    model = RefinerModel(TINY, seed=3)
+    model = float64_model(RefinerModel(TINY, seed=3))
     feats = rng.normal(size=(6, 25))
     targets = np.array([0, 1, 2, 3, 1, 2])
     weights = rng.uniform(0.5, 2.0, size=4)

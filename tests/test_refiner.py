@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 import tracemalloc
@@ -32,6 +33,18 @@ TINY = ModelDims(
     in_dim=25, embed_hidden=16, embed_dim=32, attn_layers=2,
     head_hidden1=32, head_hidden2=16, num_classes=4,
 )
+
+
+def float64_model(model):
+    """Cast the model's parameters and feature standardization to float64, in place.
+
+    The model then computes in float64 end to end, which the finite-difference
+    checks and the straight-line oracles need; returns the model.
+    """
+    model.params = {k: p.astype(np.float64) for k, p in model.params.items()}
+    model.feature_mean = model.feature_mean.astype(np.float64)
+    model.feature_scale = model.feature_scale.astype(np.float64)
+    return model
 
 
 def fd_check(fn, array, analytic, rel_tol, h_scale=1e-5, floor=1e-4):
@@ -140,7 +153,7 @@ def test_tiled_attention_matches_oracle(rng, monkeypatch):
 
 
 def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
-    model = RefinerModel(TINY, seed=3)
+    model = float64_model(RefinerModel(TINY, seed=3))
     feats = rng.normal(size=(7, 25))
     targets = np.array([0, 1, 2, 3, 1, 2, 3])
     weights = rng.uniform(0.5, 2.0, size=4)
@@ -269,7 +282,7 @@ def straightline_model(model, features, d_logits):
 )
 def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, block):
     monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
-    model = RefinerModel(dims, seed=6)
+    model = float64_model(RefinerModel(dims, seed=6))
     feats = rng.normal(size=(n, dims.in_dim))
     model.set_feature_standardization(feats)
     d_logits = rng.normal(size=(n, dims.num_classes))
@@ -284,7 +297,7 @@ def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, 
 
 
 def test_forward_memory_bounded():
-    # an untiled layer holds three 4096 x 4096 float64 score-sized arrays (400 MB)
+    # an untiled layer holds three 4096 x 4096 float32 score-sized arrays (200 MB)
     model = RefinerModel(ModelDims(), seed=0)
     feats = np.random.default_rng(0).normal(size=(4096, 25))
     tracemalloc.start()
@@ -293,7 +306,7 @@ def test_forward_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 300e6, f"forward peak {peak / 1e6:.0f} MB"
+    assert peak < 100e6, f"forward peak {peak / 1e6:.0f} MB"
 
 
 def test_train_step_memory_bounded():
@@ -308,7 +321,51 @@ def test_train_step_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400e6, f"train step peak {peak / 1e6:.0f} MB"
+    assert peak < 220e6, f"train step peak {peak / 1e6:.0f} MB"
+
+
+def test_float32_throughout_train_step():
+    # a silent float64 upcast anywhere on the hot path would give the float32 gain back
+    model = RefinerModel(ModelDims(), seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(512, 25))  # pool features are float64
+    targets = rng.integers(0, 20, size=512)
+    model.set_feature_standardization(feats)
+    assert model.feature_mean.dtype == model.feature_scale.dtype == np.float32
+    logits, cache = model.forward(feats, want_cache=True)
+    assert logits.dtype == np.float32
+    activations = [a for layer in cache["embed"] + cache["head"] for a in layer]
+    activations += [a for layer in cache["attn"] for a in layer]
+    assert len(activations) == 2 * 5 + 3 * 4
+    for a in activations:
+        assert a.dtype == np.float32
+    weights = rng.uniform(0.5, 2.0, size=20)
+    assert wce_loss(logits, targets, weights)[1].dtype == np.float32
+    assert lovasz_softmax_loss(softmax_rows(logits), targets)[1].dtype == np.float32
+
+    result = total_loss(model, feats, targets, weights)
+    assert sorted(result.grads) == sorted(model.params)
+    optimizer = Adam(model, TrainConfig())
+    optimizer.step(result.grads)
+    for key, param in model.params.items():
+        assert result.grads[key].dtype == np.float32, key
+        assert optimizer.m[key].dtype == optimizer.v[key].dtype == np.float32, key
+        assert param.dtype == np.float32, key
+
+
+@pytest.mark.parametrize("n, block", [(512, 2**20), (300, 300 * 100)], ids=["1-tile", "3-tiles"])
+def test_float32_logits_agree_with_float64(rng, monkeypatch, n, block):
+    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
+    model = RefinerModel(ModelDims(), seed=8)
+    feats = rng.normal(size=(n, 25))
+    model.set_feature_standardization(feats)
+    wide = float64_model(copy.deepcopy(model))  # the same weights, widened
+    logits32 = model.forward(feats)
+    logits64 = wide.forward(feats)
+    assert logits32.dtype == np.float32 and logits64.dtype == np.float64
+    rel = np.abs(logits32 - logits64).max() / np.abs(logits64).max()
+    assert rel <= 256 * np.finfo(np.float32).eps, f"relative error {rel:.1e}"
+    np.testing.assert_array_equal(np.argmax(logits32, axis=1), np.argmax(logits64, axis=1))
 
 
 # --- model forward ---
@@ -321,7 +378,7 @@ def test_forward_shapes():
 
 
 def test_forward_permutation_equivariance(rng):
-    model = RefinerModel(TINY, seed=1)
+    model = float64_model(RefinerModel(TINY, seed=1))
     feats = rng.normal(size=(9, 25))
     logits = model.forward(feats)
     perm = rng.permutation(9)
@@ -493,7 +550,7 @@ def test_lovasz_all_ignored_errors():
 
 
 def test_total_loss_gradients_match_finite_differences(rng):
-    model = RefinerModel(TINY, seed=3)
+    model = float64_model(RefinerModel(TINY, seed=3))
     feats = rng.normal(size=(6, 25))
     targets = np.array([0, 1, 2, 3, 1, 2])
     weights = rng.uniform(0.5, 2.0, size=4)
@@ -580,7 +637,7 @@ def test_train_config_validation():
 
 
 def test_adam_steps_bitwise_textbook(rng):
-    model = RefinerModel(TINY, seed=4)
+    model = float64_model(RefinerModel(TINY, seed=4))
     start = {k: p.copy() for k, p in model.params.items()}
     cfg = TrainConfig(learning_rate=1e-2)
     optimizer = Adam(model, cfg)
@@ -651,16 +708,26 @@ def test_refine_empty_pool_rejected():
 # --- checkpoints ---
 
 
+def checkpoint_header(version, *dims):
+    return b"TUPR" + struct.pack("<8I", version, *dims)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     model = RefinerModel(TINY, seed=5)
     model.set_feature_standardization(rng.normal(size=(100, 25)))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    assert path.read_bytes()[:4] == b"TUPR"
+    data = path.read_bytes()
+    assert data[:4] == b"TUPR"
+    values = sum(p.size for p in model.params.values()) + 2 * TINY.in_dim
+    assert len(data) == 36 + 4 * values  # float32 blocks
     back = load_checkpoint(path)
     assert back.dims == model.dims
     for key in model.params:
+        assert back.params[key].dtype == np.float32
         assert back.params[key].tobytes() == model.params[key].tobytes()
+    assert back.feature_mean.tobytes() == model.feature_mean.tobytes()
+    assert back.feature_scale.tobytes() == model.feature_scale.tobytes()
     feats = rng.normal(size=(7, 25))
     assert model.forward(feats).tobytes() == back.forward(feats).tobytes()
 
@@ -670,21 +737,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"nope" + b"\x00" * 64)
     with pytest.raises(DataFormatError, match="magic"):
         load_checkpoint(path)
-    path.write_bytes(b"TUPR\x01\x00")
+    path.write_bytes(b"TUPR\x02\x00")
     with pytest.raises(DataFormatError, match="truncated header"):
         load_checkpoint(path)
     model = RefinerModel(TINY)
     save_checkpoint(model, path)
-    path.write_bytes(path.read_bytes()[:-8])
+    path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(DataFormatError, match="size"):
         load_checkpoint(path)
     # a 52-byte file whose header claims embed_dim 1500 is rejected before
     # any array of that size is allocated
     d = ModelDims()
-    path.write_bytes(b"TUPR" + struct.pack(
-        "<8I", 1, d.in_dim, d.embed_hidden, 1500, d.attn_layers,
-        d.head_hidden1, d.head_hidden2, d.num_classes,
-    ) + b"\x00" * 16)
+    dims = (d.in_dim, d.embed_hidden, d.embed_dim, d.attn_layers,
+            d.head_hidden1, d.head_hidden2, d.num_classes)
+    path.write_bytes(checkpoint_header(2, *dims[:2], 1500, *dims[3:]) + b"\x00" * 16)
     assert path.stat().st_size == 52
     tracemalloc.start()
     try:
@@ -694,8 +760,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # zero attention layers, every other dim 1: the size matches 11 float64
+    # zero attention layers, every other dim 1: the size matches 11 float32
     # values (embed 2 + 2, head 1 + 2 + 2, feature mean and scale 1 + 1)
-    path.write_bytes(b"TUPR" + struct.pack("<8I", 1, 1, 1, 1, 0, 1, 1, 1) + b"\x00" * 88)
+    path.write_bytes(checkpoint_header(2, 1, 1, 1, 0, 1, 1, 1) + b"\x00" * 44)
     with pytest.raises(DataFormatError, match="dims must be >= 1"):
+        load_checkpoint(path)
+    # a version-1 file: default dims with float64 blocks
+    f8_blocks = b"".join(a.astype("<f8").tobytes() for a in refiner._checkpoint_arrays(RefinerModel(d)))
+    path.write_bytes(checkpoint_header(1, *dims) + f8_blocks)
+    with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+    # the version-2 header with float64-sized blocks
+    path.write_bytes(checkpoint_header(2, *dims) + f8_blocks)
+    with pytest.raises(DataFormatError, match="size"):
         load_checkpoint(path)
