@@ -1,8 +1,8 @@
 """Command-line entry points: gen, project, train, refine, eval, export.
 
-Every subcommand takes ``--config`` (YAML, schema = PipelineConfig) plus a
-small set of targeted overrides. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric failure.
+Every subcommand takes ``--config`` (YAML, schema = PipelineConfig); gen, train
+and refine also take a small set of targeted overrides. Exit codes: 0 success,
+1 usage error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="pipeline config YAML")
+def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c-u", type=float, dest="c_u", help="background distance cutoff (m)")
     sub.add_argument("--boundary-budget", type=int, help="max boundary-uncertain points")
     sub.add_argument("--n-u", type=int, dest="n_u", help="training sample size per scan")
@@ -81,18 +80,17 @@ def build_parser() -> _Parser:
     gen = commands.add_parser("gen", parents=[], help="generate a synthetic corpus")
     gen.add_argument("--out", required=True, help="corpus output directory")
     gen.add_argument("--scans", type=int, default=10, help="number of scans")
-    _add_common(gen)
+    _add_overrides(gen)
 
     proj = commands.add_parser("project", help="project one scan to a 16-bit range PGM")
     proj.add_argument("--scan", required=True, help="input .bin scan")
     proj.add_argument("--out", required=True, help="output .pgm path")
-    _add_common(proj)
 
     tr = commands.add_parser("train", help="train the uncertain-point refiner")
     tr.add_argument("--data", required=True, help="corpus directory")
     tr.add_argument("--out", required=True, help="run output directory")
     tr.add_argument("--epochs", type=int, help="override training epochs")
-    _add_common(tr)
+    _add_overrides(tr)
 
     rf = commands.add_parser("refine", help="run the full pipeline over a corpus")
     rf.add_argument("--data", required=True, help="corpus directory")
@@ -102,19 +100,20 @@ def build_parser() -> _Parser:
                     help="skip KNN (pure back-projection)")
     rf.add_argument("--no-refiner", action="store_const", const=False, dest="use_refiner",
                     help="skip the refiner stage")
-    _add_common(rf)
+    _add_overrides(rf)
 
     ev = commands.add_parser("eval", help="evaluate predictions against ground truth")
     ev.add_argument("--pred", required=True, help="directory of predicted .label files")
     ev.add_argument("--gt", required=True, help="directory of ground-truth .label files")
     ev.add_argument("--out", help="optional report output directory")
-    _add_common(ev)
 
     ex = commands.add_parser("export", help="export a labeled cloud as colored PLY")
     ex.add_argument("--scan", required=True, help="input .bin scan")
     ex.add_argument("--labels", required=True, help="label file for the scan")
     ex.add_argument("--out", required=True, help="output .ply path")
-    _add_common(ex)
+
+    for sub in commands.choices.values():
+        sub.add_argument("--config", help="pipeline config YAML")
     return parser
 
 

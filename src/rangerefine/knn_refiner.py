@@ -17,13 +17,14 @@ import numpy as np
 from .errors import DataFormatError, check_field_types
 from .projection import RangeImage, back_project_labels, window_neighbors
 
+SIGMA = 1.0  # m, width of the Gaussian vote weight
+RANGE_CUTOFF = 1.0  # m, candidates farther in range do not vote
+
 
 @dataclass
 class KnnConfig:
     k: int = 5
     window: int = 5
-    sigma: float = 1.0
-    range_cutoff: float = 1.0
 
     def __post_init__(self):
         check_field_types(self)
@@ -31,10 +32,6 @@ class KnnConfig:
             raise DataFormatError("k must be >= 1")
         if self.window < 1 or self.window % 2 == 0:
             raise DataFormatError("window must be odd and >= 1")
-        if self.sigma <= 0:
-            raise DataFormatError("sigma must be > 0")
-        if self.range_cutoff <= 0:
-            raise DataFormatError("range_cutoff must be > 0")
 
 
 def knn_refine(
@@ -49,8 +46,8 @@ def knn_refine(
 
     # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so
     # carries weight 0: whatever label it gathered never counts
-    keep = delta <= cfg.range_cutoff
-    weights = np.exp(-(delta * delta) / (2.0 * cfg.sigma * cfg.sigma))
+    keep = delta <= RANGE_CUTOFF
+    weights = np.exp(-(delta * delta) / (2.0 * SIGMA * SIGMA))
     weights = np.where(keep, weights, 0.0)
 
     # bincount adds each row's weights in rank order, nearest candidate first

@@ -107,6 +107,11 @@ def list_scan_paths(data_dir) -> list[Path]:
     return paths
 
 
+def _refuse_nonempty(directory: Path, what: str) -> None:
+    if directory.is_dir() and any(directory.iterdir()):
+        raise DataFormatError(f"{what} directory {directory} is not empty")
+
+
 def _label_path(data_dir, scan_path: Path) -> Path | None:
     candidate = Path(data_dir) / "labels" / (scan_path.stem + ".label")
     return candidate if candidate.exists() else None
@@ -208,7 +213,6 @@ def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Pat
     """Build pools for every labeled scan, train the refiner, save artifacts."""
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     class_map = cfg.load_class_map()
 
     scans = []
@@ -242,14 +246,18 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
     pred_dir = out_dir / "predictions"
-    if pred_dir.is_dir() and any(pred_dir.iterdir()):
-        raise DataFormatError(f"predictions directory {pred_dir} is not empty")
-    pred_dir.mkdir(parents=True, exist_ok=True)
+    _refuse_nonempty(pred_dir, "predictions")
     class_map = cfg.load_class_map()
+    want = (class_map.num_classes, GEOMETRY_FEATURES + class_map.num_classes)
+    if model is not None and (model.dims.num_classes, model.dims.in_dim) != want:
+        raise DataFormatError(
+            f"model has {model.dims.num_classes} classes and input width {model.dims.in_dim}; "
+            f"the class map needs {want[0]} classes and input width {want[1]}"
+        )
+    scan_paths = list_scan_paths(data_dir)
 
     cm = ConfusionMatrix(class_map.num_classes, class_map.ignore_class)
     have_gt = False
-    scan_paths = list_scan_paths(data_dir)
     for scan_path in scan_paths:
         cloud = read_scan(scan_path, _label_path(data_dir, scan_path), class_map)
         result = refine_scan(cloud, cfg, class_map, model, data_dir)
@@ -380,6 +388,8 @@ def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
     if num_scans < 1:
         raise DataFormatError("num_scans must be >= 1")
     out_dir = Path(out_dir)
+    for sub in ("scans", "labels"):
+        _refuse_nonempty(out_dir / sub, sub)
     class_map = cfg.load_class_map()
     stems = []
     for i in range(num_scans):

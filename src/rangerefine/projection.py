@@ -26,21 +26,20 @@ from .errors import DataFormatError, check_field_types
 from .kitti_io import PointCloud, atomic_write_bytes
 
 MIN_RANGE = 1e-6
+# the sensor's vertical field of view, shared with the synthetic scanner
+FOV_UP_DEG = 3.0
+FOV_DOWN_DEG = -25.0
 
 
 @dataclass
 class ProjectionConfig:
     width: int = 2048
     height: int = 64
-    fov_up_deg: float = 3.0
-    fov_down_deg: float = -25.0
 
     def __post_init__(self):
         check_field_types(self)
         if self.width < 1 or self.height < 1:
             raise DataFormatError("projection width and height must be >= 1")
-        if not self.fov_up_deg > self.fov_down_deg:
-            raise DataFormatError("fov_up must be greater than fov_down")
 
 
 @dataclass
@@ -80,9 +79,8 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
         bad = int(np.flatnonzero(rng <= MIN_RANGE)[0])
         raise DataFormatError(f"point {bad} is at the scanner origin (range <= {MIN_RANGE} m)")
 
-    fov_up = math.radians(cfg.fov_up_deg)
-    fov_down = math.radians(cfg.fov_down_deg)
-    fov_span = fov_up - fov_down
+    fov_down = math.radians(FOV_DOWN_DEG)
+    fov_span = math.radians(FOV_UP_DEG) - fov_down
 
     azimuth = np.arctan2(xyz[:, 1], xyz[:, 0])
     elevation = np.arcsin(np.clip(xyz[:, 2] / rng, -1.0, 1.0))

@@ -1,10 +1,10 @@
 """Synthetic labeled scenes from one fixed rotating scanner.
 
 The scanner stands in for the Velodyne HDL-64E that recorded Semantic-KITTI:
-``RINGS`` lasers evenly spaced in elevation from ``FOV_UP_DEG`` to
-``FOV_DOWN_DEG``, mounted ``SENSOR_HEIGHT`` above a ground disc of radius
-``GROUND_EXTENT``, with Gaussian range noise of ``NOISE_SIGMA`` truncated at
-3 sigma. A scene adds boxes, thin vertical cylinders and wall segments, and
+``RINGS`` lasers evenly spaced over the projection's field of view (from
+``FOV_UP_DEG`` to ``FOV_DOWN_DEG``), mounted ``SENSOR_HEIGHT`` above a ground
+disc of radius ``GROUND_EXTENT``, with Gaussian range noise of ``NOISE_SIGMA``
+truncated at 3 sigma. A scene adds boxes, thin vertical cylinders and wall segments, and
 every point is labeled with ``SHAPE_CLASS`` of the shape that produced it.
 Only the scene (seed, object counts) and the azimuth resolution are set per
 scan. The generator exists so the whole pipeline can be exercised and
@@ -21,10 +21,9 @@ import numpy as np
 from ._rand import generator
 from .errors import DataFormatError, check_field_types
 from .kitti_io import PointCloud
+from .projection import FOV_DOWN_DEG, FOV_UP_DEG
 
 RINGS = 64
-FOV_UP_DEG = 3.0
-FOV_DOWN_DEG = -25.0
 SENSOR_HEIGHT = 1.7  # m above the ground plane
 GROUND_EXTENT = 40.0  # m, horizontal radius of the ground disc
 NOISE_SIGMA = 0.02  # m, range noise before truncation at 3 sigma

@@ -12,7 +12,8 @@ Two selection strategies feed one pool:
 
 Each pool entry carries a feature vector of length 5 + C: the point's own
 (x, y, z, range, remission) concatenated with the mean class-probability
-vector of its k range-nearest window neighbors (own pixel included).
+vector of its ``AGG_K`` range-nearest neighbors in the ``AGG_WINDOW`` square
+window around its pixel (own pixel included).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ REASON_BOTH = 3
 REASON_NAMES = {REASON_BOUNDARY: "boundary", REASON_BACKGROUND: "background", REASON_BOTH: "both"}
 
 GEOMETRY_FEATURES = 5
+AGG_K = 5  # window candidates averaged into a pool entry's class slice
+AGG_WINDOW = 5  # side of the range-image window they are drawn from
 
 
 @dataclass
@@ -40,8 +43,6 @@ class SelectionConfig:
     boundary_budget: int = 8192
     c_u: float = 1.0
     n_u: int = 4096
-    agg_k: int = 5
-    agg_window: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -52,10 +53,6 @@ class SelectionConfig:
             raise DataFormatError("c_u must be > 0")
         if self.n_u < 1:
             raise DataFormatError("n_u must be >= 1")
-        if self.agg_k < 1:
-            raise DataFormatError("agg_k must be >= 1")
-        if self.agg_window < 1 or self.agg_window % 2 == 0:
-            raise DataFormatError("agg_window must be odd and >= 1")
 
 
 @dataclass
@@ -75,13 +72,12 @@ def aggregate_features(
     cloud: PointCloud,
     img: RangeImage,
     seg: CoarseSegmentation,
-    cfg: SelectionConfig,
     indices: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assemble (M, 5 + C) feature vectors for ``indices`` (default: all points).
 
     The class slice is the renormalized mean of the probability vectors of
-    the agg_k window candidates nearest in |delta range| (the point's own
+    the AGG_K window candidates nearest in |delta range| (the point's own
     pixel always being one of them).
     """
     if seg.probs.shape[:2] != (img.height, img.width):
@@ -98,7 +94,7 @@ def aggregate_features(
     out[:, 3] = img.point_range[indices]
     out[:, 4] = cloud.points[indices, 3].astype(np.float64)
 
-    pixel, delta = window_neighbors(img, cfg.agg_window, cfg.agg_k, indices)
+    pixel, delta = window_neighbors(img, AGG_WINDOW, AGG_K, indices)
     # an invalid candidate (pixel -1) has weight 0, so the vector it gathered never counts
     weights = np.isfinite(delta).astype(np.float64)
     vectors = seg.probs.reshape(-1, num_classes)[pixel]  # (M, k, C)
@@ -172,7 +168,7 @@ def build_pool(
     reason[np.isin(indices, boundary)] |= REASON_BOUNDARY
     reason[np.isin(indices, background)] |= REASON_BACKGROUND
 
-    features = aggregate_features(cloud, img, seg, cfg, indices=indices)
+    features = aggregate_features(cloud, img, seg, indices=indices)
     return UncertainPointSet(
         indices=indices,
         reason=reason,

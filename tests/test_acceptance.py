@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from rangerefine import knn_refiner, uncertainty
 from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
@@ -71,7 +72,7 @@ def test_criterion_1_projection_oracle():
     report(1, f"200 clouds vs brute-force foreground scan, {elapsed:.1f}s < 10s")
 
 
-def test_criterion_2_knn_oracle():
+def test_criterion_2_knn_oracle(monkeypatch):
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     for _ in range(100):
@@ -80,31 +81,29 @@ def test_criterion_2_knn_oracle():
         pixel_labels = np.zeros((16, 64), dtype=np.int32)
         vv, uu = np.nonzero(img.valid_mask)
         pixel_labels[vv, uu] = rng.integers(0, 6, size=len(vv))
-        cfg = KnnConfig(
-            k=int(rng.integers(1, 8)),
-            window=int(rng.choice([1, 3, 5, 7])),
-            sigma=float(rng.uniform(0.3, 2.0)),
-            range_cutoff=float(rng.uniform(0.5, 4.0)),
-        )
+        cfg = KnnConfig(k=int(rng.integers(1, 8)), window=int(rng.choice([1, 3, 5, 7])))
+        sigma, cutoff = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 4.0))
+        monkeypatch.setattr(knn_refiner, "SIGMA", sigma)
+        monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", cutoff)
         np.testing.assert_array_equal(
-            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg)
+            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, sigma, cutoff)
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(2, f"100 scenes exactly equal to sort-filter-vote oracle, {elapsed:.1f}s < 30s")
 
 
-def test_criterion_3_aggregation_oracle():
+def test_criterion_3_aggregation_oracle(monkeypatch):
     rng = np.random.default_rng(303)
     for _ in range(100):
         cloud = random_cloud(rng, int(rng.integers(50, 1000)))
         img = project(cloud, ProjectionConfig(width=64, height=16))
         seg = random_seg(rng, img)
-        cfg = SelectionConfig(
-            agg_k=int(rng.integers(1, 8)), agg_window=int(rng.choice([1, 3, 5]))
-        )
-        got = aggregate_features(cloud, img, seg, cfg)
-        want = aggregate_oracle(cloud, img, seg, cfg, np.arange(len(cloud)))
+        k, window = int(rng.integers(1, 8)), int(rng.choice([1, 3, 5]))
+        monkeypatch.setattr(uncertainty, "AGG_K", k)
+        monkeypatch.setattr(uncertainty, "AGG_WINDOW", window)
+        got = aggregate_features(cloud, img, seg)
+        want = aggregate_oracle(cloud, img, seg, np.arange(len(cloud)), k, window)
         np.testing.assert_array_equal(got, want)
         assert np.abs(got[:, 5:].sum(axis=1) - 1.0).max() <= 1e-4
     report(3, "100 scenes exactly equal to window-averaging oracle; slices sum to 1 +- 1e-4")

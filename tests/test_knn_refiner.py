@@ -6,6 +6,7 @@ import pytest
 
 from rangerefine.errors import DataFormatError
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
+from rangerefine import knn_refiner
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.projection import ProjectionConfig, project
 
@@ -13,7 +14,7 @@ from conftest import random_cloud
 from test_projection import cloud_from_xyz
 
 
-def knn_oracle(img, pixel_labels, cfg):
+def knn_oracle(img, pixel_labels, cfg, sigma, range_cutoff):
     """Independent per-point loop: enumerate window, stable-sort, filter, vote."""
     num_classes = int(pixel_labels.max()) + 1
     half = cfg.window // 2
@@ -33,9 +34,9 @@ def knn_oracle(img, pixel_labels, cfg):
         votes = [0.0] * num_classes
         any_vote = False
         for dr, label in cands[: cfg.k]:
-            if dr > cfg.range_cutoff:
+            if dr > range_cutoff:
                 continue
-            w = math.exp(-(dr * dr) / (2.0 * cfg.sigma * cfg.sigma))
+            w = math.exp(-(dr * dr) / (2.0 * sigma * sigma))
             votes[label] += w
             any_vote = True
         if not any_vote:
@@ -74,11 +75,12 @@ def test_cutoff_filters_all_neighbors():
     labels = np.zeros((16, 64), dtype=np.int32)
     v, u = img.point_v[0], img.point_u[0]
     labels[v, u] = 2  # "car" pixel; it is also the background point's own pixel label
-    out = knn_refine(img, labels, KnnConfig(k=5, window=5, range_cutoff=1.0))
+    assert knn_refiner.RANGE_CUTOFF == 1.0
+    out = knn_refine(img, labels, KnnConfig(k=5, window=5))
     assert out[1] == 2  # keeps back-projected label, vote was emptied
 
 
-def test_seven_point_hand_scene_matches_oracle():
+def test_seven_point_hand_scene_matches_oracle(monkeypatch):
     xyz = [
         [5.0, 0.0, 0.0],
         [5.2, 0.0, 0.0],   # same ray, background
@@ -92,21 +94,23 @@ def test_seven_point_hand_scene_matches_oracle():
     labels = np.zeros((64, 256), dtype=np.int32)
     vv, uu = np.nonzero(img.valid_mask)
     labels[vv, uu] = [1, 2, 3, 1, 2][: len(vv)]
-    cfg = KnnConfig(k=3, window=5, sigma=0.5, range_cutoff=2.0)
-    np.testing.assert_array_equal(knn_refine(img, labels, cfg), knn_oracle(img, labels, cfg))
+    monkeypatch.setattr(knn_refiner, "SIGMA", 0.5)
+    monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", 2.0)
+    cfg = KnnConfig(k=3, window=5)
+    np.testing.assert_array_equal(
+        knn_refine(img, labels, cfg), knn_oracle(img, labels, cfg, 0.5, 2.0)
+    )
 
 
-def test_matches_oracle_on_random_scenes(rng):
+def test_matches_oracle_on_random_scenes(rng, monkeypatch):
     for trial in range(20):
         img, pixel_labels = labeled_image(rng, int(rng.integers(50, 1200)))
-        cfg = KnnConfig(
-            k=int(rng.integers(1, 8)),
-            window=int(rng.choice([1, 3, 5, 7])),
-            sigma=float(rng.uniform(0.3, 2.0)),
-            range_cutoff=float(rng.uniform(0.5, 4.0)),
-        )
+        cfg = KnnConfig(k=int(rng.integers(1, 8)), window=int(rng.choice([1, 3, 5, 7])))
+        sigma, cutoff = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 4.0))
+        monkeypatch.setattr(knn_refiner, "SIGMA", sigma)
+        monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", cutoff)
         np.testing.assert_array_equal(
-            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg)
+            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, sigma, cutoff)
         )
 
 
@@ -170,7 +174,3 @@ def test_config_validation():
         KnnConfig(k=0)
     with pytest.raises(DataFormatError):
         KnnConfig(window=4)
-    with pytest.raises(DataFormatError):
-        KnnConfig(sigma=0.0)
-    with pytest.raises(DataFormatError):
-        KnnConfig(range_cutoff=0.0)

@@ -19,7 +19,7 @@ from rangerefine.pipeline import (
     run_train,
 )
 from rangerefine.projection import ProjectionConfig, back_project_labels, project
-from rangerefine.refiner import TrainConfig, load_checkpoint
+from rangerefine.refiner import ModelDims, RefinerModel, TrainConfig, load_checkpoint, save_checkpoint
 from rangerefine.scanner import SyntheticSceneSpec
 from rangerefine.uncertainty import SelectionConfig
 
@@ -76,7 +76,6 @@ def test_config_rejects_removed_refine_keys(tmp_path, capsys):
     "section, field, value",
     [
         ("oracle", "blur_radius", "1.5"),
-        ("selection", "agg_k", "2.5"),
         ("selection", "n_u", "true"),
         ("knn", "window", "5.0"),
         ("projection", "width", "'2048'"),
@@ -98,9 +97,7 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
     [
         ("selection", "c_u", "true", "c_u must be a finite number"),
         ("selection", "c_u", ".nan", "c_u must be a finite number"),
-        ("knn", "sigma", "x", "sigma must be a finite number"),
         ("oracle", "flip_rate", "false", "flip_rate must be a finite number"),
-        ("projection", "fov_up_deg", "'3.0'", "fov_up_deg must be a finite number"),
         ("train", "learning_rate", ".inf", "learning_rate must be a finite number"),
         # class_weights is no longer a field: any value, well-formed or not, is an unknown key.
         ("train", "class_weights", "[a, b]", "class_weights']"),
@@ -132,6 +129,13 @@ def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value
         ("scene", "rings"),
         ("scene", "fov_up_deg"),
         ("scene", "sensor_height"),
+        # fixed by the stage that reads them: module constants
+        ("knn", "sigma"),
+        ("knn", "range_cutoff"),
+        ("selection", "agg_k"),
+        ("selection", "agg_window"),
+        ("projection", "fov_up_deg"),
+        ("projection", "fov_down_deg"),
     ],
 )
 def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
@@ -240,9 +244,36 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, missing):
 
 def test_config_accepts_integer_float_fields():
     cfg = PipelineConfig.from_dict(
-        {"selection": {"c_u": 1}, "knn": {"sigma": 2}, "train": {"learning_rate": 3}}
+        {"selection": {"c_u": 1}, "oracle": {"flip_rate": 0}, "train": {"learning_rate": 3}}
     )
-    assert (cfg.selection.c_u, cfg.knn.sigma, cfg.train.learning_rate) == (1, 2, 3)
+    assert (cfg.selection.c_u, cfg.oracle.flip_rate, cfg.train.learning_rate) == (1, 0, 3)
+
+
+# every settable value, as (section, field); None is the top level
+SETTABLE = [
+    ("knn", "k"), ("knn", "window"),
+    ("oracle", "blur_radius"), ("oracle", "flip_rate"), ("oracle", "seed"),
+    ("oracle", "temperature"),
+    ("projection", "height"), ("projection", "width"),
+    ("scene", "azimuth_steps"), ("scene", "boxes"), ("scene", "cylinders"),
+    ("scene", "planes"), ("scene", "seed"),
+    ("selection", "boundary_budget"), ("selection", "c_u"), ("selection", "n_u"),
+    ("selection", "seed"),
+    ("train", "epochs"), ("train", "learning_rate"), ("train", "seed"),
+    (None, "class_map"), (None, "mode"), (None, "use_knn"), (None, "use_refiner"),
+]
+
+
+def test_config_schema_is_pinned():
+    doc = dataclasses.asdict(PipelineConfig())
+    leaves = set()
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            leaves |= {(key, name) for name in value}
+        else:
+            leaves.add((None, key))
+    assert len(SETTABLE) == 24
+    assert leaves == set(SETTABLE)
 
 
 # --- gen ---
@@ -260,6 +291,18 @@ def test_generate_corpus_layout_and_determinism(tmp_path, corpus):
     cloud = read_point_cloud(scans[0])
     gt = read_labels(labels[0], cfg.load_class_map())
     assert len(gt) == len(cloud)
+
+
+@pytest.mark.parametrize("sub", ["scans", "labels"])
+def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, sub):
+    out = tmp_path / "c"
+    assert cli.main(["gen", "--out", str(out), "--scans", "2"]) == 0
+    if sub == "labels":
+        shutil.rmtree(out / "scans")
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert cli.main(["gen", "--out", str(out), "--scans", "1", "--seed", "9"]) == 2
+    assert f"{sub} directory {out / sub} is not empty" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
 # --- train + refine ---
@@ -323,6 +366,26 @@ def test_pipeline_determinism_end_to_end(tmp_path, corpus, trained):
         b = (outs[1] / "predictions" / f"{stem}.label").read_bytes()
         assert a == b
     assert (outs[0] / "report.kv").read_bytes() == (outs[1] / "report.kv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "in_dim, num_classes", [(25, 10), (24, 20)], ids=["classes", "input-width"]
+)
+def test_refine_refuses_a_model_for_another_class_map(
+    tmp_path, capsys, corpus, in_dim, num_classes
+):
+    root, _ = corpus
+    ckpt = tmp_path / "model.ckpt"
+    dims = ModelDims(in_dim=in_dim, embed_hidden=4, embed_dim=4, attn_layers=1,
+                     head_hidden1=4, head_hidden2=4, num_classes=num_classes)
+    save_checkpoint(RefinerModel(dims, seed=0), ckpt)
+    out = tmp_path / "run"
+    argv = ["refine", "--data", str(root), "--out", str(out), "--model", str(ckpt)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"model has {num_classes} classes and input width {in_dim}; " \
+        "the class map needs 20 classes and input width 25" in err
+    assert not out.exists()
 
 
 def test_refine_refuses_stale_predictions(tmp_path, corpus):
@@ -538,8 +601,27 @@ def test_cli_usage_error_exit_code():
     assert excinfo.value.code == 1
 
 
-def test_cli_data_error_exit_code(tmp_path):
-    assert cli.main(["refine", "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize("command", ["eval", "export", "project"])
+def test_cli_commands_without_a_pipeline_take_no_overrides(tmp_path, capsys, command):
+    paths = {
+        "eval": ["--pred", str(tmp_path), "--gt", str(tmp_path)],
+        "export": ["--scan", "s.bin", "--labels", "s.label", "--out", "s.ply"],
+        "project": ["--scan", "s.bin", "--out", "s.pgm"],
+    }[command]
+    for flag in ("--c-u 9", "--boundary-budget 5", "--n-u 7", "--knn-k 3", "--seed 1",
+                 "--mode loaded"):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, *paths, *flag.split()])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_data_error_exit_code(tmp_path, capsys):
+    # a corpus without scans fails before any output directory is made
+    for command in ("train", "refine"):
+        assert cli.main([command, "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert "no scans directory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_full_workflow(tmp_path, capsys):

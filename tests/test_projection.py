@@ -6,6 +6,8 @@ import pytest
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import (
+    FOV_DOWN_DEG,
+    FOV_UP_DEG,
     ProjectionConfig,
     RangeImage,
     back_project_labels,
@@ -27,8 +29,8 @@ def cloud_from_xyz(xyz, remission=0.5):
 
 def project_oracle(cloud, cfg):
     """Straight-line reimplementation: per-point u/v plus per-pixel min scan."""
-    fov_up = math.radians(cfg.fov_up_deg)
-    fov_down = math.radians(cfg.fov_down_deg)
+    fov_up = math.radians(FOV_UP_DEG)
+    fov_down = math.radians(FOV_DOWN_DEG)
     span = fov_up - fov_down
     us, vs, rs = [], [], []
     best = {}

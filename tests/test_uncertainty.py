@@ -6,6 +6,7 @@ from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import ProjectionConfig, background_distances, project
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
+from rangerefine import uncertainty
 from rangerefine.uncertainty import (
     REASON_BACKGROUND,
     REASON_BOTH,
@@ -33,9 +34,9 @@ def scene_inputs(rng, n=1500, num_classes=6, width=48, height=16):
     return cloud, img, random_seg(rng, img, num_classes)
 
 
-def aggregate_oracle(cloud, img, seg, cfg, indices):
+def aggregate_oracle(cloud, img, seg, indices, k, window):
     """Loop reimplementation: window scan, stable sort by |delta r|, mean top-k."""
-    half = cfg.agg_window // 2
+    half = window // 2
     num_classes = seg.num_classes
     out = np.empty((len(indices), 5 + num_classes))
     for row, p in enumerate(indices):
@@ -47,7 +48,7 @@ def aggregate_oracle(cloud, img, seg, cfg, indices):
                 if 0 <= v < img.height and 0 <= u < img.width and img.valid_mask[v, u]:
                     cands.append((abs(float(img.range_channel[v, u]) - pr), v, u))
         cands.sort(key=lambda c: c[0])
-        chosen = cands[: cfg.agg_k]
+        chosen = cands[:k]
         acc = np.zeros(num_classes)
         for _, v, u in chosen:
             acc = acc + seg.probs[v, u]
@@ -67,7 +68,7 @@ def test_uniform_seg_gives_identical_class_slices(rng):
     cloud, img, seg = scene_inputs(rng, n=400)
     q = np.full(seg.num_classes, 1.0 / seg.num_classes)
     seg.probs[:] = q
-    feats = aggregate_features(cloud, img, seg, SelectionConfig())
+    feats = aggregate_features(cloud, img, seg)
     np.testing.assert_allclose(feats[:, 5:], np.tile(q, (len(cloud), 1)), atol=1e-12)
     # same-ray points differ only in the geometry slice
     bg = np.flatnonzero(~img.is_foreground)
@@ -77,7 +78,7 @@ def test_uniform_seg_gives_identical_class_slices(rng):
         np.testing.assert_allclose(feats[p, 5:], feats[fg, 5:], atol=1e-12)
 
 
-def test_two_pixel_mean(rng):
+def test_two_pixel_mean(rng, monkeypatch):
     # two points on horizontally adjacent pixels, one-hot opposite classes
     pts = np.array(
         [[10.0, 0.0, -2.0, 0.3], [10.0, 0.5, -2.0, 0.7]], dtype=np.float32
@@ -89,26 +90,28 @@ def test_two_pixel_mean(rng):
     probs[img.point_v[0], img.point_u[0], 0] = 1.0
     probs[img.point_v[1], img.point_u[1], 1] = 1.0
     seg = CoarseSegmentation(probs=probs)
-    feats = aggregate_features(cloud, img, seg, SelectionConfig(agg_k=2, agg_window=5))
+    monkeypatch.setattr(uncertainty, "AGG_K", 2)
+    assert uncertainty.AGG_WINDOW == 5
+    feats = aggregate_features(cloud, img, seg)
     np.testing.assert_allclose(feats[:, 5:], 0.5)
 
 
-def test_aggregation_matches_oracle(rng):
+def test_aggregation_matches_oracle(rng, monkeypatch):
     for _ in range(10):
         cloud, img, seg = scene_inputs(rng, n=int(rng.integers(100, 1200)))
-        cfg = SelectionConfig(
-            agg_k=int(rng.integers(1, 8)), agg_window=int(rng.choice([1, 3, 5]))
-        )
+        k, window = int(rng.integers(1, 8)), int(rng.choice([1, 3, 5]))
+        monkeypatch.setattr(uncertainty, "AGG_K", k)
+        monkeypatch.setattr(uncertainty, "AGG_WINDOW", window)
         indices = rng.choice(len(cloud), size=min(200, len(cloud)), replace=False)
-        got = aggregate_features(cloud, img, seg, cfg, indices=indices)
-        want = aggregate_oracle(cloud, img, seg, cfg, indices)
+        got = aggregate_features(cloud, img, seg, indices=indices)
+        want = aggregate_oracle(cloud, img, seg, indices, k, window)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(got[:, 5:].sum(axis=1), 1.0, atol=1e-4)
 
 
 def test_feature_layout(rng):
     cloud, img, seg = scene_inputs(rng, n=50)
-    feats = aggregate_features(cloud, img, seg, SelectionConfig())
+    feats = aggregate_features(cloud, img, seg)
     assert feats.shape == (50, 5 + seg.num_classes)
     np.testing.assert_allclose(feats[:, 0:3], cloud.points[:, :3].astype(np.float64))
     np.testing.assert_allclose(feats[:, 3], img.point_range)
@@ -117,13 +120,12 @@ def test_feature_layout(rng):
 
 def test_feature_assembly_order_independent(rng):
     cloud, img, seg = scene_inputs(rng, n=600, num_classes=4)
-    cfg = SelectionConfig()
-    feats = aggregate_features(cloud, img, seg, cfg)
+    feats = aggregate_features(cloud, img, seg)
     perm = rng.permutation(len(cloud))
     cloud2 = PointCloud(cloud.points[perm], labels=cloud.labels[perm])
     img2 = project(cloud2, ProjectionConfig(width=48, height=16))
     seg2 = CoarseSegmentation(probs=seg.probs)
-    feats2 = aggregate_features(cloud2, img2, seg2, cfg)
+    feats2 = aggregate_features(cloud2, img2, seg2)
     np.testing.assert_allclose(feats2, feats[perm], atol=1e-12)
 
 
