@@ -88,7 +88,7 @@ def oracle_coarse(
         raise DataFormatError(
             f"ground truth length {gt_labels.shape} does not match {img.num_points} points"
         )
-    if len(gt_labels) and (gt_labels.min() < 0 or gt_labels.max() >= num_classes):
+    if gt_labels.min() < 0 or gt_labels.max() >= num_classes:
         raise DataFormatError("ground-truth labels outside 0..C-1")
 
     h, w = img.height, img.width

@@ -39,7 +39,7 @@ def knn_refine(
 ) -> np.ndarray:
     """Refine per-point labels from per-pixel labels; returns (N,) class ids."""
     base = back_project_labels(img, pixel_labels)
-    num_classes = int(pixel_labels.max()) + 1 if pixel_labels.size else 1
+    num_classes = int(pixel_labels.max()) + 1
 
     pixel, delta = window_neighbors(img, cfg.window, cfg.k)
     cand_labels = pixel_labels.ravel()[pixel]

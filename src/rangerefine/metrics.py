@@ -13,10 +13,10 @@ from .errors import DataFormatError
 
 
 class ConfusionMatrix:
-    def __init__(self, num_classes: int, ignore_class: int | None = 0):
+    def __init__(self, num_classes: int, ignore_class: int):
         if num_classes < 1:
             raise DataFormatError("num_classes must be >= 1")
-        if ignore_class is not None and not 0 <= ignore_class < num_classes:
+        if not 0 <= ignore_class < num_classes:
             raise DataFormatError(f"ignore_class {ignore_class} out of range")
         self.num_classes = num_classes
         self.ignore_class = ignore_class
@@ -32,9 +32,8 @@ class ConfusionMatrix:
         for name, arr in (("gt", gt), ("pred", pred)):
             if arr.min() < 0 or arr.max() >= self.num_classes:
                 raise DataFormatError(f"{name} labels outside 0..{self.num_classes - 1}")
-        if self.ignore_class is not None:
-            keep = gt != self.ignore_class
-            gt, pred = gt[keep], pred[keep]
+        keep = gt != self.ignore_class
+        gt, pred = gt[keep], pred[keep]
         flat = gt.astype(np.int64) * self.num_classes + pred
         self.counts += np.bincount(flat, minlength=self.num_classes**2).reshape(
             self.num_classes, self.num_classes
@@ -49,8 +48,7 @@ class ConfusionMatrix:
         denom = tp + fp + fn
         iou = np.full(self.num_classes, np.nan)
         present = denom > 0
-        if self.ignore_class is not None:
-            present[self.ignore_class] = False
+        present[self.ignore_class] = False
         iou[present] = tp[present] / denom[present]
         return iou
 

@@ -142,12 +142,10 @@ def coarse_for_scan(
     img: RangeImage,
     cfg: PipelineConfig,
     class_map: ClassMap,
-    data_dir=None,
+    data_dir,
 ) -> CoarseSegmentation:
     """The backbone stand-in: load exported probabilities or run the oracle."""
     if cfg.mode == "loaded":
-        if data_dir is None:
-            raise DataFormatError("loaded mode needs a corpus directory with coarse/*.probs")
         path = Path(data_dir) / "coarse" / (cloud.scan_id + COARSE_SUFFIX)
         if not path.exists():
             raise DataFormatError(f"missing coarse probabilities {path}")
@@ -164,7 +162,7 @@ class ScanResult:
     knn_labels: np.ndarray
 
 
-def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir=None):
+def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
     """Shared front half: projection, coarse labels, KNN-or-back-projection."""
     sid = cloud.scan_id or "<unnamed>"
     img = _stage("project", sid, project, cloud, cfg.projection)
@@ -182,7 +180,7 @@ def refine_scan(
     cfg: PipelineConfig,
     class_map: ClassMap,
     model: RefinerModel | None,
-    data_dir=None,
+    data_dir,
 ) -> ScanResult:
     """Run the per-scan pipeline; the refiner stage needs a trained model."""
     sid, img, seg, labels = _scan_front(cloud, cfg, class_map, data_dir)
@@ -199,7 +197,7 @@ def refine_scan(
 
 
 def build_pool_for_scan(
-    cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir=None
+    cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir
 ) -> tuple[UncertainPointSet, np.ndarray]:
     """Pool plus per-entry ground truth, as consumed by training."""
     if cloud.labels is None:
@@ -268,8 +266,9 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
 
     report = {"num_scans": len(scan_paths)}
     if have_gt:
-        report.update(summarize(cm, class_map))
-        write_report(cm, class_map, out_dir)
+        summary = summarize(cm, class_map)
+        report.update(summary)
+        write_report(summary, out_dir)
     _echo_config(cfg, out_dir)
     return report
 
@@ -298,11 +297,12 @@ def run_eval(pred_dir, gt_dir, class_map: ClassMap, out_dir=None) -> dict:
             )
         cm.accumulate(gt_labels, pred_labels)
 
+    summary = summarize(cm, class_map)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_report(cm, class_map, out_dir)
-    return summarize(cm, class_map)
+        write_report(summary, out_dir)
+    return summary
 
 
 def summarize(cm: ConfusionMatrix, class_map: ClassMap) -> dict:
@@ -318,8 +318,7 @@ def summarize(cm: ConfusionMatrix, class_map: ClassMap) -> dict:
     }
 
 
-def format_report(cm: ConfusionMatrix, class_map: ClassMap) -> str:
-    summary = summarize(cm, class_map)
+def format_report(summary: dict) -> str:
     width = max([len(n) for n in summary["iou"]] + [8])
     lines = [f"{'class':<{width}}  iou"]
     for name, value in summary["iou"].items():
@@ -329,10 +328,9 @@ def format_report(cm: ConfusionMatrix, class_map: ClassMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(cm: ConfusionMatrix, class_map: ClassMap, out_dir) -> None:
+def write_report(summary: dict, out_dir) -> None:
     out_dir = Path(out_dir)
-    summary = summarize(cm, class_map)
-    atomic_write_bytes(out_dir / "report.txt", format_report(cm, class_map).encode("ascii"))
+    atomic_write_bytes(out_dir / "report.txt", format_report(summary).encode("ascii"))
     kv = [f"miou {summary['miou']:.9f}", f"oacc {summary['oacc']:.9f}"]
     kv += [f"iou.{name} {value:.9f}" for name, value in summary["iou"].items()]
     atomic_write_bytes(out_dir / "report.kv", ("\n".join(kv) + "\n").encode("ascii"))
@@ -342,7 +340,7 @@ DEFAULT_COLOR = (128, 128, 128)
 
 
 def export_ply(cloud: PointCloud, labels: np.ndarray, palette: dict, path,
-               ignore_class: int = 0) -> None:
+               ignore_class: int) -> None:
     """ASCII PLY with per-vertex coordinates and palette colors.
 
     Classes missing from the palette are an error, except the ignore class

@@ -194,7 +194,7 @@ class RefinerModel:
     EMBED_LAYERS = (("embed0", True), ("embed1", True))
     HEAD_LAYERS = (("head0", True), ("head1", True), ("head2", False))
 
-    def __init__(self, dims: ModelDims = ModelDims(), seed: int = 0):
+    def __init__(self, dims: ModelDims, seed: int = 0):
         self.dims = dims
         rng = generator("refiner-init", seed)
         self.params: dict[str, np.ndarray] = {}
@@ -292,17 +292,12 @@ class RefinerModel:
         return d_out
 
 
-def wce_loss(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    ignore_class: int | None = None,
-):
+def wce_loss(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, ignore_class: int):
     """Weighted cross entropy, mean over non-ignored points; returns (loss, d_logits)."""
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=logits.dtype)
     n = logits.shape[0]
-    mask = np.ones(n, dtype=bool) if ignore_class is None else targets != ignore_class
+    mask = targets != ignore_class
     m = int(mask.sum())
     if m == 0:
         raise DataFormatError("weighted cross entropy: every target is ignored")
@@ -319,11 +314,7 @@ def wce_loss(
     return loss, d_logits
 
 
-def lovasz_softmax_loss(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    ignore_class: int | None = None,
-):
+def lovasz_softmax_loss(probs: np.ndarray, targets: np.ndarray, ignore_class: int):
     """Lovasz extension of the per-class Jaccard loss, mean over present classes.
 
     Per class c: errors m_i = |1{y_i = c} - p_i(c)| are sorted descending
@@ -332,9 +323,7 @@ def lovasz_softmax_loss(
     uses the subgradient of the stable ordering.
     """
     targets = np.asarray(targets)
-    n = probs.shape[0]
-    mask = np.ones(n, dtype=bool) if ignore_class is None else targets != ignore_class
-    rows = np.flatnonzero(mask)
+    rows = np.flatnonzero(targets != ignore_class)
     if len(rows) == 0:
         raise DataFormatError("Lovasz loss: every target is ignored")
 
@@ -379,7 +368,7 @@ def total_loss(
     features: np.ndarray,
     targets: np.ndarray,
     weights: np.ndarray,
-    ignore_class: int | None = None,
+    ignore_class: int,
 ) -> LossResult:
     """Combined loss (cross entropy + Lovasz) with full parameter gradients."""
     logits, cache = model.forward(features, want_cache=True)
@@ -440,19 +429,17 @@ class Adam:
             param -= step
 
 
-def class_frequency_weights(label_arrays, num_classes: int, ignore_class: int | None) -> np.ndarray:
+def class_frequency_weights(label_arrays, num_classes: int, ignore_class: int) -> np.ndarray:
     """w_c = 1 / ln(eps + f_c) from corpus class frequencies; ignore weight 0."""
     counts = np.zeros(num_classes, dtype=np.int64)
     for labels in label_arrays:
         counts += np.bincount(np.asarray(labels), minlength=num_classes)
-    if ignore_class is not None:
-        counts[ignore_class] = 0
+    counts[ignore_class] = 0
     total = counts.sum()
     if total == 0:
         raise DataFormatError("cannot derive class weights: no labeled points")
     weights = 1.0 / np.log(CLASS_WEIGHT_EPS + counts / total)
-    if ignore_class is not None:
-        weights[ignore_class] = 0.0
+    weights[ignore_class] = 0.0
     return weights
 
 
@@ -468,8 +455,8 @@ def train(
     model: RefinerModel,
     scans,
     cfg: TrainConfig,
-    n_u: int = 4096,
-    ignore_class: int | None = None,
+    n_u: int,
+    ignore_class: int,
 ) -> list[EpochStats]:
     """Train in place on (pool, ground-truth-labels) pairs; returns the epoch log.
 
@@ -477,7 +464,8 @@ def train(
     most ``n_u`` pool entries. Scan order is reshuffled each epoch; all
     randomness derives from ``cfg.seed`` so identical runs produce
     bit-identical parameters. The coarse probabilities inside the features
-    are plain inputs: nothing upstream of the refiner is updated.
+    are plain inputs: nothing upstream of the refiner is updated. A failing
+    step names its epoch and its scan's position among those with a pool.
     """
     scans = [(pool, np.asarray(gt)) for pool, gt in scans if len(pool) > 0]
     if not scans:
@@ -509,6 +497,10 @@ def train(
             except NumericError as exc:
                 raise NumericError(
                     f"training diverged at epoch {epoch}, scan {int(scan_index)}: {exc}"
+                ) from exc
+            except DataFormatError as exc:
+                raise DataFormatError(
+                    f"training failed at epoch {epoch}, scan {int(scan_index)}: {exc}"
                 ) from exc
             optimizer.step(result.grads)
             totals += (result.total, result.wce, result.lovasz)

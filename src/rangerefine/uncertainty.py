@@ -72,9 +72,9 @@ def aggregate_features(
     cloud: PointCloud,
     img: RangeImage,
     seg: CoarseSegmentation,
-    indices: np.ndarray | None = None,
+    indices: np.ndarray,
 ) -> np.ndarray:
-    """Assemble (M, 5 + C) feature vectors for ``indices`` (default: all points).
+    """Assemble (M, 5 + C) feature vectors for the points ``indices``.
 
     The class slice is the renormalized mean of the probability vectors of
     the AGG_K window candidates nearest in |delta range| (the point's own
@@ -82,10 +82,7 @@ def aggregate_features(
     """
     if seg.probs.shape[:2] != (img.height, img.width):
         raise DataFormatError("segmentation shape does not match range image")
-    if indices is None:
-        indices = np.arange(img.num_points)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
 
     num_classes = seg.num_classes
     out = np.empty((len(indices), GEOMETRY_FEATURES + num_classes), dtype=np.float64)
@@ -122,8 +119,6 @@ def select_boundary(
 
     margin = top2_margin(seg)[img.point_v, img.point_u]
     order = np.lexsort((np.arange(n), margin))
-    if budget == n:
-        return order
 
     cut_value = margin[order[budget - 1]]
     below = order[margin[order] < cut_value]
@@ -168,7 +163,7 @@ def build_pool(
     reason[np.isin(indices, boundary)] |= REASON_BOUNDARY
     reason[np.isin(indices, background)] |= REASON_BACKGROUND
 
-    features = aggregate_features(cloud, img, seg, indices=indices)
+    features = aggregate_features(cloud, img, seg, indices)
     return UncertainPointSet(
         indices=indices,
         reason=reason,

@@ -38,7 +38,7 @@ from rangerefine.uncertainty import (
 from conftest import random_cloud
 from test_knn_refiner import knn_oracle
 from test_projection import project_oracle
-from test_refiner import TINY, attention_oracle, fd_check, float64_model, random_layer
+from test_refiner import NO_CLASS, TINY, attention_oracle, fd_check, float64_model, random_layer
 from test_refiner import lovasz_oracle
 from test_uncertainty import aggregate_oracle, random_seg
 
@@ -102,7 +102,7 @@ def test_criterion_3_aggregation_oracle(monkeypatch):
         k, window = int(rng.integers(1, 8)), int(rng.choice([1, 3, 5]))
         monkeypatch.setattr(uncertainty, "AGG_K", k)
         monkeypatch.setattr(uncertainty, "AGG_WINDOW", window)
-        got = aggregate_features(cloud, img, seg)
+        got = aggregate_features(cloud, img, seg, np.arange(len(cloud)))
         want = aggregate_oracle(cloud, img, seg, np.arange(len(cloud)), k, window)
         np.testing.assert_array_equal(got, want)
         assert np.abs(got[:, 5:].sum(axis=1) - 1.0).max() <= 1e-4
@@ -156,10 +156,10 @@ def test_criterion_6_gradient_check():
     feats = rng.normal(size=(6, 25))
     targets = np.array([0, 1, 2, 3, 1, 2])
     weights = rng.uniform(0.5, 2.0, size=4)
-    result = total_loss(model, feats, targets, weights)
+    result = total_loss(model, feats, targets, weights, NO_CLASS)
 
     def value():
-        return total_loss(model, feats, targets, weights).total
+        return total_loss(model, feats, targets, weights, NO_CLASS).total
 
     worst = 0.0
     checked = 0
@@ -174,7 +174,7 @@ def test_criterion_6_gradient_check():
 def test_criterion_7_lovasz_oracle():
     rng = np.random.default_rng(707)
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, _ = lovasz_softmax_loss(probs, np.array([0, 0]))
+    loss, _ = lovasz_softmax_loss(probs, np.array([0, 0]), ignore_class=2)
     assert loss == pytest.approx(0.5, abs=1e-15)
 
     worst = 0.0
@@ -185,7 +185,7 @@ def test_criterion_7_lovasz_oracle():
         probs = rng.uniform(size=(n, c))
         probs /= probs.sum(axis=1, keepdims=True)
         targets = rng.integers(0, c, size=n)
-        loss, _ = lovasz_softmax_loss(probs, targets)
+        loss, _ = lovasz_softmax_loss(probs, targets, ignore_class=c)
         worst = max(worst, abs(loss - lovasz_oracle(probs, targets)))
         trials += 1
     assert worst < 1e-10
@@ -193,12 +193,13 @@ def test_criterion_7_lovasz_oracle():
 
 
 def test_criterion_8_metrics():
-    cm = ConfusionMatrix(2, ignore_class=None)
-    cm.counts[:] = [[2, 1], [0, 1]]
+    # an extra ignore class that no point belongs to
+    cm = ConfusionMatrix(3, ignore_class=2)
+    cm.counts[:2, :2] = [[2, 1], [0, 1]]
     assert cm.miou() == pytest.approx(7 / 12, abs=1e-12)
     assert cm.oacc() == pytest.approx(0.75, abs=1e-12)
-    perfect = ConfusionMatrix(3, ignore_class=None)
-    perfect.counts[:] = np.diag([4, 5, 6])
+    perfect = ConfusionMatrix(4, ignore_class=3)
+    perfect.counts[:3, :3] = np.diag([4, 5, 6])
     assert perfect.miou() == pytest.approx(1.0, abs=1e-12)
     assert perfect.oacc() == pytest.approx(1.0, abs=1e-12)
     report(8, "hand matrix [[2,1],[0,1]] -> mIoU 7/12, oACC 0.75; perfect -> 1.0/1.0")
@@ -245,7 +246,7 @@ def e2e_run(tmp_path_factory):
         cloud.labels = kitti_io.read_labels(
             held_dir / "labels" / (scan_path.stem + ".label"), cmap
         )
-        result = refine_scan(cloud, cfg, cmap, model)
+        result = refine_scan(cloud, cfg, cmap, model, held_dir)
         cm_full.accumulate(cloud.labels, result.labels)
         cm_knn.accumulate(cloud.labels, result.knn_labels)
     elapsed = time.perf_counter() - start

@@ -470,9 +470,9 @@ def test_empty_pool_reproduces_knn_only(corpus, trained):
     cfg_empty = dataclasses.replace(
         cfg, selection=dataclasses.replace(cfg.selection, boundary_budget=0, c_u=1e9)
     )
-    with_refiner = refine_scan(cloud, cfg_empty, cmap, model)
+    with_refiner = refine_scan(cloud, cfg_empty, cmap, model, root)
     assert with_refiner.pool is not None and len(with_refiner.pool) == 0
-    knn_only = refine_scan(cloud, cfg, cmap, model=None)
+    knn_only = refine_scan(cloud, cfg, cmap, None, root)
     np.testing.assert_array_equal(with_refiner.labels, knn_only.labels)
     np.testing.assert_array_equal(knn_only.labels, knn_only.knn_labels)
 
@@ -484,7 +484,7 @@ def test_refiner_rewrites_only_pool_members(corpus, trained):
     cmap = cfg.load_class_map()
     cloud = read_point_cloud(root / "scans" / "000002.bin")
     cloud.labels = read_labels(root / "labels" / "000002.label", cmap)
-    result = refine_scan(cloud, cfg, cmap, model)
+    result = refine_scan(cloud, cfg, cmap, model, root)
     assert result.pool is not None and len(result.pool) > 0
     changed = np.flatnonzero(result.labels != result.knn_labels)
     assert set(changed.tolist()) <= set(result.pool.indices.tolist())
@@ -496,7 +496,7 @@ def test_no_knn_reproduces_back_projection(corpus):
     cloud = read_point_cloud(root / "scans" / "000001.bin")
     cloud.labels = read_labels(root / "labels" / "000001.label", cmap)
     cfg_noknn = dataclasses.replace(cfg, use_knn=False)
-    result = refine_scan(cloud, cfg_noknn, cmap, model=None)
+    result = refine_scan(cloud, cfg_noknn, cmap, None, root)
     img = project(cloud, cfg.projection)
     seg = oracle_coarse(img, cloud.labels, cfg.oracle, cmap.num_classes)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
@@ -542,7 +542,7 @@ def test_export_ply_roundtrip(tmp_path):
     cloud = PointCloud(pts)
     palette = {0: (128, 128, 128), 3: (255, 0, 0)}
     path = tmp_path / "cloud.ply"
-    export_ply(cloud, np.array([3, 0]), palette, path)
+    export_ply(cloud, np.array([3, 0]), palette, path, ignore_class=0)
     lines = path.read_text().splitlines()
     assert lines[0] == "ply"
     assert "element vertex 2" in lines
@@ -588,7 +588,7 @@ def test_export_ply_matches_per_point_oracle(tmp_path, rng):
     path = tmp_path / "cloud.ply"
     export_ply(cloud, labels, palette, path, ignore_class=0)
     assert path.read_bytes() == ply_oracle(cloud, labels, palette, 0)
-    export_ply(PointCloud(pts[:0]), labels[:0], palette, path)
+    export_ply(PointCloud(pts[:0]), labels[:0], palette, path, ignore_class=0)
     assert path.read_bytes() == ply_oracle(PointCloud(pts[:0]), labels[:0], palette, 0)
 
 
@@ -622,6 +622,21 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
         assert cli.main([command, "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert "no scans directory" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_cli_train_locates_an_all_ignore_scan(tmp_path, capsys, corpus):
+    # every label of scan 000001 becomes raw id 0, which maps to the ignore class
+    root, _ = corpus
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    label = data / "labels" / "000001.label"
+    label.write_bytes(bytes(label.stat().st_size))
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "training failed at epoch 0, scan 1: weighted cross entropy: every target is ignored" in err
+    assert not (out / "model.ckpt").exists()
 
 
 def test_cli_full_workflow(tmp_path, capsys):

@@ -33,6 +33,8 @@ TINY = ModelDims(
     in_dim=25, embed_hidden=16, embed_dim=32, attn_layers=2,
     head_hidden1=32, head_hidden2=16, num_classes=4,
 )
+# An ignore id past TINY's classes: no target uses it, so the losses count every point.
+NO_CLASS = TINY.num_classes
 
 
 def float64_model(model):
@@ -157,15 +159,15 @@ def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
     feats = rng.normal(size=(7, 25))
     targets = np.array([0, 1, 2, 3, 1, 2, 3])
     weights = rng.uniform(0.5, 2.0, size=4)
-    untiled = total_loss(model, feats, targets, weights)
+    untiled = total_loss(model, feats, targets, weights, NO_CLASS)
     monkeypatch.setattr(refiner, "_SCORE_BLOCK", 7 * 3)  # tiles of 3, 3 and 1 rows
-    result = total_loss(model, feats, targets, weights)
+    result = total_loss(model, feats, targets, weights, NO_CLASS)
     scale = max(np.abs(g).max() for g in untiled.grads.values())
     for key, grad in result.grads.items():
         assert np.abs(grad - untiled.grads[key]).max() < 1e-14 * scale
 
     def value():
-        return total_loss(model, feats, targets, weights).total
+        return total_loss(model, feats, targets, weights, NO_CLASS).total
 
     worst = 0.0
     for key, param in model.params.items():
@@ -317,7 +319,7 @@ def test_train_step_memory_bounded():
     targets = rng.integers(0, 20, size=4096)
     tracemalloc.start()
     try:
-        total_loss(model, feats, targets, np.ones(20))
+        total_loss(model, feats, targets, np.ones(20), ignore_class=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,10 +342,10 @@ def test_float32_throughout_train_step():
     for a in activations:
         assert a.dtype == np.float32
     weights = rng.uniform(0.5, 2.0, size=20)
-    assert wce_loss(logits, targets, weights)[1].dtype == np.float32
-    assert lovasz_softmax_loss(softmax_rows(logits), targets)[1].dtype == np.float32
+    assert wce_loss(logits, targets, weights, 20)[1].dtype == np.float32
+    assert lovasz_softmax_loss(softmax_rows(logits), targets, 20)[1].dtype == np.float32
 
-    result = total_loss(model, feats, targets, weights)
+    result = total_loss(model, feats, targets, weights, ignore_class=20)
     assert sorted(result.grads) == sorted(model.params)
     optimizer = Adam(model, TrainConfig())
     optimizer.step(result.grads)
@@ -432,13 +434,13 @@ def test_nonfinite_activations_flag_layer():
 
 def test_wce_perfect_prediction_zero_loss():
     logits = np.array([[100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
-    loss, _ = wce_loss(logits, np.array([0, 1]), np.ones(3))
+    loss, _ = wce_loss(logits, np.array([0, 1]), np.ones(3), ignore_class=3)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wce_uniform_logits_log_c():
     logits = np.zeros((4, 20))
-    loss, _ = wce_loss(logits, np.array([3, 7, 0, 19]), np.ones(20))
+    loss, _ = wce_loss(logits, np.array([3, 7, 0, 19]), np.ones(20), ignore_class=20)
     assert loss == pytest.approx(math.log(20), abs=1e-12)
 
 
@@ -496,14 +498,14 @@ def lovasz_oracle(probs, targets):
 
 def test_lovasz_perfect_prediction():
     probs = np.eye(3)
-    loss, grad = lovasz_softmax_loss(probs, np.array([0, 1, 2]))
+    loss, grad = lovasz_softmax_loss(probs, np.array([0, 1, 2]), ignore_class=3)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lovasz_hand_example():
     # two points, both class 0, p(0) = (1.0, 0.0): loss = 0.5
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, _ = lovasz_softmax_loss(probs, np.array([0, 0]))
+    loss, _ = lovasz_softmax_loss(probs, np.array([0, 0]), ignore_class=2)
     assert loss == pytest.approx(0.5, abs=1e-12)
 
 
@@ -514,7 +516,7 @@ def test_lovasz_matches_threshold_integral_oracle(rng):
         probs = rng.uniform(size=(n, c))
         probs /= probs.sum(axis=1, keepdims=True)
         targets = rng.integers(0, c, size=n)
-        loss, _ = lovasz_softmax_loss(probs, targets)
+        loss, _ = lovasz_softmax_loss(probs, targets, ignore_class=c)
         assert loss == pytest.approx(lovasz_oracle(probs, targets), abs=1e-10)
 
 
@@ -524,7 +526,7 @@ def test_lovasz_per_class_in_unit_interval(rng):
         probs = rng.uniform(size=(n, 3))
         probs /= probs.sum(axis=1, keepdims=True)
         targets = np.full(n, int(rng.integers(0, 3)))  # one class present
-        loss, _ = lovasz_softmax_loss(probs, targets)
+        loss, _ = lovasz_softmax_loss(probs, targets, ignore_class=3)
         assert -1e-12 <= loss <= 1.0 + 1e-12
 
 
@@ -532,10 +534,10 @@ def test_lovasz_gradient_finite_differences(rng):
     probs = rng.uniform(0.05, 1.0, size=(6, 4))
     probs /= probs.sum(axis=1, keepdims=True)
     targets = np.array([0, 1, 2, 3, 0, 1])
-    _, grad = lovasz_softmax_loss(probs, targets)
+    _, grad = lovasz_softmax_loss(probs, targets, ignore_class=4)
 
     def value():
-        return lovasz_softmax_loss(probs, targets)[0]
+        return lovasz_softmax_loss(probs, targets, ignore_class=4)[0]
 
     # tie-free random instance; step small enough not to cross sort ties
     assert fd_check(value, probs, grad, rel_tol=1e-5, h_scale=1e-7) < 1e-5
@@ -554,10 +556,10 @@ def test_total_loss_gradients_match_finite_differences(rng):
     feats = rng.normal(size=(6, 25))
     targets = np.array([0, 1, 2, 3, 1, 2])
     weights = rng.uniform(0.5, 2.0, size=4)
-    result = total_loss(model, feats, targets, weights)
+    result = total_loss(model, feats, targets, weights, NO_CLASS)
 
     def value():
-        return total_loss(model, feats, targets, weights).total
+        return total_loss(model, feats, targets, weights, NO_CLASS).total
 
     worst = 0.0
     for key, param in model.params.items():
@@ -571,10 +573,10 @@ def test_total_loss_decreases_on_separable_batch(rng):
     targets = (feats[:, 0] > 0).astype(np.int64) + 2 * (feats[:, 1] > 0).astype(np.int64)
     weights = np.ones(4)
     optimizer = Adam(model, TrainConfig(epochs=1, learning_rate=1e-3))
-    first = total_loss(model, feats, targets, weights).total
+    first = total_loss(model, feats, targets, weights, NO_CLASS).total
     for _ in range(50):
-        optimizer.step(total_loss(model, feats, targets, weights).grads)
-    last = total_loss(model, feats, targets, weights).total
+        optimizer.step(total_loss(model, feats, targets, weights, NO_CLASS).grads)
+    last = total_loss(model, feats, targets, weights, NO_CLASS).total
     assert last < first
 
 
@@ -622,7 +624,8 @@ def test_train_requires_nonempty_pool(rng):
         coarse_label=np.empty(0, dtype=np.int32),
     )
     with pytest.raises(DataFormatError):
-        train(RefinerModel(TINY), [(empty, np.empty(0, dtype=np.int64))], TrainConfig(epochs=1))
+        train(RefinerModel(TINY), [(empty, np.empty(0, dtype=np.int64))], TrainConfig(epochs=1),
+              n_u=16, ignore_class=0)
 
 
 def test_train_config_validation():
@@ -668,7 +671,7 @@ def test_divergence_reports_context(rng):
     scans = [make_pool(rng, 20)]
     model = RefinerModel(TINY, seed=0)
     with pytest.raises(NumericError, match="diverged at epoch 1"):
-        train(model, scans, TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8)
+        train(model, scans, TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
 
 
 def test_class_frequency_weights():

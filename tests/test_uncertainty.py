@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
+from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse, top2_margin
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import ProjectionConfig, background_distances, project
@@ -68,7 +68,7 @@ def test_uniform_seg_gives_identical_class_slices(rng):
     cloud, img, seg = scene_inputs(rng, n=400)
     q = np.full(seg.num_classes, 1.0 / seg.num_classes)
     seg.probs[:] = q
-    feats = aggregate_features(cloud, img, seg)
+    feats = aggregate_features(cloud, img, seg, np.arange(len(cloud)))
     np.testing.assert_allclose(feats[:, 5:], np.tile(q, (len(cloud), 1)), atol=1e-12)
     # same-ray points differ only in the geometry slice
     bg = np.flatnonzero(~img.is_foreground)
@@ -92,7 +92,7 @@ def test_two_pixel_mean(rng, monkeypatch):
     seg = CoarseSegmentation(probs=probs)
     monkeypatch.setattr(uncertainty, "AGG_K", 2)
     assert uncertainty.AGG_WINDOW == 5
-    feats = aggregate_features(cloud, img, seg)
+    feats = aggregate_features(cloud, img, seg, np.arange(len(cloud)))
     np.testing.assert_allclose(feats[:, 5:], 0.5)
 
 
@@ -103,7 +103,7 @@ def test_aggregation_matches_oracle(rng, monkeypatch):
         monkeypatch.setattr(uncertainty, "AGG_K", k)
         monkeypatch.setattr(uncertainty, "AGG_WINDOW", window)
         indices = rng.choice(len(cloud), size=min(200, len(cloud)), replace=False)
-        got = aggregate_features(cloud, img, seg, indices=indices)
+        got = aggregate_features(cloud, img, seg, indices)
         want = aggregate_oracle(cloud, img, seg, indices, k, window)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(got[:, 5:].sum(axis=1), 1.0, atol=1e-4)
@@ -111,7 +111,7 @@ def test_aggregation_matches_oracle(rng, monkeypatch):
 
 def test_feature_layout(rng):
     cloud, img, seg = scene_inputs(rng, n=50)
-    feats = aggregate_features(cloud, img, seg)
+    feats = aggregate_features(cloud, img, seg, np.arange(len(cloud)))
     assert feats.shape == (50, 5 + seg.num_classes)
     np.testing.assert_allclose(feats[:, 0:3], cloud.points[:, :3].astype(np.float64))
     np.testing.assert_allclose(feats[:, 3], img.point_range)
@@ -120,12 +120,12 @@ def test_feature_layout(rng):
 
 def test_feature_assembly_order_independent(rng):
     cloud, img, seg = scene_inputs(rng, n=600, num_classes=4)
-    feats = aggregate_features(cloud, img, seg)
+    feats = aggregate_features(cloud, img, seg, np.arange(len(cloud)))
     perm = rng.permutation(len(cloud))
     cloud2 = PointCloud(cloud.points[perm], labels=cloud.labels[perm])
     img2 = project(cloud2, ProjectionConfig(width=48, height=16))
     seg2 = CoarseSegmentation(probs=seg.probs)
-    feats2 = aggregate_features(cloud2, img2, seg2)
+    feats2 = aggregate_features(cloud2, img2, seg2, np.arange(len(cloud2)))
     np.testing.assert_allclose(feats2, feats[perm], atol=1e-12)
 
 
@@ -186,10 +186,16 @@ def test_boundary_stratum_sampled_deterministically(rng):
 
 
 def test_boundary_budget_caps_at_total(rng):
+    # a budget of N or more takes every point, in (margin, point index) order;
+    # points on one pixel share its margin, so the index breaks real ties
     cloud, img, seg = scene_inputs(rng, n=120)
-    sel = select_boundary(img, seg, SelectionConfig(boundary_budget=10_000))
-    assert len(sel) == 120
-    assert len(np.unique(sel)) == 120
+    margin = top2_margin(seg)[img.point_v, img.point_u]
+    want = sorted(range(120), key=lambda i: (margin[i], i))
+    assert len(set(margin.tolist())) < 120
+    for budget in (120, 10_000):
+        sel = select_boundary(img, seg, SelectionConfig(boundary_budget=budget))
+        assert sel.dtype == np.int64
+        assert sel.tolist() == want
 
 
 # --- select_background ---
