@@ -1,8 +1,10 @@
-"""Exception types shared across the pipeline, and the config field type check.
+"""Exception types shared across the pipeline, the helper that locates them,
+and the config field type check.
 
 The CLI maps these onto exit codes: DataFormatError -> 2, NumericError -> 3.
 """
 
+import contextlib
 import dataclasses
 import math
 import numbers
@@ -14,6 +16,16 @@ class DataFormatError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required (divergence, NaN activations)."""
+
+
+@contextlib.contextmanager
+def located(where: str):
+    """Re-raise a DataFormatError or NumericError from the block as the same
+    type, with ``where`` in front of its message."""
+    try:
+        yield
+    except (DataFormatError, NumericError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _is_number(value) -> bool:

@@ -18,7 +18,7 @@ import yaml
 from . import kitti_io
 from ._rand import derive_seed
 from .coarse import CoarseSegmentation, OracleNoiseSpec, load_coarse, oracle_coarse
-from .errors import DataFormatError, NumericError, check_field_types
+from .errors import DataFormatError, check_field_types, located
 from .kitti_io import ClassMap, PointCloud, atomic_write_bytes
 from .knn_refiner import KnnConfig, knn_refine
 from .metrics import ConfusionMatrix
@@ -93,10 +93,6 @@ class PipelineConfig:
         atomic_write_bytes(path, payload.encode("utf-8"))
 
 
-def _echo_config(cfg: PipelineConfig, out_dir: Path) -> None:
-    cfg.save_yaml(Path(out_dir) / "config.yaml")
-
-
 def list_scan_paths(data_dir) -> list[Path]:
     scan_dir = Path(data_dir) / "scans"
     if not scan_dir.is_dir():
@@ -129,12 +125,8 @@ def read_scan(scan_path, label_path, class_map: ClassMap) -> PointCloud:
 
 
 def _stage(stage: str, scan_id: str, fn, *args, **kwargs):
-    try:
+    with located(f"stage '{stage}' failed on scan {scan_id}"):
         return fn(*args, **kwargs)
-    except DataFormatError as exc:
-        raise DataFormatError(f"stage '{stage}' failed on scan {scan_id}: {exc}") from exc
-    except NumericError as exc:
-        raise NumericError(f"stage '{stage}' failed on scan {scan_id}: {exc}") from exc
 
 
 def coarse_for_scan(
@@ -163,16 +155,12 @@ class ScanResult:
 
 
 def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
-    """Shared front half: projection, coarse labels, KNN-or-back-projection."""
+    """Shared front half: projection, coarse segmentation and its per-pixel labels."""
     sid = cloud.scan_id or "<unnamed>"
     img = _stage("project", sid, project, cloud, cfg.projection)
     seg = _stage("coarse", sid, coarse_for_scan, cloud, img, cfg, class_map, data_dir)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
-    if cfg.use_knn:
-        labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
-    else:
-        labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
-    return sid, img, seg, labels
+    return sid, img, seg, pixel_labels
 
 
 def refine_scan(
@@ -183,7 +171,11 @@ def refine_scan(
     data_dir,
 ) -> ScanResult:
     """Run the per-scan pipeline; the refiner stage needs a trained model."""
-    sid, img, seg, labels = _scan_front(cloud, cfg, class_map, data_dir)
+    sid, img, seg, pixel_labels = _scan_front(cloud, cfg, class_map, data_dir)
+    if cfg.use_knn:
+        labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
+    else:
+        labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
     knn_labels = labels
 
     pool = None
@@ -199,10 +191,15 @@ def refine_scan(
 def build_pool_for_scan(
     cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir
 ) -> tuple[UncertainPointSet, np.ndarray]:
-    """Pool plus per-entry ground truth, as consumed by training."""
+    """Pool plus per-entry ground truth, as consumed by training.
+
+    Training reads only the pool's indices and features, so the pool's
+    labels are the plain back-projected ones, and the KNN vote is skipped.
+    """
     if cloud.labels is None:
         raise DataFormatError(f"scan {cloud.scan_id} has no labels; cannot build a training pool")
-    sid, img, seg, labels = _scan_front(cloud, cfg, class_map, data_dir)
+    sid, img, seg, pixel_labels = _scan_front(cloud, cfg, class_map, data_dir)
+    labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
     pool = _stage("pool", sid, build_pool, cloud, img, seg, cfg.selection, labels)
     return pool, cloud.labels[pool.indices]
 
@@ -213,13 +210,13 @@ def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Pat
     out_dir = Path(out_dir)
     class_map = cfg.load_class_map()
 
-    scans = []
+    scans = {}
     for scan_path in list_scan_paths(data_dir):
         label_path = _label_path(data_dir, scan_path)
         if label_path is None:
             continue
         cloud = read_scan(scan_path, label_path, class_map)
-        scans.append(build_pool_for_scan(cloud, cfg, class_map, data_dir))
+        scans[scan_path.stem] = build_pool_for_scan(cloud, cfg, class_map, data_dir)
     if not scans:
         raise DataFormatError(f"no labeled scans under {data_dir}")
 
@@ -234,7 +231,7 @@ def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Pat
     save_checkpoint(model, ckpt_path)
     lines = [f"{rec.epoch} {rec.loss:.9f} {rec.wce:.9f} {rec.lovasz:.9f}" for rec in log]
     atomic_write_bytes(out_dir / "train_log.txt", ("\n".join(lines) + "\n").encode("ascii"))
-    _echo_config(cfg, out_dir)
+    cfg.save_yaml(out_dir / "config.yaml")
     return model, ckpt_path
 
 
@@ -269,7 +266,7 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
         summary = summarize(cm, class_map)
         report.update(summary)
         write_report(summary, out_dir)
-    _echo_config(cfg, out_dir)
+    cfg.save_yaml(out_dir / "config.yaml")
     return report
 
 
@@ -397,5 +394,5 @@ def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
         kitti_io.write_point_cloud(cloud, out_dir / "scans" / (stem + ".bin"))
         kitti_io.write_labels(cloud.labels, class_map, out_dir / "labels" / (stem + ".label"))
         stems.append(stem)
-    _echo_config(cfg, out_dir)
+    cfg.save_yaml(out_dir / "config.yaml")
     return stems

@@ -90,9 +90,10 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
     np.clip(u, 0, cfg.width - 1, out=u)
     np.clip(v, 0, cfg.height - 1, out=v)
 
-    # per-pixel foreground: sort by (pixel, range, index) and keep first of each pixel
+    # per-pixel foreground: sort by (pixel, range), stably so ties keep index
+    # order, and keep the first of each pixel
     flat = v * cfg.width + u
-    order = np.lexsort((np.arange(n), rng, flat))
+    order = np.lexsort((rng, flat))
     sorted_flat = flat[order]
     first = np.ones(n, dtype=bool)
     first[1:] = sorted_flat[1:] != sorted_flat[:-1]

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._rand import derive_seed, generator
-from .errors import DataFormatError, NumericError, check_field_types
+from .errors import DataFormatError, NumericError, check_field_types, located
 from .kitti_io import atomic_write_bytes
 from .uncertainty import UncertainPointSet, sample_positions
 
@@ -86,28 +86,30 @@ class ModelDims:
         ]
 
 
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Row softmax of ``x``, written over ``x``."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_in_place(x.copy())
 
 
-def _softmax_backward(softmaxed: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    inner = (grad * softmaxed).sum(axis=1, keepdims=True)
-    return softmaxed * (grad - inner)
+def _softmax_backward(softmaxed: np.ndarray, grad: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """softmaxed * (grad - rowsum(grad * softmaxed)), written over ``grad``;
+    ``work``, shaped like ``grad``, holds the product."""
+    inner = np.multiply(grad, softmaxed, out=work).sum(axis=1, keepdims=True)
+    grad -= inner
+    grad *= softmaxed
+    return grad
 
 
-def _row_tiles(n: int):
-    """(start, stop) of each query-row tile of an n-entry context."""
-    rows = max(1, _SCORE_BLOCK // n)
-    for start in range(0, n, rows):
-        yield start, min(start + rows, n)
-
-
-def _tile_workspace(n: int, dtype) -> np.ndarray:
-    """One (rows, n) buffer of ``dtype`` that holds a full tile of scores."""
-    s, e = next(_row_tiles(n))
-    return np.empty((e - s, n), dtype=dtype)
+def _tile_rows(n: int) -> int:
+    """Query rows per attention tile of an n-entry context."""
+    return min(n, max(1, _SCORE_BLOCK // n))
 
 
 def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarray:
@@ -118,10 +120,7 @@ def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarr
     """
     attn = np.matmul(q[s:e], q.T, out=work[: e - s])
     attn /= math.sqrt(q.shape[1])  # a Python float keeps the division in q's dtype
-    attn -= attn.max(axis=1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=1, keepdims=True)
-    return attn
+    return _softmax_in_place(attn)
 
 
 def _attention_forward(f_in, wp, bp, wv, bv, out=None):
@@ -130,8 +129,10 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     v = f_in @ wv + bv
     if out is None:
         out = np.empty_like(v)
-    work = _tile_workspace(n, q.dtype)
-    for s, e in _row_tiles(n):
+    rows = _tile_rows(n)
+    work = np.empty((rows, n), dtype=q.dtype)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
         np.matmul(_attention_rows(q, s, e, work), v, out=out[s:e])
     return out, (f_in, q, v)
 
@@ -152,19 +153,18 @@ def _attention_backward(cache, wp, wv, d_out):
     n, d = q.shape
     d_q = np.zeros_like(q)
     d_v = np.zeros_like(v)
-    attn_work = _tile_workspace(n, q.dtype)
+    rows = _tile_rows(n)
+    attn_work = np.empty((rows, n), dtype=q.dtype)
     grad_work = np.empty_like(attn_work)
     prod_work = np.empty_like(attn_work)
     rows_work = np.empty_like(q)
-    for s, e in _row_tiles(n):
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
         k = e - s
         attn = _attention_rows(q, s, e, attn_work)
         d_v += np.matmul(attn.T, d_out[s:e], out=rows_work)
-        # _softmax_backward(attn, d_out[s:e] @ v.T) / sqrt(d), in place.
         d_scores = np.matmul(d_out[s:e], v.T, out=grad_work[:k])
-        inner = np.multiply(d_scores, attn, out=prod_work[:k]).sum(axis=1, keepdims=True)
-        d_scores -= inner
-        d_scores *= attn
+        _softmax_backward(attn, d_scores, prod_work[:k])
         d_scores /= math.sqrt(d)
         d_scores[:, s:e] += d_scores[:, s:e].T
         d_q[s:e] += np.matmul(d_scores, q, out=rows_work[:k])
@@ -375,7 +375,7 @@ def total_loss(
     wce, d_logits_wce = wce_loss(logits, targets, weights, ignore_class)
     probs = softmax_rows(logits)
     lovasz, d_probs = lovasz_softmax_loss(probs, targets, ignore_class)
-    d_logits = d_logits_wce + _softmax_backward(probs, d_probs)
+    d_logits = d_logits_wce + _softmax_backward(probs, d_probs, np.empty_like(d_probs))
     grads = model.backward(cache, d_logits)
     result = LossResult(total=wce + lovasz, wce=wce, lovasz=lovasz, grads=grads)
     if not np.isfinite(result.total):
@@ -453,31 +453,32 @@ class EpochStats:
 
 def train(
     model: RefinerModel,
-    scans,
+    scans: dict[str, tuple[UncertainPointSet, np.ndarray]],
     cfg: TrainConfig,
     n_u: int,
     ignore_class: int,
 ) -> list[EpochStats]:
-    """Train in place on (pool, ground-truth-labels) pairs; returns the epoch log.
+    """Train in place on scan id -> (pool, ground-truth labels); returns the epoch log.
 
     One optimizer step per scan per epoch, on a freshly sampled batch of at
     most ``n_u`` pool entries. Scan order is reshuffled each epoch; all
-    randomness derives from ``cfg.seed`` so identical runs produce
-    bit-identical parameters. The coarse probabilities inside the features
-    are plain inputs: nothing upstream of the refiner is updated. A failing
-    step names its epoch and its scan's position among those with a pool.
+    randomness derives from ``cfg.seed`` and the scans' positions among those
+    with a non-empty pool, so identical runs produce bit-identical
+    parameters. The coarse probabilities inside the features are plain
+    inputs: nothing upstream of the refiner is updated. A failing step names
+    its epoch and its scan id.
     """
-    scans = [(pool, np.asarray(gt)) for pool, gt in scans if len(pool) > 0]
+    scans = [(sid, pool, np.asarray(gt)) for sid, (pool, gt) in scans.items() if len(pool) > 0]
     if not scans:
         raise DataFormatError("training needs at least one scan with a non-empty pool")
-    for pool, gt in scans:
+    for _, pool, gt in scans:
         if len(gt) != len(pool):
             raise DataFormatError("ground-truth labels must cover the pool")
 
-    weights = class_frequency_weights([gt for _, gt in scans], model.dims.num_classes, ignore_class)
+    weights = class_frequency_weights([gt for _, _, gt in scans], model.dims.num_classes, ignore_class)
 
     model.set_feature_standardization(
-        np.concatenate([pool.features for pool, _ in scans], axis=0)
+        np.concatenate([pool.features for _, pool, _ in scans], axis=0)
     )
 
     optimizer = Adam(model, cfg)
@@ -486,22 +487,12 @@ def train(
         order = generator("epoch-order", cfg.seed, epoch).permutation(len(scans))
         totals = np.zeros(3)
         for scan_index in order:
-            pool, gt = scans[scan_index]
+            sid, pool, gt = scans[scan_index]
             pos = sample_positions(
                 len(pool), n_u, derive_seed(cfg.seed, "batch", epoch, int(scan_index))
             )
-            try:
-                result = total_loss(
-                    model, pool.features[pos], gt[pos], weights, ignore_class
-                )
-            except NumericError as exc:
-                raise NumericError(
-                    f"training diverged at epoch {epoch}, scan {int(scan_index)}: {exc}"
-                ) from exc
-            except DataFormatError as exc:
-                raise DataFormatError(
-                    f"training failed at epoch {epoch}, scan {int(scan_index)}: {exc}"
-                ) from exc
+            with located(f"training failed at epoch {epoch}, scan {sid}"):
+                result = total_loss(model, pool.features[pos], gt[pos], weights, ignore_class)
             optimizer.step(result.grads)
             totals += (result.total, result.wce, result.lovasz)
         mean = totals / len(scans)
@@ -526,11 +517,7 @@ def _checkpoint_arrays(model: RefinerModel) -> list[np.ndarray]:
 
 def save_checkpoint(model: RefinerModel, path) -> None:
     """Magic + version + dims header, then raw little-endian float32 blocks in declaration order."""
-    d = model.dims
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<8I", CHECKPOINT_VERSION, d.in_dim, d.embed_hidden, d.embed_dim,
-        d.attn_layers, d.head_hidden1, d.head_hidden2, d.num_classes,
-    )
+    header = CHECKPOINT_MAGIC + struct.pack("<8I", CHECKPOINT_VERSION, *astuple(model.dims))
     blocks = [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in _checkpoint_arrays(model)]
     atomic_write_bytes(path, header + b"".join(blocks))
 

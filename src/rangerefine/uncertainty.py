@@ -112,17 +112,16 @@ def select_boundary(
     stratum of equal margins crossing the budget is sampled with the
     configured seed.
     """
-    n = img.num_points
-    budget = min(cfg.boundary_budget, n)
+    budget = min(cfg.boundary_budget, img.num_points)
     if budget == 0:
         return np.empty(0, dtype=np.int64)
 
     margin = top2_margin(seg)[img.point_v, img.point_u]
-    order = np.lexsort((np.arange(n), margin))
+    order = np.argsort(margin, kind="stable")  # (margin, point index) order
 
     cut_value = margin[order[budget - 1]]
     below = order[margin[order] < cut_value]
-    stratum = np.sort(order[margin[order] == cut_value])
+    stratum = order[margin[order] == cut_value]
     need = budget - len(below)
     if need == len(stratum):
         chosen = stratum

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rangerefine import cli
+from rangerefine import cli, pipeline
 from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import ClassMap, PointCloud, read_labels, read_point_cloud, write_labels
@@ -635,8 +635,35 @@ def test_cli_train_locates_an_all_ignore_scan(tmp_path, capsys, corpus):
     argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "training failed at epoch 0, scan 1: weighted cross entropy: every target is ignored" in err
+    assert "training failed at epoch 0, scan 000001: weighted cross entropy: every target is ignored" in err
     assert not (out / "model.ckpt").exists()
+
+
+def test_cli_train_names_the_failing_scan_by_file(tmp_path, capsys, corpus):
+    # 000000 has no labels, so the all-ignore 000002 is the second scan that trains
+    root, _ = corpus
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    (data / "labels" / "000000.label").unlink()
+    label = data / "labels" / "000002.label"
+    label.write_bytes(bytes(label.stat().st_size))
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "training failed at epoch 0, scan 000002: weighted cross entropy: every target is ignored" in err
+
+
+def test_train_skips_the_knn_vote(tmp_path, corpus, monkeypatch):
+    # training reads only pool indices and features, which the KNN labels do not touch
+    root, cfg = corpus
+
+    def knn_refine(*args, **kwargs):
+        raise AssertionError("training ran the KNN vote")
+
+    monkeypatch.setattr(pipeline, "knn_refine", knn_refine)
+    _, ckpt = run_train(root, tmp_path / "out", cfg)
+    assert ckpt.exists()
 
 
 def test_cli_full_workflow(tmp_path, capsys):

@@ -134,6 +134,21 @@ def test_attention_rows_softmax_and_symmetry(rng):
     assert (attn >= 0).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_path_softmax_kernels_bitwise(rng, dtype):
+    # the kernels attention shares, as the loss calls them, against the textbook expressions
+    x = (4.0 * rng.normal(size=(37, 11))).astype(dtype)
+    kept = x.copy()
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    s = softmax_rows(x)
+    assert s.dtype == dtype and x.tobytes() == kept.tobytes()
+    assert s.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+    g = rng.normal(size=x.shape).astype(dtype)
+    want = s * (g - (g * s).sum(1, keepdims=True))
+    got = refiner._softmax_backward(s, g.copy(), np.empty_like(g))
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 # --- row tiles ---
 
 
@@ -181,7 +196,9 @@ def straightline_attention_backward(cache, wp, wv, d_out):
     d = q.shape[1]
     d_q = np.zeros_like(q)
     d_v = np.zeros_like(v)
-    for s, e in refiner._row_tiles(len(q)):
+    rows = refiner._tile_rows(len(q))
+    for s in range(0, len(q), rows):
+        e = min(s + rows, len(q))
         attn = softmax_rows((q[s:e] @ q.T) / np.sqrt(d))
         d_v += attn.T @ d_out[s:e]
         grad = d_out[s:e] @ v.T
@@ -597,7 +614,7 @@ def make_pool(rng, n, num_classes=4):
 
 
 def test_train_deterministic(rng):
-    scans = [make_pool(rng, 40) for _ in range(3)]
+    scans = {f"s{i}": make_pool(rng, 40) for i in range(3)}
     cfg = TrainConfig(epochs=3, seed=7)
     models = []
     for _ in range(2):
@@ -610,7 +627,7 @@ def test_train_deterministic(rng):
 
 
 def test_train_loss_decreases(rng):
-    scans = [make_pool(rng, 60) for _ in range(5)]
+    scans = {f"s{i}": make_pool(rng, 60) for i in range(5)}
     model = RefinerModel(TINY, seed=1)
     log = train(model, scans, TrainConfig(epochs=25, seed=1), n_u=32, ignore_class=0)
     assert log[-1].loss < log[0].loss
@@ -624,7 +641,7 @@ def test_train_requires_nonempty_pool(rng):
         coarse_label=np.empty(0, dtype=np.int32),
     )
     with pytest.raises(DataFormatError):
-        train(RefinerModel(TINY), [(empty, np.empty(0, dtype=np.int64))], TrainConfig(epochs=1),
+        train(RefinerModel(TINY), {"s0": (empty, np.empty(0, dtype=np.int64))}, TrainConfig(epochs=1),
               n_u=16, ignore_class=0)
 
 
@@ -668,9 +685,9 @@ def test_adam_steps_bitwise_textbook(rng):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_reports_context(rng):
     # the epoch-0 step at lr 1e200 wrecks the parameters; epoch 1 hits them
-    scans = [make_pool(rng, 20)]
+    scans = {"s0": make_pool(rng, 20)}
     model = RefinerModel(TINY, seed=0)
-    with pytest.raises(NumericError, match="diverged at epoch 1"):
+    with pytest.raises(NumericError, match="training failed at epoch 1, scan s0"):
         train(model, scans, TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
 
 
