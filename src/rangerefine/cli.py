@@ -36,7 +36,7 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-u", type=int, dest="n_u", help="training sample size per scan")
     sub.add_argument("--knn-k", type=int, help="KNN neighbor count")
     sub.add_argument("--seed", type=int, help="master seed (scene, oracle, selection, training)")
-    sub.add_argument("--mode", choices=["oracle", "loaded"], help="coarse probability source")
+    sub.add_argument("--mode", help="coarse probability source: oracle or loaded")
 
 
 # flag dest -> the (section, field) pairs it sets; section None is the top level
@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rangerefine", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    gen = commands.add_parser("gen", parents=[], help="generate a synthetic corpus")
+    gen = commands.add_parser("gen", help="generate a synthetic corpus")
     gen.add_argument("--out", required=True, help="corpus output directory")
     gen.add_argument("--scans", type=int, default=10, help="number of scans")
     _add_overrides(gen)
@@ -117,15 +117,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gen(args, cfg: pipeline.PipelineConfig) -> int:
     stems = pipeline.generate_corpus(args.out, cfg, args.scans)
     print(f"wrote {len(stems)} scans to {args.out}")
     return EXIT_OK
 
 
-def _cmd_project(args) -> int:
-    cfg = _load_config(args)
+def _cmd_project(args, cfg: pipeline.PipelineConfig) -> int:
     cloud = kitti_io.read_point_cloud(args.scan)
     img = project(cloud, cfg.projection)
     write_range_pgm(img, args.out)
@@ -136,15 +134,13 @@ def _cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train(args, cfg: pipeline.PipelineConfig) -> int:
     _, ckpt = pipeline.run_train(args.data, args.out, cfg)
     print(f"checkpoint written to {ckpt}")
     return EXIT_OK
 
 
-def _cmd_refine(args) -> int:
-    cfg = _load_config(args)
+def _cmd_refine(args, cfg: pipeline.PipelineConfig) -> int:
     model = load_checkpoint(args.model) if args.model else None
     report = pipeline.run_refine(args.data, args.out, cfg, model)
     if "miou" in report:
@@ -153,8 +149,7 @@ def _cmd_refine(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def _cmd_eval(args, cfg: pipeline.PipelineConfig) -> int:
     report = pipeline.run_eval(args.pred, args.gt, cfg.load_class_map(), args.out)
     for name, value in report["iou"].items():
         print(f"iou.{name} {value:.4f}")
@@ -163,8 +158,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    cfg = _load_config(args)
+def _cmd_export(args, cfg: pipeline.PipelineConfig) -> int:
     class_map = cfg.load_class_map()
     cloud = pipeline.read_scan(args.scan, args.labels, class_map)
     pipeline.export_ply(cloud, cloud.labels, class_map.palette, args.out, class_map.ignore_class)
@@ -185,7 +179,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load_config(args))
     except (DataFormatError, OSError) as exc:  # an unreadable input file is a data error
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -110,14 +110,13 @@ def oracle_coarse(
     probs = counts[:, :num_classes] / counts[:, num_classes:]
     probs /= probs.sum(axis=1)[:, None]
 
-    if spec.flip_rate > 0:
-        # counter-based draws: a pixel's draw does not depend on which others are drawn
-        flip = np.flatnonzero(uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate)
-        masked = probs[flip]
-        top = np.argmax(masked, axis=1)
-        masked[np.arange(len(flip)), top] = -np.inf
-        runner = np.argmax(masked, axis=1)  # ties to the smallest class id
-        probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
+    # counter-based draws: a pixel's draw does not depend on which others are drawn
+    flip = np.flatnonzero(uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate)
+    masked = probs[flip]
+    top = np.argmax(masked, axis=1)
+    masked[np.arange(len(flip)), top] = -np.inf
+    runner = np.argmax(masked, axis=1)  # ties to the smallest class id
+    probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
 
     if spec.temperature != 1.0:
         sharp = probs ** (1.0 / spec.temperature)

@@ -57,8 +57,9 @@ class PointCloud:
 class ClassMap:
     """Raw 16-bit semantic ids <-> contiguous train ids ``0..C-1``.
 
-    Unknown raw ids map to ``ignore_class``; the inverse map picks one
-    canonical raw id per train id so write->read round-trips.
+    Unknown raw ids map to ``ignore_class``. The inverse map gives each train id
+    one raw id that reads back as it (the smallest, unless ``train_to_raw`` is
+    given), so write->read round-trips.
     """
 
     def __init__(
@@ -70,35 +71,41 @@ class ClassMap:
         train_to_raw: dict[int, int] | None = None,
         palette: dict[int, tuple[int, int, int]] | None = None,
     ):
-        self.raw_to_train = dict(raw_to_train)
         self.train_to_name = dict(train_to_name)
         self.num_classes = int(num_classes)
         self.ignore_class = int(ignore_class)
         self.palette = {k: tuple(v) for k, v in (palette or {}).items()}
 
-        bad = [t for t in self.raw_to_train.values() if not 0 <= t < num_classes]
+        # a map that round-trips has at most one class per 16-bit raw id
+        if self.num_classes > 1 << 16:
+            raise DataFormatError(f"num_classes {num_classes} exceeds the {1 << 16} raw ids")
+        bad = [t for t in raw_to_train.values() if not 0 <= t < num_classes]
         if bad:
             raise DataFormatError(f"train ids out of range 0..{num_classes - 1}: {sorted(set(bad))}")
         if not 0 <= self.ignore_class < num_classes:
             raise DataFormatError(f"ignore_class {ignore_class} out of range")
 
-        if train_to_raw is None:
-            train_to_raw = {}
-            for raw, train in sorted(self.raw_to_train.items()):
-                train_to_raw.setdefault(train, raw)
-        self.train_to_raw = dict(train_to_raw)
-        missing = [t for t in range(num_classes) if t not in self.train_to_raw]
-        if missing:
-            raise DataFormatError(f"no raw id for train ids {missing}")
-
-        # raw ids fit 16 bits; build dense LUTs once
+        # dense lookup tables, built once
         self._lut = np.full(1 << 16, self.ignore_class, dtype=np.int32)
-        for raw, train in self.raw_to_train.items():
+        for raw, train in raw_to_train.items():
             if not 0 <= raw < (1 << 16):
                 raise DataFormatError(f"raw id {raw} does not fit 16 bits")
             self._lut[raw] = train
+        if train_to_raw is None:
+            train_to_raw = {}
+            for raw, train in sorted(raw_to_train.items()):
+                train_to_raw.setdefault(train, raw)
+        missing = [t for t in range(num_classes) if t not in train_to_raw]
+        if missing:
+            raise DataFormatError(f"no raw id for train ids {missing}")
         self._inv_lut = np.zeros(num_classes, dtype=np.uint32)
-        for train, raw in self.train_to_raw.items():
+        for train, raw in train_to_raw.items():
+            if not 0 <= train < num_classes:
+                raise DataFormatError(f"train_to_raw key {train} out of range 0..{num_classes - 1}")
+            if not (0 <= raw < (1 << 16) and self._lut[raw] == train):
+                raise DataFormatError(
+                    f"train_to_raw maps {train} to raw id {raw}, which does not read back as {train}"
+                )
             self._inv_lut[train] = raw
 
     def to_train(self, raw_ids: np.ndarray) -> np.ndarray:

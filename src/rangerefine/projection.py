@@ -178,7 +178,7 @@ def window_neighbors(
     delta -= pr[:, None]
     np.abs(delta, out=delta)
 
-    order = np.argsort(delta, axis=1, kind="stable")[:, : min(k, len(offsets))]
+    order = np.argsort(delta, axis=1, kind="stable")[:, :k]
     pixel = padded_pixel.ravel()[base[:, None] + offsets[order]]
     # the ranked deltas as flat positions into (M, window**2): cheaper than take_along_axis
     ranked = order + np.arange(0, delta.size, len(offsets))[:, None]

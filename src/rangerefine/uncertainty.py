@@ -86,10 +86,9 @@ def aggregate_features(
 
     num_classes = seg.num_classes
     out = np.empty((len(indices), GEOMETRY_FEATURES + num_classes), dtype=np.float64)
-    xyz = cloud.points[:, :3].astype(np.float64)
-    out[:, 0:3] = xyz[indices]
+    out[:, 0:3] = cloud.points[indices, :3]  # float32 -> float64 on assignment
     out[:, 3] = img.point_range[indices]
-    out[:, 4] = cloud.points[indices, 3].astype(np.float64)
+    out[:, 4] = cloud.points[indices, 3]
 
     pixel, delta = window_neighbors(img, AGG_WINDOW, AGG_K, indices)
     # an invalid candidate (pixel -1) has weight 0, so the vector it gathered never counts
@@ -122,12 +121,8 @@ def select_boundary(
     cut_value = margin[order[budget - 1]]
     below = order[margin[order] < cut_value]
     stratum = order[margin[order] == cut_value]
-    need = budget - len(below)
-    if need == len(stratum):
-        chosen = stratum
-    else:
-        rng = generator("boundary-stratum", cfg.seed)
-        chosen = np.sort(rng.choice(stratum, size=need, replace=False))
+    rng = generator("boundary-stratum", cfg.seed)
+    chosen = np.sort(rng.choice(stratum, size=budget - len(below), replace=False))
     return np.concatenate([below, chosen])
 
 
@@ -135,7 +130,7 @@ def select_background(img: RangeImage, cfg: SelectionConfig) -> np.ndarray:
     """Ascending indices of the background points whose range gap behind
     their pixel's foreground point is at least c_u."""
     far = ~img.is_foreground & (background_distances(img) >= cfg.c_u)
-    return np.flatnonzero(far).astype(np.int64)
+    return np.flatnonzero(far)
 
 
 def build_pool(
@@ -156,7 +151,7 @@ def build_pool(
 
     boundary = select_boundary(img, seg, cfg)
     background = select_background(img, cfg)
-    indices = np.union1d(boundary, background).astype(np.int64)
+    indices = np.union1d(boundary, background)
 
     reason = np.zeros(len(indices), dtype=np.uint8)
     reason[np.isin(indices, boundary)] |= REASON_BOUNDARY
@@ -175,7 +170,5 @@ def sample_positions(pool_size: int, n_u: int, seed: int) -> np.ndarray:
     """Ascending positions of a uniform no-replacement sample of the pool."""
     if pool_size == 0:
         raise DataFormatError("cannot sample from an empty pool")
-    if pool_size <= n_u:
-        return np.arange(pool_size)
     rng = generator("pool-sample", seed)
-    return np.sort(rng.choice(pool_size, size=n_u, replace=False))
+    return np.sort(rng.choice(pool_size, size=min(n_u, pool_size), replace=False))

@@ -104,6 +104,7 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         ("train", "class_weights", "[.nan, 1.0]", "class_weights']"),
         (None, "use_refiner", "0", "use_refiner must be true or false"),
         (None, "class_map", "5", "class_map must be a string or null"),
+        (None, "mode", "foo", "mode must be 'oracle' or 'loaded'"),
     ],
 )
 def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value, message):
@@ -154,6 +155,8 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
         ("--boundary-budget", "-5", "boundary_budget must be >= 0"),
         ("--n-u", "0", "n_u must be >= 1"),
         ("--c-u", "-3", "c_u must be > 0"),
+        ("--mode", "foo", "mode must be 'oracle' or 'loaded'"),
+        ("--scans", "0", "num_scans must be >= 1"),
     ],
 )
 def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
@@ -169,8 +172,28 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
         ("- 1\n", "must be a mapping, got [1]"),
         ("raw_to_train: 5\nnum_classes: 2\n", "raw_to_train must be a mapping, got 5"),
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: x\n", "invalid literal for int()"),
+        # an inverse that does not invert: written [0, 1, 2] would read back as [0, 2, 1]
+        (
+            "raw_to_train: {0: 0, 10: 1, 20: 2}\nnum_classes: 3\ntrain_to_raw: {0: 0, 1: 20, 2: 10}\n",
+            "train_to_raw maps 1 to raw id 20, which does not read back as 1",
+        ),
+        # 70010 spills into the instance bits and would read back as the ignore class
+        (
+            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: 70010}\n",
+            "train_to_raw maps 1 to raw id 70010",
+        ),
+        (
+            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: -10}\n",
+            "train_to_raw maps 1 to raw id -10",
+        ),
+        (
+            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: 10, 2: 10}\n",
+            "train_to_raw key 2 out of range 0..1",
+        ),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 70000\n", "num_classes 70000 exceeds the 65536"),
     ],
-    ids=["document", "table", "integer"],
+    ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
+         "num-classes"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
@@ -622,6 +645,56 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
         assert cli.main([command, "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert "no scans directory" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["unlabeled-oracle", "negative-probs", "empty-gt", "truncated-pred"]
+)
+def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
+    root, cfg = corpus
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    out = tmp_path / "out"
+    refine = ["refine", "--data", str(data), "--out", str(out), "--no-refiner",
+              "--config", str(data / "config.yaml")]
+    if case == "unlabeled-oracle":
+        (data / "labels" / "000000.label").unlink()
+        argv = refine
+        message = "stage 'coarse' failed on scan 000000: oracle mode needs ground-truth labels"
+    elif case == "negative-probs":
+        export_oracle_probs(data, cfg)
+        probs = data / "coarse" / "000000.probs"
+        values = np.frombuffer(probs.read_bytes(), dtype="<f4").copy()
+        values[7] = -0.5
+        probs.write_bytes(values.tobytes())
+        argv = [*refine, "--mode", "loaded"]
+        message = f"stage 'coarse' failed on scan 000000: {probs}: negative probability values"
+    elif case == "empty-gt":
+        (tmp_path / "gt").mkdir()
+        argv = ["eval", "--pred", str(data / "labels"), "--gt", str(tmp_path / "gt")]
+        message = f"no .label files in {tmp_path / 'gt'}"
+    else:
+        label = data / "labels" / "000001.label"
+        label.write_bytes(label.read_bytes()[:-2])
+        argv = ["eval", "--pred", str(data / "labels"), "--gt", str(root / "labels"),
+                "--out", str(out)]
+        message = f"truncated label file {label}"
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cli_train_divergence_exits_3(tmp_path, capsys, corpus):
+    root, cfg = corpus
+    config = tmp_path / "config.yaml"
+    train = dataclasses.replace(cfg.train, learning_rate=1.0e30)
+    dataclasses.replace(cfg, train=train).save_yaml(config)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", str(root), "--out", str(out), "--config", str(config)]) == 3
+    assert "numeric failure: training failed at epoch 0, scan " in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 def test_cli_train_locates_an_all_ignore_scan(tmp_path, capsys, corpus):
