@@ -97,7 +97,9 @@ class ClassMap:
                 train_to_raw.setdefault(train, raw)
         missing = [t for t in range(num_classes) if t not in train_to_raw]
         if missing:
-            raise DataFormatError(f"no raw id for train ids {missing}")
+            raise DataFormatError(
+                f"no raw id for {len(missing)} train ids, the first {missing[:5]}"
+            )
         self._inv_lut = np.zeros(num_classes, dtype=np.uint32)
         for train, raw in train_to_raw.items():
             if not 0 <= train < num_classes:

@@ -75,9 +75,12 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
 
     xyz = cloud.points[:, :3].astype(np.float64)
     rng = np.sqrt((xyz * xyz).sum(axis=1))
-    if (rng <= MIN_RANGE).any():
-        bad = int(np.flatnonzero(rng <= MIN_RANGE)[0])
-        raise DataFormatError(f"point {bad} is at the scanner origin (range <= {MIN_RANGE} m)")
+    bad = np.flatnonzero(~(np.isfinite(rng) & (rng > MIN_RANGE)))
+    if len(bad):
+        i = int(bad[0])
+        if np.isfinite(rng[i]):
+            raise DataFormatError(f"point {i} is at the scanner origin (range <= {MIN_RANGE} m)")
+        raise DataFormatError(f"point {i} has a non-finite coordinate")
 
     fov_down = math.radians(FOV_DOWN_DEG)
     fov_span = math.radians(FOV_UP_DEG) - fov_down
@@ -90,14 +93,15 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
     np.clip(u, 0, cfg.width - 1, out=u)
     np.clip(v, 0, cfg.height - 1, out=v)
 
-    # per-pixel foreground: sort by (pixel, range), stably so ties keep index
-    # order, and keep the first of each pixel
+    # per-pixel foreground: the smallest range, then the lowest index among
+    # the points at exactly that range
     flat = v * cfg.width + u
-    order = np.lexsort((rng, flat))
-    sorted_flat = flat[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_flat[1:] != sorted_flat[:-1]
-    fg_points = order[first]
+    best = np.full(cfg.height * cfg.width, np.inf)
+    np.minimum.at(best, flat, rng)
+    nearest = np.flatnonzero(rng == best[flat])
+    first = np.full(cfg.height * cfg.width, n, dtype=np.int64)
+    np.minimum.at(first, flat[nearest], nearest)
+    fg_points = first[first < n]
 
     range_channel = np.zeros((cfg.height, cfg.width), dtype=np.float64)
     valid_mask = np.zeros((cfg.height, cfg.width), dtype=bool)
@@ -171,18 +175,32 @@ def window_neighbors(
     )
 
     # in padded coordinates a point's window has its top-left corner at (v, u)
-    dv, du = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
-    offsets = (dv * padded_w + du).ravel()
-    base = pv.astype(np.int64) * padded_w + pu
-    delta = padded_range.ravel()[base[:, None] + offsets]
+    windows = np.lib.stride_tricks.sliding_window_view(padded_range, (window, window))
+    delta = windows[pv, pu].reshape(len(pv), window * window)
     delta -= pr[:, None]
     np.abs(delta, out=delta)
 
-    order = np.argsort(delta, axis=1, kind="stable")[:, :k]
-    pixel = padded_pixel.ravel()[base[:, None] + offsets[order]]
+    # An unstable sort ranks distinct deltas exactly, and invalid candidates
+    # (all pixel -1, delta +inf) may come in any order. Only a finite tie can
+    # reorder the output, and one that reaches the first k' ranks shows
+    # within the first k' + 1: those rows alone are re-ranked stably.
+    k = min(k, window * window)
+    keep = min(k + 1, window * window)
+    order = np.argsort(delta, axis=1)[:, :keep].copy()  # a view would hold all columns
     # the ranked deltas as flat positions into (M, window**2): cheaper than take_along_axis
-    ranked = order + np.arange(0, delta.size, len(offsets))[:, None]
-    return pixel, delta.ravel()[ranked]
+    ranked = delta.ravel()[order + np.arange(0, delta.size, window * window)[:, None]]
+    tied = np.flatnonzero(
+        ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
+    )
+    order[tied] = np.argsort(delta[tied], axis=1, kind="stable")[:, :keep]
+    del delta
+
+    dv, du = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
+    offsets = (dv * padded_w + du).ravel()
+    base = pv.astype(np.int64) * padded_w + pu
+    pixel = padded_pixel.ravel()[base[:, None] + offsets[order[:, :k]]]
+    # contiguous: the callers' per-candidate arithmetic is slower on a strided view
+    return pixel, np.ascontiguousarray(ranked[:, :k])
 
 
 def write_range_pgm(img: RangeImage, path) -> None:

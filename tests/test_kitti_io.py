@@ -143,6 +143,14 @@ def test_default_semantic_kitti_map():
     assert set(cmap.palette) == set(range(20))
 
 
+def test_class_map_missing_ids_message_is_bounded():
+    with pytest.raises(DataFormatError) as exc:
+        ClassMap({0: 0}, {}, 1 << 16)
+    message = str(exc.value)
+    assert "no raw id for 65535 train ids, the first [1, 2, 3, 4, 5]" in message
+    assert len(message) < 200
+
+
 # --- synthetic scenes ---
 
 

@@ -128,7 +128,7 @@ def test_full_size_scan_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 130e6, f"knn_refine peak {peak / 1e6:.0f} MB"
+    assert peak < 85e6, f"knn_refine peak {peak / 1e6:.0f} MB"
 
 
 def test_locality(rng):

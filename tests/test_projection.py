@@ -79,14 +79,32 @@ def test_empty_cloud_rejected():
 
 
 def test_origin_point_rejected():
-    with pytest.raises(DataFormatError, match="point 1"):
-        project(cloud_from_xyz([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), ProjectionConfig())
+    # the first bad point is named, whichever way a later one is bad
+    for bad, message in [
+        ([0.0, 0.0, 0.0], "point 1 is at the scanner origin"),
+        ([math.inf, 0.0, 0.0], "point 1 has a non-finite coordinate"),
+        ([1.0, math.nan, 0.0], "point 1 has a non-finite coordinate"),
+    ]:
+        with pytest.raises(DataFormatError, match=message):
+            project(cloud_from_xyz([[1.0, 0.0, 0.0], bad, [math.nan] * 3]), ProjectionConfig())
+
+
+def tie_heavy_cloud(rng, n):
+    """Random cloud snapped to a 0.5 m grid.
+
+    Points collide on the grid, so a pixel holds several point indices at
+    exactly one range, and a window holds many equal range gaps.
+    """
+    cloud = random_cloud(rng, n)
+    cloud.points[:, :3] = np.round(cloud.points[:, :3] * 2.0) / 2.0
+    return cloud
 
 
 def test_projection_matches_bruteforce_oracle(rng):
     cfg = ProjectionConfig(width=96, height=24)
-    for _ in range(25):
-        cloud = random_cloud(rng, int(rng.integers(1, 2000)))
+    clouds = [random_cloud(rng, int(rng.integers(1, 2000))) for _ in range(25)]
+    clouds.append(tie_heavy_cloud(rng, 2000))
+    for cloud in clouds:
         img = project(cloud, cfg)
         us, vs, rs, fg = project_oracle(cloud, cfg)
         np.testing.assert_array_equal(img.point_u, us)
@@ -245,6 +263,51 @@ def test_window_indices_rows_match_all_points_call(rng):
     pixel, delta = window_neighbors(img, 5, 5, indices)
     np.testing.assert_array_equal(pixel, pixel_all[indices])
     np.testing.assert_array_equal(delta, delta_all[indices])
+
+
+def window_oracle(img, window, indices):
+    """Straight-line ranking of every window candidate, per point.
+
+    Candidates are enumerated in row-major window order, then stably sorted
+    by |delta range|; an invalid one reads pixel -1 and delta +inf.
+    """
+    half = window // 2
+    rows = range(img.num_points) if indices is None else indices
+    pixel = np.empty((len(rows), window * window), dtype=np.int64)
+    delta = np.empty((len(rows), window * window))
+    for row, i in enumerate(rows):
+        candidates = []
+        for v in range(img.point_v[i] - half, img.point_v[i] + half + 1):
+            for u in range(img.point_u[i] - half, img.point_u[i] + half + 1):
+                if 0 <= v < img.height and 0 <= u < img.width and img.valid_mask[v, u]:
+                    gap = abs(float(img.range_channel[v, u]) - float(img.point_range[i]))
+                    candidates.append((gap, v * img.width + u))
+                else:
+                    candidates.append((math.inf, -1))
+        candidates.sort(key=lambda c: c[0])
+        delta[row] = [c[0] for c in candidates]
+        pixel[row] = [c[1] for c in candidates]
+    return pixel, delta
+
+
+def test_window_matches_straight_line_oracle_on_ties(rng):
+    cut_ties = 0
+    for n in (300, 800):
+        img = project(tie_heavy_cloud(rng, n), ProjectionConfig(width=32, height=8))
+        subset = rng.choice(n, size=60, replace=False)
+        for window in (1, 3, 5, 7):
+            for indices in (None, subset):
+                pixel_all, delta_all = window_oracle(img, window, indices)
+                for k in range(1, window * window + 2):
+                    kk = min(k, window * window)
+                    pixel, delta = window_neighbors(img, window, k, indices)
+                    np.testing.assert_array_equal(pixel, pixel_all[:, :kk])
+                    np.testing.assert_array_equal(delta, delta_all[:, :kk])
+                    if kk < window * window:
+                        at_cut = delta_all[:, kk - 1]
+                        cut_ties += int((np.isfinite(at_cut) & (at_cut == delta_all[:, kk])).sum())
+    # the sweep must hold finite ties across rank k', where only a stable order is right
+    assert cut_ties > 0
 
 
 def test_window_rejects_even_window(rng):
