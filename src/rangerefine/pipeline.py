@@ -147,13 +147,6 @@ def coarse_for_scan(
     return oracle_coarse(img, cloud.labels, cfg.oracle, class_map.num_classes)
 
 
-@dataclass
-class ScanResult:
-    labels: np.ndarray
-    pool: UncertainPointSet | None
-    knn_labels: np.ndarray
-
-
 def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
     """Shared front half: projection, coarse segmentation and its per-pixel labels."""
     sid = cloud.scan_id or "<unnamed>"
@@ -169,23 +162,19 @@ def refine_scan(
     class_map: ClassMap,
     model: RefinerModel | None,
     data_dir,
-) -> ScanResult:
-    """Run the per-scan pipeline; the refiner stage needs a trained model."""
+) -> np.ndarray:
+    """Per-point labels of one scan; the refiner stage needs a trained model."""
     sid, img, seg, pixel_labels = _scan_front(cloud, cfg, class_map, data_dir)
     if cfg.use_knn:
         labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
     else:
         labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
-    knn_labels = labels
 
-    pool = None
     if cfg.use_refiner and model is not None:
         pool = _stage("pool", sid, build_pool, cloud, img, seg, cfg.selection, labels)
         if len(pool):
-            refined = _stage("refine", sid, refine, model, pool)
-            labels = labels.copy()
-            labels[pool.indices] = refined
-    return ScanResult(labels=labels, pool=pool, knn_labels=knn_labels)
+            labels[pool.indices] = _stage("refine", sid, refine, model, pool)
+    return labels
 
 
 def build_pool_for_scan(
@@ -255,11 +244,11 @@ def run_refine(data_dir, out_dir, cfg: PipelineConfig, model: RefinerModel | Non
     have_gt = False
     for scan_path in scan_paths:
         cloud = read_scan(scan_path, _label_path(data_dir, scan_path), class_map)
-        result = refine_scan(cloud, cfg, class_map, model, data_dir)
-        kitti_io.write_labels(result.labels, class_map, pred_dir / (scan_path.stem + ".label"))
+        labels = refine_scan(cloud, cfg, class_map, model, data_dir)
+        kitti_io.write_labels(labels, class_map, pred_dir / (scan_path.stem + ".label"))
         if cloud.labels is not None:
             have_gt = True
-            cm.accumulate(cloud.labels, result.labels)
+            cm.accumulate(cloud.labels, labels)
 
     report = {"num_scans": len(scan_paths)}
     if have_gt:

@@ -3,9 +3,8 @@
 Two selection strategies feed one pool:
 
 * boundary: points of the pixels with the lowest top-2 probability margins,
-  up to a fixed budget. Pixels are consumed in ascending margin order; only
-  inside the margin stratum that crosses the budget is the choice made by
-  seeded uniform sampling.
+  up to a fixed budget: every point below the budget's margin cut, and a
+  seeded uniform sample of the points at the cut.
 * background: points hidden behind their pixel's foreground point and far
   from it (range gap >= c_u). Near background points are trusted to share
   the foreground label and stay out of the pool.
@@ -105,25 +104,23 @@ def aggregate_features(
 def select_boundary(
     img: RangeImage, seg: CoarseSegmentation, cfg: SelectionConfig
 ) -> np.ndarray:
-    """Point indices of the lowest-margin pixels, capped at the budget.
+    """Ascending indices of the min(budget, N) lowest-margin points.
 
-    Returns min(budget, N) indices ordered by (margin, point index); the
-    stratum of equal margins crossing the budget is sampled with the
-    configured seed.
+    Every point below the margin at the budget is taken; the points at that
+    margin (the crossing stratum) are sampled with the configured seed.
     """
     budget = min(cfg.boundary_budget, img.num_points)
     if budget == 0:
         return np.empty(0, dtype=np.int64)
 
     margin = top2_margin(seg)[img.point_v, img.point_u]
-    order = np.argsort(margin, kind="stable")  # (margin, point index) order
-
-    cut_value = margin[order[budget - 1]]
-    below = order[margin[order] < cut_value]
-    stratum = order[margin[order] == cut_value]
+    cut = np.partition(margin, budget - 1)[budget - 1]
+    chosen = margin < cut
+    stratum = np.flatnonzero(margin == cut)
     rng = generator("boundary-stratum", cfg.seed)
-    chosen = np.sort(rng.choice(stratum, size=budget - len(below), replace=False))
-    return np.concatenate([below, chosen])
+    need = budget - int(np.count_nonzero(chosen))
+    chosen[rng.choice(stratum, size=need, replace=False)] = True
+    return np.flatnonzero(chosen)
 
 
 def select_background(img: RangeImage, cfg: SelectionConfig) -> np.ndarray:
@@ -140,7 +137,7 @@ def build_pool(
     cfg: SelectionConfig,
     point_labels: np.ndarray,
 ) -> UncertainPointSet:
-    """Union both strategies, tag provenance and fill features and labels.
+    """OR both strategies' reason flags per point, then fill features and labels.
 
     ``point_labels`` are the current per-point labels (KNN-refined when that
     stage ran, plain back-projected otherwise).
@@ -149,13 +146,11 @@ def build_pool(
     if point_labels.shape != (img.num_points,):
         raise DataFormatError("point_labels must cover every point")
 
-    boundary = select_boundary(img, seg, cfg)
-    background = select_background(img, cfg)
-    indices = np.union1d(boundary, background)
-
-    reason = np.zeros(len(indices), dtype=np.uint8)
-    reason[np.isin(indices, boundary)] |= REASON_BOUNDARY
-    reason[np.isin(indices, background)] |= REASON_BACKGROUND
+    flags = np.zeros(img.num_points, dtype=np.uint8)
+    flags[select_boundary(img, seg, cfg)] |= REASON_BOUNDARY
+    flags[select_background(img, cfg)] |= REASON_BACKGROUND
+    indices = np.flatnonzero(flags)
+    reason = flags[indices]
 
     features = aggregate_features(cloud, img, seg, indices)
     return UncertainPointSet(

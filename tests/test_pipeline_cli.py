@@ -11,6 +11,7 @@ from rangerefine.kitti_io import ClassMap, PointCloud, read_labels, read_point_c
 from rangerefine.knn_refiner import KnnConfig
 from rangerefine.pipeline import (
     PipelineConfig,
+    build_pool_for_scan,
     export_ply,
     generate_corpus,
     refine_scan,
@@ -493,11 +494,11 @@ def test_empty_pool_reproduces_knn_only(corpus, trained):
     cfg_empty = dataclasses.replace(
         cfg, selection=dataclasses.replace(cfg.selection, boundary_budget=0, c_u=1e9)
     )
+    pool, _ = build_pool_for_scan(cloud, cfg_empty, cmap, root)
+    assert len(pool) == 0
     with_refiner = refine_scan(cloud, cfg_empty, cmap, model, root)
-    assert with_refiner.pool is not None and len(with_refiner.pool) == 0
     knn_only = refine_scan(cloud, cfg, cmap, None, root)
-    np.testing.assert_array_equal(with_refiner.labels, knn_only.labels)
-    np.testing.assert_array_equal(knn_only.labels, knn_only.knn_labels)
+    np.testing.assert_array_equal(with_refiner, knn_only)
 
 
 def test_refiner_rewrites_only_pool_members(corpus, trained):
@@ -507,10 +508,14 @@ def test_refiner_rewrites_only_pool_members(corpus, trained):
     cmap = cfg.load_class_map()
     cloud = read_point_cloud(root / "scans" / "000002.bin")
     cloud.labels = read_labels(root / "labels" / "000002.label", cmap)
-    result = refine_scan(cloud, cfg, cmap, model, root)
-    assert result.pool is not None and len(result.pool) > 0
-    changed = np.flatnonzero(result.labels != result.knn_labels)
-    assert set(changed.tolist()) <= set(result.pool.indices.tolist())
+    # pool indices do not depend on the labels build_pool is given
+    pool, _ = build_pool_for_scan(cloud, cfg, cmap, root)
+    assert len(pool) > 0
+    refined = refine_scan(cloud, cfg, cmap, model, root)
+    knn_only = refine_scan(cloud, cfg, cmap, None, root)
+    changed = np.flatnonzero(refined != knn_only)
+    assert len(changed) > 0
+    assert set(changed.tolist()) <= set(pool.indices.tolist())
 
 
 def test_no_knn_reproduces_back_projection(corpus):
@@ -519,12 +524,12 @@ def test_no_knn_reproduces_back_projection(corpus):
     cloud = read_point_cloud(root / "scans" / "000001.bin")
     cloud.labels = read_labels(root / "labels" / "000001.label", cmap)
     cfg_noknn = dataclasses.replace(cfg, use_knn=False)
-    result = refine_scan(cloud, cfg_noknn, cmap, None, root)
+    labels = refine_scan(cloud, cfg_noknn, cmap, None, root)
     img = project(cloud, cfg.projection)
     seg = oracle_coarse(img, cloud.labels, cfg.oracle, cmap.num_classes)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
     pixel_labels[~img.valid_mask] = cmap.ignore_class
-    np.testing.assert_array_equal(result.labels, back_project_labels(img, pixel_labels))
+    np.testing.assert_array_equal(labels, back_project_labels(img, pixel_labels))
 
 
 # --- eval ---

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse, top2_margin
+from rangerefine.coarse import CoarseSegmentation
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import ProjectionConfig, background_distances, project
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine import uncertainty
+from rangerefine._rand import generator
 from rangerefine.uncertainty import (
     REASON_BACKGROUND,
     REASON_BOTH,
@@ -139,8 +140,8 @@ def test_boundary_ordering_lowest_margin_first(rng):
     v, u = img.point_v[7], img.point_u[7]
     seg.probs[v, u] = 1.0 / seg.num_classes  # single uniform pixel: margin 0
     same_pixel = np.flatnonzero((img.point_v == v) & (img.point_u == u))
-    sel = select_boundary(img, seg, SelectionConfig(boundary_budget=8192))
-    np.testing.assert_array_equal(np.sort(sel[: len(same_pixel)]), same_pixel)
+    sel = select_boundary(img, seg, SelectionConfig(boundary_budget=len(same_pixel)))
+    np.testing.assert_array_equal(sel, same_pixel)
 
 
 def test_boundary_budget_zero(rng):
@@ -186,16 +187,45 @@ def test_boundary_stratum_sampled_deterministically(rng):
 
 
 def test_boundary_budget_caps_at_total(rng):
-    # a budget of N or more takes every point, in (margin, point index) order;
-    # points on one pixel share its margin, so the index breaks real ties
+    # a budget of N or more takes every point, as ascending indices
     cloud, img, seg = scene_inputs(rng, n=120)
-    margin = top2_margin(seg)[img.point_v, img.point_u]
-    want = sorted(range(120), key=lambda i: (margin[i], i))
-    assert len(set(margin.tolist())) < 120
     for budget in (120, 10_000):
         sel = select_boundary(img, seg, SelectionConfig(boundary_budget=budget))
         assert sel.dtype == np.int64
-        assert sel.tolist() == want
+        assert sel.tolist() == list(range(120))
+
+
+def boundary_oracle(img, seg, budget, seed):
+    """Python rule: every point below the budget's margin cut, plus a seeded
+    draw from the ascending indices of the points at the cut."""
+    margins = []
+    for v, u in zip(img.point_v.tolist(), img.point_u.tolist()):
+        top = sorted(seg.probs[v, u].tolist(), reverse=True)
+        margins.append(top[0] - top[1])
+    budget = min(budget, len(margins))
+    if budget == 0:
+        return []
+    cut = sorted(margins)[budget - 1]
+    below = [i for i, m in enumerate(margins) if m < cut]
+    stratum = np.array([i for i, m in enumerate(margins) if m == cut], dtype=np.int64)
+    drawn = generator("boundary-stratum", seed).choice(
+        stratum, size=budget - len(below), replace=False
+    )
+    return sorted(below + drawn.tolist())
+
+
+def test_boundary_matches_selection_oracle(rng):
+    # rounded probabilities tie many margins, so the cut usually falls inside a stratum
+    for _ in range(6):
+        cloud, img, seg = scene_inputs(rng, n=int(rng.integers(200, 600)), width=32, height=8)
+        seg.probs[:] = np.round(seg.probs * 4) / 4
+        n = len(cloud)
+        for budget in (0, 1, 7, n // 2, n - 1, n, n + 5):
+            for seed in (0, 3):
+                sel = select_boundary(img, seg, SelectionConfig(boundary_budget=budget, seed=seed))
+                assert sel.dtype == np.int64
+                assert (np.diff(sel) > 0).all()
+                assert sel.tolist() == boundary_oracle(img, seg, budget, seed)
 
 
 # --- select_background ---
