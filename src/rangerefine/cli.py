@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import kitti_io, pipeline
 from .errors import DataFormatError, NumericError
-from .projection import ProjectionConfig, project, write_range_pgm
+from .projection import project, write_range_pgm
 from .refiner import load_checkpoint
 
 EXIT_OK = 0

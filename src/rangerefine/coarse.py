@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rand import uniform01
 from .errors import DataFormatError, check_field_types
-from .projection import RangeImage
+from .projection import RangeImage, row_blocks
 
 SUM_TOLERANCE = 1e-3
 
@@ -105,25 +105,26 @@ def oracle_coarse(
     vsum = sum(pad[d : d + h] for d in range(2 * rv + 1))
     counts = sum(vsum[:, d : d + w] for d in range(2 * ru + 1))
 
-    # noise runs on the (M, C) rows of the valid pixels only
-    counts = counts[fv, fu]
-    probs = counts[:, :num_classes] / counts[:, num_classes:]
-    probs /= probs.sum(axis=1)[:, None]
-
-    # counter-based draws: a pixel's draw does not depend on which others are drawn
-    flip = np.flatnonzero(uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate)
-    masked = probs[flip]
-    top = np.argmax(masked, axis=1)
-    masked[np.arange(len(flip)), top] = -np.inf
-    runner = np.argmax(masked, axis=1)  # ties to the smallest class id
-    probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
-
-    if spec.temperature != 1.0:
-        sharp = probs ** (1.0 / spec.temperature)
-        probs = sharp / sharp.sum(axis=1)[:, None]
-
+    # noise runs on blocks of the valid pixels' (M, C) rows; counter-based
+    # draws make a pixel's draw independent of the block it falls in
     out = np.full((h, w, num_classes), 1.0 / num_classes)
-    out[fv, fu] = probs
+    for rows in row_blocks(len(fv)):
+        bv, bu = fv[rows], fu[rows]
+        block = counts[bv, bu]
+        probs = block[:, :num_classes] / block[:, num_classes:]
+        probs /= probs.sum(axis=1)[:, None]
+
+        flip = np.flatnonzero(uniform01(spec.seed, "flip", bv, bu) < spec.flip_rate)
+        masked = probs[flip]
+        top = np.argmax(masked, axis=1)
+        masked[np.arange(len(flip)), top] = -np.inf
+        runner = np.argmax(masked, axis=1)  # ties to the smallest class id
+        probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
+
+        if spec.temperature != 1.0:
+            sharp = probs ** (1.0 / spec.temperature)
+            probs = sharp / sharp.sum(axis=1)[:, None]
+        out[bv, bu] = probs
     return CoarseSegmentation(probs=out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, check_field_types
-from .projection import RangeImage, back_project_labels, window_neighbors
+from .projection import RangeImage, back_project_labels, row_blocks, window_neighbors
 
 SIGMA = 1.0  # m, width of the Gaussian vote weight
 RANGE_CUTOFF = 1.0  # m, candidates farther in range do not vote
@@ -38,22 +38,22 @@ def knn_refine(
     img: RangeImage, pixel_labels: np.ndarray, cfg: KnnConfig
 ) -> np.ndarray:
     """Refine per-point labels from per-pixel labels; returns (N,) class ids."""
-    base = back_project_labels(img, pixel_labels)
+    labels = back_project_labels(img, pixel_labels)
     num_classes = int(pixel_labels.max()) + 1
+    flat_labels = pixel_labels.ravel()
 
     pixel, delta = window_neighbors(img, cfg.window, cfg.k)
-    cand_labels = pixel_labels.ravel()[pixel]
+    for rows in row_blocks(len(labels)):
+        gap = delta[rows]
+        # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so
+        # carries weight 0: whatever label it gathered never counts
+        keep = gap <= RANGE_CUTOFF
+        weights = np.where(keep, np.exp(-(gap * gap) / (2.0 * SIGMA * SIGMA)), 0.0)
 
-    # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so
-    # carries weight 0: whatever label it gathered never counts
-    keep = delta <= RANGE_CUTOFF
-    weights = np.exp(-(delta * delta) / (2.0 * SIGMA * SIGMA))
-    weights = np.where(keep, weights, 0.0)
-
-    # bincount adds each row's weights in rank order, nearest candidate first
-    n, k = delta.shape
-    rows = np.repeat(np.arange(n) * num_classes, k)
-    votes = np.bincount(rows + cand_labels.ravel(), weights.ravel(), minlength=n * num_classes)
-
-    refined = np.argmax(votes.reshape(n, num_classes), axis=1).astype(base.dtype)
-    return np.where(keep.any(axis=1), refined, base)
+        # bincount adds each row's weights in rank order, nearest candidate first
+        n = len(gap)
+        bins = np.arange(n)[:, None] * num_classes + flat_labels[pixel[rows]]
+        votes = np.bincount(bins.ravel(), weights.ravel(), minlength=n * num_classes)
+        refined = np.argmax(votes.reshape(n, num_classes), axis=1)
+        labels[rows] = np.where(keep.any(axis=1), refined, labels[rows])
+    return labels

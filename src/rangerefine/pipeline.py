@@ -26,7 +26,6 @@ from .projection import ProjectionConfig, RangeImage, back_project_labels, proje
 from .refiner import (
     ModelDims,
     RefinerModel,
-    load_checkpoint,
     refine,
     save_checkpoint,
     train,

@@ -29,6 +29,9 @@ MIN_RANGE = 1e-6
 # the sensor's vertical field of view, shared with the synthetic scanner
 FOV_UP_DEG = 3.0
 FOV_DOWN_DEG = -25.0
+# rows per block of the per-point kernels: their temporaries stay this many
+# rows tall whatever the number of points
+ROW_BLOCK = 4096
 
 
 @dataclass
@@ -142,6 +145,12 @@ def back_project_labels(img: RangeImage, pixel_labels: np.ndarray) -> np.ndarray
     return pixel_labels[img.point_v, img.point_u]
 
 
+def row_blocks(n: int):
+    """Slices that cover ``range(n)`` in consecutive blocks of ROW_BLOCK rows."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, start + ROW_BLOCK)
+
+
 def window_neighbors(
     img: RangeImage, window: int, k: int, indices: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,31 +185,34 @@ def window_neighbors(
 
     # in padded coordinates a point's window has its top-left corner at (v, u)
     windows = np.lib.stride_tricks.sliding_window_view(padded_range, (window, window))
-    delta = windows[pv, pu].reshape(len(pv), window * window)
-    delta -= pr[:, None]
-    np.abs(delta, out=delta)
-
-    # An unstable sort ranks distinct deltas exactly, and invalid candidates
-    # (all pixel -1, delta +inf) may come in any order. Only a finite tie can
-    # reorder the output, and one that reaches the first k' ranks shows
-    # within the first k' + 1: those rows alone are re-ranked stably.
-    k = min(k, window * window)
-    keep = min(k + 1, window * window)
-    order = np.argsort(delta, axis=1)[:, :keep].copy()  # a view would hold all columns
-    # the ranked deltas as flat positions into (M, window**2): cheaper than take_along_axis
-    ranked = delta.ravel()[order + np.arange(0, delta.size, window * window)[:, None]]
-    tied = np.flatnonzero(
-        ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
-    )
-    order[tied] = np.argsort(delta[tied], axis=1, kind="stable")[:, :keep]
-    del delta
-
     dv, du = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
     offsets = (dv * padded_w + du).ravel()
-    base = pv.astype(np.int64) * padded_w + pu
-    pixel = padded_pixel.ravel()[base[:, None] + offsets[order[:, :k]]]
-    # contiguous: the callers' per-candidate arithmetic is slower on a strided view
-    return pixel, np.ascontiguousarray(ranked[:, :k])
+
+    area = window * window
+    k = min(k, area)
+    keep = min(k + 1, area)
+    pixel = np.empty((len(pv), k), dtype=np.int64)
+    delta = np.empty((len(pv), k))
+    for rows in row_blocks(len(pv)):
+        gap = windows[pv[rows], pu[rows]].reshape(-1, area)
+        gap -= pr[rows, None]
+        np.abs(gap, out=gap)
+
+        # An unstable sort ranks distinct deltas exactly, and invalid candidates
+        # (all pixel -1, delta +inf) may come in any order. Only a finite tie can
+        # reorder the output, and one that reaches the first k' ranks shows
+        # within the first k' + 1: those rows alone are re-ranked stably.
+        order = np.argsort(gap, axis=1)[:, :keep]
+        ranked = np.take_along_axis(gap, order, axis=1)
+        tied = np.flatnonzero(
+            ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
+        )
+        order[tied] = np.argsort(gap[tied], axis=1, kind="stable")[:, :keep]
+
+        base = pv[rows].astype(np.int64) * padded_w + pu[rows]
+        pixel[rows] = padded_pixel.ravel()[base[:, None] + offsets[order[:, :k]]]
+        delta[rows] = ranked[:, :k]
+    return pixel, delta
 
 
 def write_range_pgm(img: RangeImage, path) -> None:

@@ -25,7 +25,7 @@ from ._rand import generator
 from .coarse import CoarseSegmentation, top2_margin
 from .errors import DataFormatError, check_field_types
 from .kitti_io import PointCloud
-from .projection import RangeImage, background_distances, window_neighbors
+from .projection import RangeImage, background_distances, row_blocks, window_neighbors
 
 REASON_BOUNDARY = 1
 REASON_BACKGROUND = 2
@@ -90,14 +90,16 @@ def aggregate_features(
     out[:, 4] = cloud.points[indices, 3]
 
     pixel, delta = window_neighbors(img, AGG_WINDOW, AGG_K, indices)
-    # an invalid candidate (pixel -1) has weight 0, so the vector it gathered never counts
-    weights = np.isfinite(delta).astype(np.float64)
-    vectors = seg.probs.reshape(-1, num_classes)[pixel]  # (M, k, C)
-    summed = (vectors * weights[:, :, None]).sum(axis=1)
-    counts = weights.sum(axis=1)  # >= 1: own pixel is always valid
-    mean = summed / counts[:, None]
-    mean /= mean.sum(axis=1)[:, None]
-    out[:, GEOMETRY_FEATURES:] = mean
+    flat_probs = seg.probs.reshape(-1, num_classes)
+    for rows in row_blocks(len(indices)):
+        # an invalid candidate (pixel -1) has weight 0, so the vector it gathered never counts
+        weights = np.isfinite(delta[rows]).astype(np.float64)
+        vectors = flat_probs[pixel[rows]]  # (rows, k, C)
+        summed = (vectors * weights[:, :, None]).sum(axis=1)
+        counts = weights.sum(axis=1)  # >= 1: own pixel is always valid
+        mean = summed / counts[:, None]
+        mean /= mean.sum(axis=1)[:, None]
+        out[rows, GEOMETRY_FEATURES:] = mean
     return out
 
 

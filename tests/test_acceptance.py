@@ -6,21 +6,19 @@ minutes; everything else finishes in seconds.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
 import pytest
 
 from rangerefine import knn_refiner, uncertainty
-from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
+from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.knn_refiner import KnnConfig, knn_refine
 from rangerefine.metrics import ConfusionMatrix
 from rangerefine.pipeline import PipelineConfig, generate_corpus, refine_scan, run_refine, run_train
 from rangerefine.projection import ProjectionConfig, project
 from rangerefine.refiner import (
-    ModelDims,
     RefinerModel,
     TrainConfig,
     _attention_forward,

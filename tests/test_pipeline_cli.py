@@ -1,5 +1,6 @@
 import dataclasses
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rangerefine.pipeline import (
 )
 from rangerefine.projection import ProjectionConfig, back_project_labels, project
 from rangerefine.refiner import ModelDims, RefinerModel, TrainConfig, load_checkpoint, save_checkpoint
-from rangerefine.scanner import SyntheticSceneSpec
+from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.uncertainty import SelectionConfig
 
 
@@ -530,6 +531,23 @@ def test_no_knn_reproduces_back_projection(corpus):
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
     pixel_labels[~img.valid_mask] = cmap.ignore_class
     np.testing.assert_array_equal(labels, back_project_labels(img, pixel_labels))
+
+
+def test_full_size_scan_without_refiner_memory_bounded(tmp_path):
+    # criterion-11 scene, 64 x 2048, 144k points, default stages: the
+    # (H, W, 20) probabilities alone are 21 MB. With per-row kernels that
+    # take all rows at once, projection, oracle and KNN peak at 93.5e6
+    spec = SyntheticSceneSpec(seed=31, azimuth_steps=2600, boxes=6, cylinders=8, planes=2)
+    cloud = generate_scene(spec)
+    cfg = PipelineConfig()
+    cmap = cfg.load_class_map()
+    tracemalloc.start()
+    try:
+        refine_scan(cloud, cfg, cmap, None, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, f"refine_scan peak {peak / 1e6:.0f} MB"
 
 
 # --- eval ---

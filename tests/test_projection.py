@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rangerefine import projection
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import (
@@ -290,7 +291,9 @@ def window_oracle(img, window, indices):
     return pixel, delta
 
 
-def test_window_matches_straight_line_oracle_on_ties(rng):
+def test_window_matches_straight_line_oracle_on_ties(rng, monkeypatch):
+    # blocks of 7 rows put block boundaries inside every cloud and subset
+    monkeypatch.setattr(projection, "ROW_BLOCK", 7)
     cut_ties = 0
     for n in (300, 800):
         img = project(tie_heavy_cloud(rng, n), ProjectionConfig(width=32, height=8))
@@ -308,6 +311,20 @@ def test_window_matches_straight_line_oracle_on_ties(rng):
                         cut_ties += int((np.isfinite(at_cut) & (at_cut == delta_all[:, kk])).sum())
     # the sweep must hold finite ties across rank k', where only a stable order is right
     assert cut_ties > 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_window_block_size_does_not_change_output(rng, monkeypatch, block):
+    img = project(tie_heavy_cloud(rng, 800), ProjectionConfig(width=32, height=8))
+    subset = rng.choice(800, size=90, replace=False)
+    calls = [(window, k, indices) for window in (1, 3, 5, 7) for k in (1, 5, 50)
+             for indices in (None, subset)]
+    default = [window_neighbors(img, *call) for call in calls]
+    monkeypatch.setattr(projection, "ROW_BLOCK", block)
+    for call, (pixel, delta) in zip(calls, default):
+        got_pixel, got_delta = window_neighbors(img, *call)
+        assert got_pixel.tobytes() == pixel.tobytes()
+        assert got_delta.tobytes() == delta.tobytes()
 
 
 def test_window_rejects_even_window(rng):

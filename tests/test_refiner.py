@@ -13,7 +13,6 @@ from rangerefine.refiner import (
     BETA1,
     BETA2,
     Adam,
-    EpochStats,
     ModelDims,
     RefinerModel,
     TrainConfig,

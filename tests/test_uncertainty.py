@@ -1,16 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rangerefine.coarse import CoarseSegmentation
+from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
-from rangerefine.projection import ProjectionConfig, background_distances, project
+from rangerefine.projection import ProjectionConfig, project
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
-from rangerefine import uncertainty
+from rangerefine import projection, uncertainty
 from rangerefine._rand import generator
 from rangerefine.uncertainty import (
     REASON_BACKGROUND,
-    REASON_BOTH,
     REASON_BOUNDARY,
     SelectionConfig,
     aggregate_features,
@@ -108,6 +109,35 @@ def test_aggregation_matches_oracle(rng, monkeypatch):
         want = aggregate_oracle(cloud, img, seg, indices, k, window)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(got[:, 5:].sum(axis=1), 1.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_aggregation_block_size_does_not_change_features(rng, monkeypatch, block):
+    cloud, img, seg = scene_inputs(rng, n=1200)
+    pools = [np.arange(len(cloud)), np.sort(rng.choice(len(cloud), size=300, replace=False))]
+    default = [aggregate_features(cloud, img, seg, indices) for indices in pools]
+    monkeypatch.setattr(projection, "ROW_BLOCK", block)
+    for indices, feats in zip(pools, default):
+        assert aggregate_features(cloud, img, seg, indices).tobytes() == feats.tobytes()
+
+
+def test_aggregate_every_hidden_point_memory_bounded():
+    # criterion-11 scene with every hidden point pooled, as a small c_u does:
+    # 30.6k rows. The (M, 25) output is 6 MB; gathering all (M, 5, 20)
+    # probability vectors at once peaks at 63.6e6
+    spec = SyntheticSceneSpec(seed=31, azimuth_steps=2600, boxes=6, cylinders=8, planes=2)
+    cloud = generate_scene(spec)
+    img = project(cloud, ProjectionConfig(width=2048, height=64))
+    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(blur_radius=1, seed=1), 20)
+    hidden = np.flatnonzero(~img.is_foreground)
+    assert len(hidden) > 30_000
+    tracemalloc.start()
+    try:
+        aggregate_features(cloud, img, seg, hidden)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"aggregate_features peak {peak / 1e6:.0f} MB"
 
 
 def test_feature_layout(rng):
