@@ -90,10 +90,16 @@ def place_objects(spec: SyntheticSceneSpec) -> list[SceneObject]:
     return objects
 
 
-def _ray_directions(azimuth_steps: int) -> np.ndarray:
-    elev = np.deg2rad(np.linspace(FOV_UP_DEG, FOV_DOWN_DEG, RINGS, dtype=np.float64))
+def _column_azimuths(azimuth_steps: int) -> np.ndarray:
     azim = (np.arange(azimuth_steps, dtype=np.float64) + 0.5) / azimuth_steps
-    azim = (1.0 - 2.0 * azim) * math.pi  # matches the projection's column ordering
+    return (1.0 - 2.0 * azim) * math.pi  # matches the projection's column ordering
+
+
+def _ray_directions(azimuth_steps: int) -> np.ndarray:
+    """Unit rays, ring-major: ray ``i`` is ring ``i // azimuth_steps`` and
+    column ``i % azimuth_steps``, and every ring shares the column azimuths."""
+    elev = np.deg2rad(np.linspace(FOV_UP_DEG, FOV_DOWN_DEG, RINGS, dtype=np.float64))
+    azim = _column_azimuths(azimuth_steps)
     ce, se = np.cos(elev), np.sin(elev)
     ca, sa = np.cos(azim), np.sin(azim)
     dirs = np.empty((RINGS * azimuth_steps, 3))
@@ -161,6 +167,32 @@ def _intersect_plane(dirs: np.ndarray, obj: SceneObject) -> np.ndarray:
 
 _INTERSECT = {"box": _intersect_box, "cylinder": _intersect_cylinder, "plane": _intersect_plane}
 
+# Metres added to an object's bounding radius before its wedge is taken. It
+# dwarfs the rounding of hit coordinates and azimuths at scene scale (about
+# 1e-14 m and 1e-15 rad), so culling never drops a ray that would hit.
+_CULL_PAD = 1e-6
+
+
+def _wedge(obj: SceneObject) -> tuple[float, float]:
+    """Centre azimuth and half-angle of the rays that can reach the object.
+
+    The object's xy footprint lies in a circle of radius r about its centre.
+    A ray from the sensor meets that circle, padded by ``_CULL_PAD``, only
+    within ``asin(r / rho)`` of its centre; a sensor inside the circle can
+    reach it in every direction (half-angle pi).
+    """
+    size = obj.size
+    radius = {
+        "box": math.hypot(size[0], size[1]) / 2.0,  # half-diagonal of (lx, ly)
+        "cylinder": size[0],
+        "plane": size[0] / 2.0,  # a wall is a segment of width w
+    }[obj.kind]
+    cx, cy = obj.center[0], obj.center[1]
+    rho = math.hypot(cx, cy)
+    reach = radius + _CULL_PAD
+    half = math.asin(reach / rho) if rho > reach else math.pi
+    return math.atan2(cy, cx), half
+
 
 def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
     """Ray-cast the scene with the scanner and label points by shape.
@@ -168,9 +200,15 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
     Range noise is truncated at +-3 sigma so labeled points stay inside the
     generating shape's bounds inflated by 3 sigma. The lowest ring hits the
     ground well inside ``GROUND_EXTENT``, so every scene has points.
+
+    Each object is intersected only with the rays in its azimuth wedge
+    (``_wedge``): the columns within the half-angle of its centre, measured
+    across the +-pi seam, taken on every ring.
     """
     dirs = _ray_directions(spec.azimuth_steps)
     n_rays = len(dirs)
+    azim = _column_azimuths(spec.azimuth_steps)
+    ring_start = np.arange(RINGS)[:, None] * spec.azimuth_steps
 
     dz = dirs[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,10 +218,13 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
     label = np.where(np.isfinite(t_best), SHAPE_CLASS["ground"], -1).astype(np.int32)
 
     for obj in place_objects(spec):
-        t_obj = _INTERSECT[obj.kind](dirs, obj)
-        closer = t_obj < t_best
-        t_best = np.where(closer, t_obj, t_best)
-        label[closer] = SHAPE_CLASS[obj.kind]
+        centre, half = _wedge(obj)
+        offset = np.abs(np.remainder(azim - centre + math.pi, 2.0 * math.pi) - math.pi)
+        cand = (ring_start + np.flatnonzero(offset <= half)).ravel()
+        t_obj = _INTERSECT[obj.kind](dirs[cand], obj)
+        closer = t_obj < t_best[cand]
+        t_best[cand[closer]] = t_obj[closer]
+        label[cand[closer]] = SHAPE_CLASS[obj.kind]
 
     hit = np.isfinite(t_best)
     rng = generator("scene-noise", spec.seed)

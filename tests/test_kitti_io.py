@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangerefine import scanner
+from rangerefine._rand import generator
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import (
     ClassMap,
@@ -23,6 +25,7 @@ from rangerefine.scanner import (
     RINGS,
     SENSOR_HEIGHT,
     SHAPE_CLASS,
+    SceneObject,
     SyntheticSceneSpec,
     generate_scene,
     place_objects,
@@ -227,3 +230,70 @@ def test_scene_reproducible_serialization(tmp_path):
         write_point_cloud(cloud, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def all_rays_scene(spec):
+    """Straight-line reference: every object is tested against every ray."""
+    dirs = scanner._ray_directions(spec.azimuth_steps)
+    n_rays = len(dirs)
+    dz = dirs[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_best = np.where(dz < 0, -SENSOR_HEIGHT / dz, np.inf)
+    horiz = t_best * np.hypot(dirs[:, 0], dirs[:, 1])
+    t_best = np.where(horiz <= GROUND_EXTENT, t_best, np.inf)
+    label = np.where(np.isfinite(t_best), SHAPE_CLASS["ground"], -1).astype(np.int32)
+    for obj in scanner.place_objects(spec):
+        t_obj = scanner._INTERSECT[obj.kind](dirs, obj)
+        closer = t_obj < t_best
+        t_best = np.where(closer, t_obj, t_best)
+        label[closer] = SHAPE_CLASS[obj.kind]
+    hit = np.isfinite(t_best)
+    rng = generator("scene-noise", spec.seed)
+    noise = np.clip(rng.normal(0.0, NOISE_SIGMA, size=n_rays), -3 * NOISE_SIGMA, 3 * NOISE_SIGMA)
+    rem_jitter = rng.uniform(-0.05, 0.05, size=n_rays)
+    xyz = dirs[hit] * (t_best[hit] + noise[hit])[:, None]
+    labels = label[hit]
+    remission = np.clip(0.15 + 0.8 * ((labels * 37) % 97) / 97.0 + rem_jitter[hit], 0.0, 1.0)
+    points = np.empty((hit.sum(), 4), dtype=np.float32)
+    points[:, :3] = xyz.astype(np.float32)
+    points[:, 3] = remission.astype(np.float32)
+    return points, labels
+
+
+def assert_matches_all_rays(spec):
+    cloud = generate_scene(spec)
+    points, labels = all_rays_scene(spec)
+    assert cloud.points.tobytes() == points.tobytes(), spec
+    assert cloud.labels.tobytes() == labels.tobytes(), spec
+
+
+def test_wedge_culling_matches_all_rays_cast():
+    # culling must drop only rays that miss: the same bytes at every column
+    # count, including objects whose wedge wraps across the +-pi seam
+    crosses_seam = False
+    for seed in range(30):
+        for steps in (1, 2, 7, 256, 1024, 2600):
+            assert_matches_all_rays(SyntheticSceneSpec(seed=seed, azimuth_steps=steps))
+        for obj in place_objects(SyntheticSceneSpec(seed=seed)):
+            centre, half = scanner._wedge(obj)
+            crosses_seam |= abs(centre) + half > math.pi
+    assert crosses_seam
+    dense = SyntheticSceneSpec(seed=99, boxes=40, cylinders=40, planes=10, azimuth_steps=1024)
+    assert_matches_all_rays(dense)
+
+
+def test_wedge_culling_with_sensor_inside_bounding_circle(monkeypatch):
+    # a wall passing 5 cm from the sensor is hit behind it as well as in
+    # front, so its wedge must cover every column
+    ground_z = -SENSOR_HEIGHT
+    near = [
+        SceneObject("plane", (1.0, 0.0, ground_z + 1.5), (10.0, 3.0, 0.0), 0.05),
+        SceneObject("box", (2.0, 0.0, ground_z + 1.0), (1.0, 5.0, 2.0), 0.0),
+        SceneObject("cylinder", (-0.2, 0.1, ground_z + 2.0), (0.3, 4.0, 0.0), 0.0),
+    ]
+    monkeypatch.setattr(scanner, "place_objects", lambda spec: near)
+    assert all(scanner._wedge(obj)[1] == math.pi for obj in near)
+    cloud = generate_scene(SyntheticSceneSpec(seed=1, azimuth_steps=512))
+    walls = cloud.points[cloud.labels == SHAPE_CLASS["plane"]]
+    assert (walls[:, 0] < 0).any() and (walls[:, 0] > 0).any()
+    assert_matches_all_rays(SyntheticSceneSpec(seed=1, azimuth_steps=512))

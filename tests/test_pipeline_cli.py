@@ -1,11 +1,13 @@
 import dataclasses
 import shutil
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
-from rangerefine import cli, pipeline
+from rangerefine import cli, kitti_io, pipeline
 from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import ClassMap, PointCloud, read_labels, read_point_cloud, write_labels
@@ -241,6 +243,29 @@ def test_malformed_yaml_is_located(tmp_path, capsys, kind, text):
     assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(config)]) == 2
     assert f"{kind} {bad} is not valid YAML" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_yaml_loaders_parse_alike(tmp_path, monkeypatch):
+    # libyaml's parser and the pure-Python fallback read the same documents
+    ref = resources.files("rangerefine").joinpath("data/semantic_kitti.yaml")
+    config = tmp_path / "config.yaml"
+    tiny_config().save_yaml(config)
+    docs = {}
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(kitti_io, "_YAML_LOADER", loader)
+        with resources.as_file(ref) as path:
+            docs[loader] = (kitti_io.read_yaml(path, "class map"), kitti_io.read_yaml(config, "config"))
+    assert docs[yaml.CSafeLoader] == docs[yaml.SafeLoader]
+    assert docs[yaml.SafeLoader][1] == dataclasses.asdict(tiny_config())
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_is_located_by_either_loader(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(kitti_io, "_YAML_LOADER", getattr(yaml, loader))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("knn: {k: [\n")
+    with pytest.raises(DataFormatError, match=f"config {bad} is not valid YAML"):
+        kitti_io.read_yaml(bad, "config")
 
 
 @pytest.mark.parametrize(
