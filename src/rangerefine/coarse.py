@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rand import uniform01
 from .errors import DataFormatError, check_field_types
-from .projection import RangeImage, row_blocks
+from .projection import RangeImage
 
 SUM_TOLERANCE = 1e-3
 
@@ -92,40 +92,40 @@ def oracle_coarse(
         raise DataFormatError("ground-truth labels outside 0..C-1")
 
     h, w = img.height, img.width
+    valid = img.valid_mask
     # radii beyond h - 1 (rows) or w - 1 (columns) add no pixel to any window
     rv, ru = min(spec.blur_radius, h - 1), min(spec.blur_radius, w - 1)
-    fv, fu = np.nonzero(img.valid_mask)
-    # per-class counts over the clipped window in exact small integers, plus a
-    # last channel counting the window's valid pixels; the zero padding clips
-    # the window at the image edges
+    fv, fu = np.nonzero(valid)
+    # per-class counts over the clipped window in exact small integers; the
+    # zero padding clips the window at the image edges
     dtype = np.min_scalar_type((2 * rv + 1) * (2 * ru + 1))
-    pad = np.zeros((h + 2 * rv, w + 2 * ru, num_classes + 1), dtype=dtype)
+    pad = np.zeros((h + 2 * rv, w + 2 * ru, num_classes), dtype=dtype)
     pad[fv + rv, fu + ru, gt_labels[img.fg_point_index[fv, fu]]] = 1
-    pad[fv + rv, fu + ru, num_classes] = 1
     vsum = sum(pad[d : d + h] for d in range(2 * rv + 1))
     counts = sum(vsum[:, d : d + w] for d in range(2 * ru + 1))
+    del pad, vsum
+    # a window's valid-pixel count is the sum of its class counts; the window
+    # area bounds it, so it fits their dtype
+    probs = counts / np.maximum(counts.sum(axis=2, dtype=dtype, keepdims=True), 1)
+    del counts
 
-    # noise runs on blocks of the valid pixels' (M, C) rows; counter-based
-    # draws make a pixel's draw independent of the block it falls in
-    out = np.full((h, w, num_classes), 1.0 / num_classes)
-    for rows in row_blocks(len(fv)):
-        bv, bu = fv[rows], fu[rows]
-        block = counts[bv, bu]
-        probs = block[:, :num_classes] / block[:, num_classes:]
-        probs /= probs.sum(axis=1)[:, None]
+    # noise on valid pixels only: renormalize, swap the top-2 classes of the
+    # drawn pixels, temper, then give every invalid pixel the uniform 1/C
+    np.divide(probs, probs.sum(axis=2, keepdims=True), out=probs, where=valid[..., None])
 
-        flip = np.flatnonzero(uniform01(spec.seed, "flip", bv, bu) < spec.flip_rate)
-        masked = probs[flip]
-        top = np.argmax(masked, axis=1)
-        masked[np.arange(len(flip)), top] = -np.inf
-        runner = np.argmax(masked, axis=1)  # ties to the smallest class id
-        probs[flip, top], probs[flip, runner] = probs[flip, runner], probs[flip, top]
+    flip = uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate
+    flv, flu = fv[flip], fu[flip]
+    masked = probs[flv, flu]
+    top = np.argmax(masked, axis=1)
+    masked[np.arange(len(flv)), top] = -np.inf
+    runner = np.argmax(masked, axis=1)  # ties to the smallest class id
+    probs[flv, flu, top], probs[flv, flu, runner] = probs[flv, flu, runner], probs[flv, flu, top]
 
-        if spec.temperature != 1.0:
-            sharp = probs ** (1.0 / spec.temperature)
-            probs = sharp / sharp.sum(axis=1)[:, None]
-        out[bv, bu] = probs
-    return CoarseSegmentation(probs=out)
+    if spec.temperature != 1.0:
+        probs **= 1.0 / spec.temperature
+        np.divide(probs, probs.sum(axis=2, keepdims=True), out=probs, where=valid[..., None])
+    probs[~valid] = 1.0 / num_classes
+    return CoarseSegmentation(probs=probs)
 
 
 def top2_margin(seg: CoarseSegmentation) -> np.ndarray:

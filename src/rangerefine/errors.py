@@ -34,8 +34,13 @@ def _is_number(value) -> bool:
 
 # Field annotation -> (test of the value, what the value must be). The config
 # modules postpone annotation evaluation, so each annotation is its source text.
+# An integer must fit the seed hash's 64 bits, signed or unsigned: derived
+# per-scan seeds reach 2**64 - 1.
 _FIELD_CHECKS = {
-    "int": (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "int": (
+        lambda v: _is_number(v) and isinstance(v, numbers.Integral) and -(2**63) <= v < 2**64,
+        "an integer in [-2**63, 2**64)",
+    ),
     "float": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),

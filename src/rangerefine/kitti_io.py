@@ -15,6 +15,7 @@ partial file. The synthetic scene source lives in ``scanner``.
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -79,6 +80,11 @@ class ClassMap:
         self.num_classes = int(num_classes)
         self.ignore_class = int(ignore_class)
         self.palette = {k: tuple(v) for k, v in (palette or {}).items()}
+        for train, rgb in self.palette.items():
+            if len(rgb) != 3 or not all(isinstance(c, numbers.Integral) and 0 <= c <= 255 for c in rgb):
+                raise DataFormatError(
+                    f"palette entry for class {train} must be three integers in 0..255, got {list(rgb)}"
+                )
 
         # a map that round-trips has at most one class per 16-bit raw id
         if self.num_classes > 1 << 16:
@@ -104,7 +110,8 @@ class ClassMap:
             raise DataFormatError(
                 f"no raw id for {len(missing)} train ids, the first {missing[:5]}"
             )
-        self._inv_lut = np.zeros(num_classes, dtype=np.uint32)
+        # the label file's word: little-endian whatever the host's byte order
+        self._inv_lut = np.zeros(num_classes, dtype="<u4")
         for train, raw in train_to_raw.items():
             if not 0 <= train < num_classes:
                 raise DataFormatError(f"train_to_raw key {train} out of range 0..{num_classes - 1}")
@@ -210,8 +217,7 @@ def read_labels(path, class_map: ClassMap) -> np.ndarray:
             f"truncated label file {path}: {len(data)} bytes is not a multiple of {LABEL_RECORD_BYTES}"
         )
     words = np.frombuffer(data, dtype="<u4")
-    raw = (words & np.uint32(0xFFFF)).astype(np.int64)
-    return class_map.to_train(raw).astype(np.int32)
+    return class_map.to_train(words & np.uint32(0xFFFF))
 
 
 def write_labels(labels: np.ndarray, class_map: ClassMap, path) -> None:
@@ -224,5 +230,4 @@ def write_labels(labels: np.ndarray, class_map: ClassMap, path) -> None:
         raise DataFormatError(
             f"label {int(labels[bad])} at index {bad} is not a train id < {class_map.num_classes}"
         )
-    words = class_map.to_raw(labels.astype(np.int64)).astype("<u4")
-    atomic_write_bytes(path, words.tobytes())
+    atomic_write_bytes(path, class_map.to_raw(labels).tobytes())

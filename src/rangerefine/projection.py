@@ -104,23 +104,16 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
     nearest = np.flatnonzero(rng == best[flat])
     first = np.full(cfg.height * cfg.width, n, dtype=np.int64)
     np.minimum.at(first, flat[nearest], nearest)
-    fg_points = first[first < n]
 
-    range_channel = np.zeros((cfg.height, cfg.width), dtype=np.float64)
-    valid_mask = np.zeros((cfg.height, cfg.width), dtype=bool)
-    fg_index = np.full((cfg.height, cfg.width), -1, dtype=np.int64)
+    # the two buffers are the image: a pixel is valid where a point reached it
+    valid = first < n
     is_foreground = np.zeros(n, dtype=bool)
-
-    fv, fu = v[fg_points], u[fg_points]
-    range_channel[fv, fu] = rng[fg_points]
-    valid_mask[fv, fu] = True
-    fg_index[fv, fu] = fg_points
-    is_foreground[fg_points] = True
+    is_foreground[first[valid]] = True
 
     return RangeImage(
-        range_channel=range_channel,
-        valid_mask=valid_mask,
-        fg_point_index=fg_index,
+        range_channel=np.where(valid, best, 0.0).reshape(cfg.height, cfg.width),
+        valid_mask=valid.reshape(cfg.height, cfg.width),
+        fg_point_index=np.where(valid, first, -1).reshape(cfg.height, cfg.width),
         point_u=u.astype(np.int32),
         point_v=v.astype(np.int32),
         point_range=rng,

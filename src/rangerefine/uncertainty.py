@@ -127,9 +127,9 @@ def select_boundary(
 
 def select_background(img: RangeImage, cfg: SelectionConfig) -> np.ndarray:
     """Ascending indices of the background points whose range gap behind
-    their pixel's foreground point is at least c_u."""
-    far = ~img.is_foreground & (background_distances(img) >= cfg.c_u)
-    return np.flatnonzero(far)
+    their pixel's foreground point is at least c_u. A foreground point's gap
+    is 0 and c_u > 0, so the gap alone excludes it."""
+    return np.flatnonzero(background_distances(img) >= cfg.c_u)
 
 
 def build_pool(

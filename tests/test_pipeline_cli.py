@@ -85,6 +85,8 @@ def test_config_rejects_removed_refine_keys(tmp_path, capsys):
         ("projection", "width", "'2048'"),
         ("train", "epochs", "2.0"),
         ("scene", "seed", "1.5"),
+        # the seed hash takes 64 bits: 2**64 does not fit
+        ("scene", "seed", "18446744073709551616"),
     ],
 )
 def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, value):
@@ -161,6 +163,7 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
         ("--c-u", "-3", "c_u must be > 0"),
         ("--mode", "foo", "mode must be 'oracle' or 'loaded'"),
         ("--scans", "0", "num_scans must be >= 1"),
+        ("--seed", "18446744073709551616", "seed must be an integer"),
     ],
 )
 def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
@@ -195,9 +198,18 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
             "train_to_raw key 2 out of range 0..1",
         ),
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 70000\n", "num_classes 70000 exceeds the 65536"),
+        # a PLY colour is three uchar values
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\npalette: {9: [1, 2]}\n",
+            "palette entry for class 9 must be three integers in 0..255",
+        ),
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\npalette: {1: [300, 0, 0]}\n",
+            "palette entry for class 1 must be three integers in 0..255",
+        ),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
-         "num-classes"],
+         "num-classes", "palette-short", "palette-range"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
