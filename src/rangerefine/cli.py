@@ -30,47 +30,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--c-u", type=float, dest="c_u", help="background distance cutoff (m)")
-    sub.add_argument("--boundary-budget", type=int, help="max boundary-uncertain points")
-    sub.add_argument("--n-u", type=int, dest="n_u", help="training sample size per scan")
-    sub.add_argument("--knn-k", type=int, help="KNN neighbor count")
-    sub.add_argument("--seed", type=int, help="master seed (scene, oracle, selection, training)")
-    sub.add_argument("--mode", help="coarse probability source: oracle or loaded")
+_PIPELINE = ("gen", "train", "refine")
 
-
-# flag dest -> the (section, field) pairs it sets; section None is the top level
-_OVERRIDES = {
-    "c_u": [("selection", "c_u")],
-    "boundary_budget": [("selection", "boundary_budget")],
-    "n_u": [("selection", "n_u")],
-    "knn_k": [("knn", "k")],
-    "seed": [("scene", "seed"), ("oracle", "seed"), ("selection", "seed"), ("train", "seed")],
-    "mode": [(None, "mode")],
-    "epochs": [("train", "epochs")],
-    "use_knn": [(None, "use_knn")],
-    "use_refiner": [(None, "use_refiner")],
-}
+# Each override once: its flag, the subcommands that take it, the (section,
+# field) pairs it sets (section None is the top level), its argparse options.
+# A flag a command does not read still lands in the config it echoes.
+_OVERRIDES = [
+    ("--c-u", _PIPELINE, [("selection", "c_u")], dict(type=float, help="background distance cutoff (m)")),
+    ("--boundary-budget", _PIPELINE, [("selection", "boundary_budget")],
+     dict(type=int, help="max boundary-uncertain points")),
+    ("--n-u", _PIPELINE, [("selection", "n_u")], dict(type=int, help="training sample size per scan")),
+    ("--knn-k", _PIPELINE, [("knn", "k")], dict(type=int, help="KNN neighbor count")),
+    ("--seed", _PIPELINE, [("scene", "seed"), ("oracle", "seed"), ("selection", "seed"), ("train", "seed")],
+     dict(type=int, help="master seed (scene, oracle, selection, training)")),
+    ("--mode", _PIPELINE, [(None, "mode")], dict(help="coarse probability source: oracle or loaded")),
+    ("--epochs", ("train",), [("train", "epochs")], dict(type=int, help="override training epochs")),
+    ("--no-knn", ("refine",), [(None, "use_knn")],
+     dict(action="store_const", const=False, help="skip KNN (pure back-projection)")),
+    ("--no-refiner", ("refine",), [(None, "use_refiner")],
+     dict(action="store_const", const=False, help="skip the refiner stage")),
+]
 
 
 def _load_config(args) -> pipeline.PipelineConfig:
-    """The YAML config (or the defaults) with each given flag applied through
-    ``dataclasses.replace``, so every override is checked like a YAML value."""
-    if args.config:
-        cfg = pipeline.PipelineConfig.from_yaml(args.config)
-    else:
-        cfg = pipeline.PipelineConfig()
-    for dest, targets in _OVERRIDES.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        for section, name in targets:
-            if section is None:
-                cfg = dataclasses.replace(cfg, **{name: value})
-            else:
-                part = dataclasses.replace(getattr(cfg, section), **{name: value})
-                cfg = dataclasses.replace(cfg, **{section: part})
-    return cfg
+    """The YAML config (or the defaults) with each given flag written into its
+    fields, built once through ``from_dict`` so every override is checked like
+    a YAML value."""
+    cfg = pipeline.PipelineConfig.from_yaml(args.config) if args.config else pipeline.PipelineConfig()
+    doc = dataclasses.asdict(cfg)
+    for flag, commands, targets, _ in _OVERRIDES:
+        # argparse's dest for the flag; no default, so a mismatch fails loudly
+        value = getattr(args, flag[2:].replace("-", "_")) if args.command in commands else None
+        if value is not None:
+            for section, name in targets:
+                (doc if section is None else doc[section])[name] = value
+    return pipeline.PipelineConfig.from_dict(doc)
 
 
 def build_parser() -> _Parser:
@@ -80,7 +74,6 @@ def build_parser() -> _Parser:
     gen = commands.add_parser("gen", help="generate a synthetic corpus")
     gen.add_argument("--out", required=True, help="corpus output directory")
     gen.add_argument("--scans", type=int, default=10, help="number of scans")
-    _add_overrides(gen)
 
     proj = commands.add_parser("project", help="project one scan to a 16-bit range PGM")
     proj.add_argument("--scan", required=True, help="input .bin scan")
@@ -89,18 +82,11 @@ def build_parser() -> _Parser:
     tr = commands.add_parser("train", help="train the uncertain-point refiner")
     tr.add_argument("--data", required=True, help="corpus directory")
     tr.add_argument("--out", required=True, help="run output directory")
-    tr.add_argument("--epochs", type=int, help="override training epochs")
-    _add_overrides(tr)
 
     rf = commands.add_parser("refine", help="run the full pipeline over a corpus")
     rf.add_argument("--data", required=True, help="corpus directory")
     rf.add_argument("--out", required=True, help="run output directory")
     rf.add_argument("--model", help="refiner checkpoint (omit for KNN-only)")
-    rf.add_argument("--no-knn", action="store_const", const=False, dest="use_knn",
-                    help="skip KNN (pure back-projection)")
-    rf.add_argument("--no-refiner", action="store_const", const=False, dest="use_refiner",
-                    help="skip the refiner stage")
-    _add_overrides(rf)
 
     ev = commands.add_parser("eval", help="evaluate predictions against ground truth")
     ev.add_argument("--pred", required=True, help="directory of predicted .label files")
@@ -112,6 +98,9 @@ def build_parser() -> _Parser:
     ex.add_argument("--labels", required=True, help="label file for the scan")
     ex.add_argument("--out", required=True, help="output .ply path")
 
+    for flag, names, _, options in _OVERRIDES:
+        for name in names:
+            commands.choices[name].add_argument(flag, **options)
     for sub in commands.choices.values():
         sub.add_argument("--config", help="pipeline config YAML")
     return parser

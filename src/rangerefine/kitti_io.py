@@ -72,14 +72,14 @@ class ClassMap:
         raw_to_train: dict[int, int],
         train_to_name: dict[int, str],
         num_classes: int,
-        ignore_class: int = 0,
-        train_to_raw: dict[int, int] | None = None,
-        palette: dict[int, tuple[int, int, int]] | None = None,
+        ignore_class: int,
+        train_to_raw: dict[int, int] | None,
+        palette: dict[int, tuple[int, int, int]],
     ):
         self.train_to_name = dict(train_to_name)
         self.num_classes = int(num_classes)
         self.ignore_class = int(ignore_class)
-        self.palette = {k: tuple(v) for k, v in (palette or {}).items()}
+        self.palette = {k: tuple(v) for k, v in palette.items()}
         for train, rgb in self.palette.items():
             if len(rgb) != 3 or not all(isinstance(c, numbers.Integral) and 0 <= c <= 255 for c in rgb):
                 raise DataFormatError(

@@ -37,6 +37,9 @@ def small_map(num_classes=4):
         raw_to_train={0: 0, 10: 1, 11: 2, 20: 3, 252: 1},
         train_to_name={0: "unlabeled", 1: "a", 2: "b", 3: "c"},
         num_classes=num_classes,
+        ignore_class=0,
+        train_to_raw=None,
+        palette={},
     )
 
 
@@ -148,7 +151,7 @@ def test_default_semantic_kitti_map():
 
 def test_class_map_missing_ids_message_is_bounded():
     with pytest.raises(DataFormatError) as exc:
-        ClassMap({0: 0}, {}, 1 << 16)
+        ClassMap({0: 0}, {}, 1 << 16, ignore_class=0, train_to_raw=None, palette={})
     message = str(exc.value)
     assert "no raw id for 65535 train ids, the first [1, 2, 3, 4, 5]" in message
     assert len(message) < 200

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import shutil
 import tracemalloc
@@ -111,6 +112,11 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         (None, "use_refiner", "0", "use_refiner must be true or false"),
         (None, "class_map", "5", "class_map must be a string or null"),
         (None, "mode", "foo", "mode must be 'oracle' or 'loaded'"),
+        ("oracle", "blur_radius", "-1", "blur_radius must be >= 0"),
+        ("oracle", "flip_rate", "1.0", "flip_rate must be in [0, 1)"),
+        ("scene", "boxes", "-1", "object counts must be >= 0"),
+        ("scene", "azimuth_steps", "0", "scanner needs at least one azimuth step"),
+        ("projection", "width", "0", "projection width and height must be >= 1"),
     ],
 )
 def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value, message):
@@ -207,9 +213,13 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
             "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\npalette: {1: [300, 0, 0]}\n",
             "palette entry for class 1 must be three integers in 0..255",
         ),
+        ("raw_to_train: {0: 0, 1: 1}\n", "is missing key 'num_classes'"),
+        ("raw_to_train: {0: 0, 70000: 1}\nnum_classes: 2\n", "raw id 70000 does not fit 16 bits"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nignore_class: 5\n", "ignore_class 5 out of range"),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
-         "num-classes", "palette-short", "palette-range"],
+         "num-classes", "palette-short", "palette-range", "no-num-classes", "raw-16-bits",
+         "ignore-range"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
@@ -684,19 +694,57 @@ def test_cli_usage_error_exit_code():
     assert excinfo.value.code == 1
 
 
-@pytest.mark.parametrize("command", ["eval", "export", "project"])
-def test_cli_commands_without_a_pipeline_take_no_overrides(tmp_path, capsys, command):
+# every override: its arguments, the subcommands that take it, and the config
+# values it sets, each unlike tiny_config's; written apart from cli's own table
+PIPELINE = ("gen", "train", "refine")
+SEEDS = ("scene", "oracle", "selection", "train")
+OVERRIDE_EXPECTATIONS = [
+    ("--c-u 9.5", PIPELINE, {("selection", "c_u"): 9.5}),
+    ("--boundary-budget 5", PIPELINE, {("selection", "boundary_budget"): 5}),
+    ("--n-u 7", PIPELINE, {("selection", "n_u"): 7}),
+    ("--knn-k 3", PIPELINE, {("knn", "k"): 3}),
+    ("--seed 9", PIPELINE, {(section, "seed"): 9 for section in SEEDS}),
+    ("--mode loaded", PIPELINE, {(None, "mode"): "loaded"}),
+    ("--epochs 1", ("train",), {("train", "epochs"): 1}),
+    ("--no-knn", ("refine",), {(None, "use_knn"): False}),
+    ("--no-refiner", ("refine",), {(None, "use_refiner"): False}),
+]
+
+
+@pytest.mark.parametrize("command", ["gen", "project", "train", "refine", "eval", "export"])
+def test_each_override_sets_exactly_its_fields(tmp_path, capsys, monkeypatch, command):
+    config = tmp_path / "config.yaml"
+    tiny_config().save_yaml(config)
+    base = dataclasses.asdict(tiny_config())
     paths = {
-        "eval": ["--pred", str(tmp_path), "--gt", str(tmp_path)],
-        "export": ["--scan", "s.bin", "--labels", "s.label", "--out", "s.ply"],
+        "gen": ["--out", "c"],
         "project": ["--scan", "s.bin", "--out", "s.pgm"],
+        "train": ["--data", "c", "--out", "t"],
+        "refine": ["--data", "c", "--out", "r"],
+        "eval": ["--pred", "p", "--gt", "g"],
+        "export": ["--scan", "s.bin", "--labels", "s.label", "--out", "s.ply"],
     }[command]
-    for flag in ("--c-u 9", "--boundary-budget 5", "--n-u 7", "--knn-k 3", "--seed 1",
-                 "--mode loaded"):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main([command, *paths, *flag.split()])
-        assert excinfo.value.code == 1
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    echo = tmp_path / "echo.yaml"
+
+    def run(args, cfg):  # echoes the config it is handed, as every pipeline run does
+        cfg.save_yaml(echo)
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli._COMMANDS, command, run)
+    for flag, commands, sets in OVERRIDE_EXPECTATIONS:
+        argv = [command, *paths, "--config", str(config), *flag.split()]
+        if command not in commands:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            continue
+        assert cli.main(argv) == 0
+        expected = copy.deepcopy(base)
+        for (section, name), value in sets.items():
+            assert (base if section is None else base[section])[name] != value
+            (expected if section is None else expected[section])[name] = value
+        assert yaml.safe_load(echo.read_text()) == expected
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):
@@ -708,7 +756,9 @@ def test_cli_data_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["unlabeled-oracle", "negative-probs", "empty-gt", "truncated-pred"]
+    "case",
+    ["unlabeled-oracle", "negative-probs", "empty-gt", "truncated-pred", "no-scans", "no-labels",
+     "no-coarse", "short-pred", "empty-labels"],
 )
 def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
     root, cfg = corpus
@@ -733,12 +783,34 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
         (tmp_path / "gt").mkdir()
         argv = ["eval", "--pred", str(data / "labels"), "--gt", str(tmp_path / "gt")]
         message = f"no .label files in {tmp_path / 'gt'}"
-    else:
+    elif case == "truncated-pred":
         label = data / "labels" / "000001.label"
         label.write_bytes(label.read_bytes()[:-2])
         argv = ["eval", "--pred", str(data / "labels"), "--gt", str(root / "labels"),
                 "--out", str(out)]
         message = f"truncated label file {label}"
+    elif case == "no-scans":
+        for scan in (data / "scans").iterdir():
+            scan.unlink()
+        argv = refine
+        message = f"no .bin scans in {data / 'scans'}"
+    elif case == "no-labels":
+        shutil.rmtree(data / "labels")
+        argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
+        message = f"no labeled scans under {data}"
+    elif case == "no-coarse":
+        argv = [*refine, "--mode", "loaded"]
+        message = f"stage 'coarse' failed on scan 000000: missing coarse probabilities {data / 'coarse'}"
+    else:
+        # label files of 2 and 3 words, or both empty
+        words = (2, 3) if case == "short-pred" else (0, 0)
+        for sub, n in zip(("pred", "gt"), words):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "000000.label").write_bytes(bytes(4 * n))
+        argv = ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                "--out", str(out)]
+        message = {"short-pred": "scan 000000: 2 predictions vs 3 ground-truth points",
+                   "empty-labels": "mIoU undefined: no class has any accumulated point"}[case]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
