@@ -106,12 +106,15 @@ def oracle_coarse(
     del pad, vsum
     # a window's valid-pixel count is the sum of its class counts; the window
     # area bounds it, so it fits their dtype
-    probs = counts / np.maximum(counts.sum(axis=2, dtype=dtype, keepdims=True), 1)
+    probs = counts.astype(np.float64)
+    probs /= np.maximum(counts.sum(axis=2, dtype=dtype, keepdims=True), 1)
     del counts
 
     # noise on valid pixels only: renormalize, swap the top-2 classes of the
-    # drawn pixels, temper, then give every invalid pixel the uniform 1/C
-    np.divide(probs, probs.sum(axis=2, keepdims=True), out=probs, where=valid[..., None])
+    # drawn pixels, temper, then give every invalid pixel the uniform 1/C (one
+    # with no valid pixel in its window holds 0/0 = NaN until then)
+    with np.errstate(invalid="ignore"):
+        probs /= probs.sum(axis=2, keepdims=True)
 
     flip = uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate
     flv, flu = fv[flip], fu[flip]

@@ -176,35 +176,54 @@ def window_neighbors(
         img.valid_mask, np.arange(h * w).reshape(h, w), -1
     )
 
-    # in padded coordinates a point's window has its top-left corner at (v, u)
-    windows = np.lib.stride_tricks.sliding_window_view(padded_range, (window, window))
+    # in padded coordinates a point's window has its top-left corner at (v, u);
+    # its candidates sit at these flat offsets from that corner
+    flat_range, flat_pixel = padded_range.ravel(), padded_pixel.ravel()
     dv, du = np.meshgrid(np.arange(window), np.arange(window), indexing="ij")
     offsets = (dv * padded_w + du).ravel()
 
     area = window * window
     k = min(k, area)
     keep = min(k + 1, area)
+    # Each candidate is ranked by one int64 key: the bit pattern of its
+    # |delta| with the low b = bit_length(area - 1) mantissa bits replaced by
+    # its row-major window position. Clearing the sign bit takes the abs, and
+    # a non-negative float64's bits sort as its value does.
+    bits = (area - 1).bit_length()
+    position = (1 << bits) - 1
+    truncate = 0x7FFF_FFFF_FFFF_FFFF & ~position
+    inf = np.float64(np.inf).view(np.int64) >> bits
     pixel = np.empty((len(pv), k), dtype=np.int64)
     delta = np.empty((len(pv), k))
     for rows in row_blocks(len(pv)):
-        gap = windows[pv[rows], pu[rows]].reshape(-1, area)
-        gap -= pr[rows, None]
-        np.abs(gap, out=gap)
+        corner = pv[rows].astype(np.int64) * padded_w + pu[rows]
+        query = pr[rows, None]
+        keys = flat_range[corner[:, None] + offsets]
+        keys -= query
+        keys = keys.view(np.int64)
+        keys &= truncate
+        keys |= np.arange(area)
+        keys.sort(axis=1)
 
-        # An unstable sort ranks distinct deltas exactly, and invalid candidates
-        # (all pixel -1, delta +inf) may come in any order. Only a finite tie can
-        # reorder the output, and one that reaches the first k' ranks shows
-        # within the first k' + 1: those rows alone are re-ranked stably.
-        order = np.argsort(gap, axis=1)[:, :keep]
-        ranked = np.take_along_axis(gap, order, axis=1)
-        tied = np.flatnonzero(
-            ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
-        )
-        order[tied] = np.argsort(gap[tied], axis=1, kind="stable")[:, :keep]
+        # The sort orders by truncated |delta|, then by window position.
+        # Where a row's first k' + 1 truncations strictly increase, its first
+        # k' candidates are the k' smallest deltas in increasing order: the
+        # ranks are exact. Equal truncations at +inf are invalid candidates
+        # (all pixel -1, delta +inf), whose order does not show, and no finite
+        # delta truncates to +inf. Rows with any other equal pair (an exact
+        # tie, or deltas within 2^b ulps) are re-ranked with a stable argsort.
+        head = keys[:, :keep]
+        order = head & position
+        trunc = head >> bits
+        tied = trunc[:, 1:] == trunc[:, :-1]
+        tied &= trunc[:, 1:] != inf
+        unsure = np.flatnonzero(tied.any(axis=1))
+        gap = np.abs(flat_range[corner[unsure, None] + offsets] - query[unsure])
+        order[unsure] = np.argsort(gap, axis=1, kind="stable")[:, :keep]
 
-        base = pv[rows].astype(np.int64) * padded_w + pu[rows]
-        pixel[rows] = padded_pixel.ravel()[base[:, None] + offsets[order[:, :k]]]
-        delta[rows] = ranked[:, :k]
+        cells = corner[:, None] + offsets[order[:, :k]]
+        pixel[rows] = flat_pixel[cells]
+        delta[rows] = np.abs(flat_range[cells] - query)
     return pixel, delta
 
 

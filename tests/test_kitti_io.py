@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -127,6 +129,27 @@ def test_write_labels_empty(tmp_path):
 def test_write_labels_out_of_range(tmp_path):
     with pytest.raises(DataFormatError, match="train id"):
         write_labels(np.array([4]), small_map(), tmp_path / "x.label")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_umask_mode(tmp_path, umask):
+    # the mode a plain open() gives a new file under the same umask
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_bytes(b"")
+        cloud = PointCloud(np.zeros((2, 4), dtype=np.float32))
+        write_point_cloud(cloud, tmp_path / "new.bin")
+        write_labels(np.array([1, 2]), small_map(), tmp_path / "new.label")
+        # an existing file's mode is replaced along with its bytes
+        (tmp_path / "old.label").write_bytes(b"x")
+        (tmp_path / "old.label").chmod(0o600)
+        write_labels(np.array([3]), small_map(), tmp_path / "old.label")
+    finally:
+        os.umask(previous)
+    expected = 0o666 & ~umask
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == expected
+    for name in ("new.bin", "new.label", "old.label"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected, name
 
 
 @settings(max_examples=25, deadline=None)

@@ -101,6 +101,27 @@ def tie_heavy_cloud(rng, n):
     return cloud
 
 
+def ulp_spaced_cloud(rng):
+    """One point per column of a 32-wide image, all ranges within 26 ulps,
+    plus copies of them at 2x and 3x scale.
+
+    Each point's (x, y) is an integer point on a circle of radius R, so
+    x^2 + y^2 = R^2 exactly, and a z of 0 to 5 steps of 2^-11 puts its range
+    0 to 26 ulps above R. A copy's gaps to the circle's points, about R or
+    2R, then differ by a few ulps of the gap itself.
+    """
+    radius = 5 * 13 * 17 * 29
+    x = np.arange(radius + 1)
+    y = np.sqrt(radius**2 - x**2).round().astype(np.int64)
+    on = x**2 + y**2 == radius**2
+    xy = np.concatenate([np.stack([sx * x[on], sy * y[on]], axis=1)
+                         for sx in (1, -1) for sy in (1, -1)])
+    column = np.floor(0.5 * (1.0 - np.arctan2(xy[:, 1], xy[:, 0]) / math.pi) * 32)
+    xy = xy[np.unique(column, return_index=True)[1]]
+    xyz = np.column_stack([xy, rng.integers(0, 6, len(xy)) * 2.0**-11])
+    return cloud_from_xyz(np.concatenate([xyz, 2 * xyz, 3 * xyz]))
+
+
 def test_projection_matches_bruteforce_oracle(rng):
     cfg = ProjectionConfig(width=96, height=24)
     clouds = [random_cloud(rng, int(rng.integers(1, 2000))) for _ in range(25)]
@@ -232,6 +253,20 @@ def test_window_many_ties_rank_in_row_major_order():
     np.testing.assert_array_equal(delta[0], [0.0] + [1.0] * 24)
 
 
+def test_window_near_ties_rank_by_value():
+    # a full 5 x 5 window whose 24 neighbors sit 1.0 + j ulps from the center,
+    # j falling in row-major order: the value order is the reverse of the
+    # window order, and all 24 deltas agree above their low 5 bits
+    neighbors = [p for p in range(25) if p != 12]
+    ranges = np.full(25, 0.5)
+    ranges[neighbors] = 1.5 + np.arange(23, -1, -1) * 2.0**-52
+    img = hand_image(ranges.reshape(5, 5), [2], [2], [0.5])
+    for k in (3, 24, 25):
+        pixel, delta = window_neighbors(img, 5, k)
+        np.testing.assert_array_equal(pixel[0], ([12] + neighbors[::-1])[:k])
+        np.testing.assert_array_equal(delta[0], ([0.0] + [1.0 + j * 2.0**-52 for j in range(24)])[:k])
+
+
 def test_window_wider_than_image_stays_in_bounds():
     height, width = 4, 5
     ranges = np.arange(1, height * width + 1, dtype=np.float64).reshape(height, width)
@@ -295,9 +330,9 @@ def test_window_matches_straight_line_oracle_on_ties(rng, monkeypatch):
     # blocks of 7 rows put block boundaries inside every cloud and subset
     monkeypatch.setattr(projection, "ROW_BLOCK", 7)
     cut_ties = 0
-    for n in (300, 800):
-        img = project(tie_heavy_cloud(rng, n), ProjectionConfig(width=32, height=8))
-        subset = rng.choice(n, size=60, replace=False)
+    for cloud in (tie_heavy_cloud(rng, 300), tie_heavy_cloud(rng, 800), ulp_spaced_cloud(rng)):
+        img = project(cloud, ProjectionConfig(width=32, height=8))
+        subset = rng.choice(len(cloud), size=60, replace=False)
         for window in (1, 3, 5, 7):
             for indices in (None, subset):
                 pixel_all, delta_all = window_oracle(img, window, indices)
