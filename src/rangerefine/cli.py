@@ -1,4 +1,4 @@
-"""Command-line entry points: gen, project, train, refine, eval, export.
+"""Command-line entry points: gen, train, refine, eval.
 
 Every subcommand takes ``--config`` (YAML, schema = PipelineConfig); gen, train
 and refine also take a small set of targeted overrides. Exit codes: 0 success,
@@ -12,9 +12,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import kitti_io, pipeline
+from . import pipeline
 from .errors import DataFormatError, NumericError
-from .projection import project, write_range_pgm
 from .refiner import load_checkpoint
 
 EXIT_OK = 0
@@ -75,10 +74,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", required=True, help="corpus output directory")
     gen.add_argument("--scans", type=int, default=10, help="number of scans")
 
-    proj = commands.add_parser("project", help="project one scan to a 16-bit range PGM")
-    proj.add_argument("--scan", required=True, help="input .bin scan")
-    proj.add_argument("--out", required=True, help="output .pgm path")
-
     tr = commands.add_parser("train", help="train the uncertain-point refiner")
     tr.add_argument("--data", required=True, help="corpus directory")
     tr.add_argument("--out", required=True, help="run output directory")
@@ -93,11 +88,6 @@ def build_parser() -> _Parser:
     ev.add_argument("--gt", required=True, help="directory of ground-truth .label files")
     ev.add_argument("--out", help="optional report output directory")
 
-    ex = commands.add_parser("export", help="export a labeled cloud as colored PLY")
-    ex.add_argument("--scan", required=True, help="input .bin scan")
-    ex.add_argument("--labels", required=True, help="label file for the scan")
-    ex.add_argument("--out", required=True, help="output .ply path")
-
     for flag, names, _, options in _OVERRIDES:
         for name in names:
             commands.choices[name].add_argument(flag, **options)
@@ -109,17 +99,6 @@ def build_parser() -> _Parser:
 def _cmd_gen(args, cfg: pipeline.PipelineConfig) -> int:
     stems = pipeline.generate_corpus(args.out, cfg, args.scans)
     print(f"wrote {len(stems)} scans to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_project(args, cfg: pipeline.PipelineConfig) -> int:
-    cloud = kitti_io.read_point_cloud(args.scan)
-    img = project(cloud, cfg.projection)
-    write_range_pgm(img, args.out)
-    print(
-        f"{args.scan}: {len(cloud)} points -> {img.height}x{img.width}, "
-        f"{int(img.valid_mask.sum())} valid pixels"
-    )
     return EXIT_OK
 
 
@@ -147,21 +126,11 @@ def _cmd_eval(args, cfg: pipeline.PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args, cfg: pipeline.PipelineConfig) -> int:
-    class_map = cfg.load_class_map()
-    cloud = pipeline.read_scan(args.scan, args.labels, class_map)
-    pipeline.export_ply(cloud, cloud.labels, class_map.palette, args.out, class_map.ignore_class)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
-    "project": _cmd_project,
     "train": _cmd_train,
     "refine": _cmd_refine,
     "eval": _cmd_eval,
-    "export": _cmd_export,
 }
 
 

@@ -1,5 +1,5 @@
 """Exception types shared across the pipeline, the helper that locates them,
-and the config field type check.
+and the config field type check with its integer test.
 
 The CLI maps these onto exit codes: DataFormatError -> 2, NumericError -> 3.
 """
@@ -32,15 +32,16 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """A real integer, not a bool, float or string, that fits the seed hash's
+    64 bits, signed or unsigned: derived per-scan seeds reach 2**64 - 1."""
+    return _is_number(value) and isinstance(value, numbers.Integral) and -(2**63) <= value < 2**64
+
+
 # Field annotation -> (test of the value, what the value must be). The config
 # modules postpone annotation evaluation, so each annotation is its source text.
-# An integer must fit the seed hash's 64 bits, signed or unsigned: derived
-# per-scan seeds reach 2**64 - 1.
 _FIELD_CHECKS = {
-    "int": (
-        lambda v: _is_number(v) and isinstance(v, numbers.Integral) and -(2**63) <= v < 2**64,
-        "an integer in [-2**63, 2**64)",
-    ),
+    "int": (is_integer, "an integer in [-2**63, 2**64)"),
     "float": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),

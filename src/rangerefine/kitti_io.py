@@ -6,8 +6,8 @@ On-disk conventions:
   16 bytes per point, no header;
 * label file (``.label``): little-endian uint32 per point, lower 16 bits the
   raw semantic id, upper 16 bits the instance id (written as zero);
-* class map: a YAML file with the raw->train mapping, names and palette
-  (a default Semantic-KITTI map ships with the package).
+* class map: a YAML file with the raw->train mapping and class names (a
+  default Semantic-KITTI map ships with the package).
 
 Writes go through a temp file and a rename, so a reader never sees a
 partial file. The synthetic scene source lives in ``scanner``.
@@ -15,7 +15,6 @@ partial file. The synthetic scene source lives in ``scanner``.
 
 from __future__ import annotations
 
-import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import DataFormatError
+from .errors import DataFormatError, is_integer
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -64,7 +63,8 @@ class ClassMap:
 
     Unknown raw ids map to ``ignore_class``. The inverse map gives each train id
     one raw id that reads back as it (the smallest, unless ``train_to_raw`` is
-    given), so write->read round-trips.
+    given), so write->read round-trips. Class names, ``class_<id>`` where none
+    is given, are distinct.
     """
 
     def __init__(
@@ -74,17 +74,10 @@ class ClassMap:
         num_classes: int,
         ignore_class: int,
         train_to_raw: dict[int, int] | None,
-        palette: dict[int, tuple[int, int, int]],
     ):
         self.train_to_name = dict(train_to_name)
         self.num_classes = int(num_classes)
         self.ignore_class = int(ignore_class)
-        self.palette = {k: tuple(v) for k, v in palette.items()}
-        for train, rgb in self.palette.items():
-            if len(rgb) != 3 or not all(isinstance(c, numbers.Integral) and 0 <= c <= 255 for c in rgb):
-                raise DataFormatError(
-                    f"palette entry for class {train} must be three integers in 0..255, got {list(rgb)}"
-                )
 
         # a map that round-trips has at most one class per 16-bit raw id
         if self.num_classes > 1 << 16:
@@ -94,6 +87,12 @@ class ClassMap:
             raise DataFormatError(f"train ids out of range 0..{num_classes - 1}: {sorted(set(bad))}")
         if not 0 <= self.ignore_class < num_classes:
             raise DataFormatError(f"ignore_class {ignore_class} out of range")
+        # a report keys each class's IoU by its name
+        named = {}
+        for train in range(self.num_classes):
+            first = named.setdefault(self.name(train), train)
+            if first != train:
+                raise DataFormatError(f"classes {first} and {train} are both named {self.name(train)!r}")
 
         # dense lookup tables, built once
         self._lut = np.full(1 << 16, self.ignore_class, dtype=np.int32)
@@ -135,25 +134,29 @@ class ClassMap:
         doc = read_yaml(path, "class map")
         if not isinstance(doc, dict):
             raise DataFormatError(f"class map {path} must be a mapping, got {doc!r}")
-        for key in ("raw_to_train", "names", "train_to_raw", "palette"):
+        for key in ("raw_to_train", "names", "train_to_raw"):
             if not isinstance(doc.get(key, {}), dict):
                 raise DataFormatError(f"class map {path}: {key} must be a mapping, got {doc[key]!r}")
+
+        def integer(value, what):
+            if not is_integer(value):
+                raise DataFormatError(f"{what} must be an integer, got {value!r}")
+            return value
+
+        def table(key):
+            return {integer(k, f"{key} key"): integer(v, f"{key} value") for k, v in doc[key].items()}
+
         try:
             return cls(
-                raw_to_train={int(k): int(v) for k, v in doc["raw_to_train"].items()},
-                train_to_name={int(k): str(v) for k, v in doc.get("names", {}).items()},
-                num_classes=int(doc["num_classes"]),
-                ignore_class=int(doc.get("ignore_class", 0)),
-                train_to_raw=(
-                    {int(k): int(v) for k, v in doc["train_to_raw"].items()}
-                    if "train_to_raw" in doc
-                    else None
-                ),
-                palette={int(k): tuple(int(c) for c in v) for k, v in doc.get("palette", {}).items()},
+                raw_to_train=table("raw_to_train"),
+                train_to_name={integer(k, "names key"): str(v) for k, v in doc.get("names", {}).items()},
+                num_classes=integer(doc["num_classes"], "num_classes"),
+                ignore_class=integer(doc.get("ignore_class", 0), "ignore_class"),
+                train_to_raw=table("train_to_raw") if "train_to_raw" in doc else None,
             )
         except KeyError as exc:
             raise DataFormatError(f"class map {path} is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:  # a non-integer id, or a map __init__ rejects
+        except DataFormatError as exc:  # a non-integer id, or a map __init__ rejects
             raise DataFormatError(f"class map {path}: {exc}") from exc
 
     @classmethod

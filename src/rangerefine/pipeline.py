@@ -321,51 +321,6 @@ def write_report(summary: dict, out_dir) -> None:
     atomic_write_bytes(out_dir / "report.kv", ("\n".join(kv) + "\n").encode("ascii"))
 
 
-DEFAULT_COLOR = (128, 128, 128)
-
-
-def export_ply(cloud: PointCloud, labels: np.ndarray, palette: dict, path,
-               ignore_class: int) -> None:
-    """ASCII PLY with per-vertex coordinates and palette colors.
-
-    Classes missing from the palette are an error, except the ignore class
-    which falls back to gray.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (len(cloud),):
-        raise DataFormatError("labels must cover every point")
-    used, inverse = np.unique(labels, return_inverse=True)
-    colors = []
-    for cls in used.tolist():
-        if cls in palette:
-            r, g, b = palette[cls]
-        elif cls == ignore_class:
-            r, g, b = DEFAULT_COLOR
-        else:
-            raise DataFormatError(f"palette has no color for class {cls}")
-        colors.append(f"{r} {g} {b}")
-
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        "end_header",
-    ]
-    # one %-format over the whole cloud; float32 -> float64 is exact, so the
-    # digits equal formatting each float32 coordinate on its own
-    rows = np.empty((len(cloud), 4), dtype=object)
-    rows[:, :3] = cloud.points[:, :3].astype(np.float64)
-    rows[:, 3] = np.array(colors, dtype=object)[inverse]
-    body = ("%.6f %.6f %.6f %s\n" * len(cloud)) % tuple(rows.ravel().tolist())
-    atomic_write_bytes(path, ("\n".join(header) + "\n" + body).encode("ascii"))
-
-
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
     """Write ``num_scans`` synthetic scans + labels in corpus layout."""
     if num_scans < 1:

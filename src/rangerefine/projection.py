@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, check_field_types
-from .kitti_io import PointCloud, atomic_write_bytes
+from .kitti_io import PointCloud
 
 MIN_RANGE = 1e-6
 # the sensor's vertical field of view, shared with the synthetic scanner
@@ -226,9 +226,3 @@ def window_neighbors(
         delta[rows] = np.abs(flat_range[cells] - query)
     return pixel, delta
 
-
-def write_range_pgm(img: RangeImage, path) -> None:
-    """Debug dump of the range channel as a 16-bit PGM (millimeter steps)."""
-    mm = np.clip(np.round(img.range_channel * 1000.0), 0, 65535).astype(">u2")
-    header = f"P5\n{img.width} {img.height}\n65535\n".encode("ascii")
-    atomic_write_bytes(path, header + mm.tobytes())

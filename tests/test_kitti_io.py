@@ -2,6 +2,7 @@ import math
 import os
 import stat
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ def small_map(num_classes=4):
         num_classes=num_classes,
         ignore_class=0,
         train_to_raw=None,
-        palette={},
     )
 
 
@@ -162,19 +162,28 @@ def test_label_roundtrip_identity(tmp_path_factory, labels):
     np.testing.assert_array_equal(read_labels(path, cmap), arr)
 
 
-def test_default_semantic_kitti_map():
+def test_default_semantic_kitti_map(tmp_path):
     cmap = ClassMap.semantic_kitti()
     assert cmap.num_classes == 20
     assert cmap.ignore_class == 0
     # moving-car folds onto car; write picks the canonical raw id back
     assert cmap.to_train(np.array([252]))[0] == 1
     assert cmap.to_raw(np.array([1]))[0] == 10
-    assert set(cmap.palette) == set(range(20))
+    assert len({cmap.name(c) for c in range(20)}) == 20
+    # a map that still carries a viewer's palette loads as if it had none
+    ref = resources.files("rangerefine").joinpath("data/semantic_kitti.yaml")
+    path = tmp_path / "palette.yaml"
+    path.write_text(ref.read_text() + "palette:\n  0: [128, 128, 128]\n  1: [100, 150, 245]\n")
+    with_palette = ClassMap.from_yaml(path)
+    assert with_palette.train_to_name == cmap.train_to_name
+    raw = np.arange(1 << 16)
+    np.testing.assert_array_equal(with_palette.to_train(raw), cmap.to_train(raw))
+    np.testing.assert_array_equal(with_palette.to_raw(np.arange(20)), cmap.to_raw(np.arange(20)))
 
 
 def test_class_map_missing_ids_message_is_bounded():
     with pytest.raises(DataFormatError) as exc:
-        ClassMap({0: 0}, {}, 1 << 16, ignore_class=0, train_to_raw=None, palette={})
+        ClassMap({0: 0}, {}, 1 << 16, ignore_class=0, train_to_raw=None)
     message = str(exc.value)
     assert "no raw id for 65535 train ids, the first [1, 2, 3, 4, 5]" in message
     assert len(message) < 200

@@ -11,12 +11,11 @@ import yaml
 from rangerefine import cli, kitti_io, pipeline
 from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
 from rangerefine.errors import DataFormatError
-from rangerefine.kitti_io import ClassMap, PointCloud, read_labels, read_point_cloud, write_labels
+from rangerefine.kitti_io import ClassMap, read_labels, read_point_cloud, write_labels
 from rangerefine.knn_refiner import KnnConfig
 from rangerefine.pipeline import (
     PipelineConfig,
     build_pool_for_scan,
-    export_ply,
     generate_corpus,
     refine_scan,
     run_eval,
@@ -184,7 +183,7 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
     [
         ("- 1\n", "must be a mapping, got [1]"),
         ("raw_to_train: 5\nnum_classes: 2\n", "raw_to_train must be a mapping, got 5"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: x\n", "invalid literal for int()"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: x\n", "num_classes must be an integer, got 'x'"),
         # an inverse that does not invert: written [0, 1, 2] would read back as [0, 2, 1]
         (
             "raw_to_train: {0: 0, 10: 1, 20: 2}\nnum_classes: 3\ntrain_to_raw: {0: 0, 1: 20, 2: 10}\n",
@@ -204,22 +203,40 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
             "train_to_raw key 2 out of range 0..1",
         ),
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 70000\n", "num_classes 70000 exceeds the 65536"),
-        # a PLY colour is three uchar values
-        (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\npalette: {9: [1, 2]}\n",
-            "palette entry for class 9 must be three integers in 0..255",
-        ),
-        (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\npalette: {1: [300, 0, 0]}\n",
-            "palette entry for class 1 must be three integers in 0..255",
-        ),
         ("raw_to_train: {0: 0, 1: 1}\n", "is missing key 'num_classes'"),
         ("raw_to_train: {0: 0, 70000: 1}\nnum_classes: 2\n", "raw id 70000 does not fit 16 bits"),
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nignore_class: 5\n", "ignore_class 5 out of range"),
+        # YAML that is not an integer is not read as one: no rounding, no bool or string ids
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2.7\n", "num_classes must be an integer, got 2.7"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: '2'\n", "num_classes must be an integer, got '2'"),
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nignore_class: true\n",
+            "ignore_class must be an integer, got True",
+        ),
+        ("raw_to_train: {0: 0, 1.9: 1}\nnum_classes: 2\n", "raw_to_train key must be an integer, got 1.9"),
+        ("raw_to_train: {0: 0, 1: 1.5}\nnum_classes: 2\n", "raw_to_train value must be an integer, got 1.5"),
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: '1'}\n",
+            "train_to_raw value must be an integer, got '1'",
+        ),
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {true: car}\n",
+            "names key must be an integer, got True",
+        ),
+        # a report keys each IoU by its class name, the class_<id> fallback included
+        (
+            "raw_to_train: {0: 0, 1: 1, 2: 2}\nnum_classes: 3\nnames: {1: car, 2: car}\n",
+            "classes 1 and 2 are both named 'car'",
+        ),
+        (
+            "raw_to_train: {0: 0, 1: 1, 2: 2}\nnum_classes: 3\nnames: {2: class_1}\n",
+            "classes 1 and 2 are both named 'class_1'",
+        ),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
-         "num-classes", "palette-short", "palette-range", "no-num-classes", "raw-16-bits",
-         "ignore-range"],
+         "num-classes", "no-num-classes", "raw-16-bits", "ignore-range", "num-classes-float",
+         "num-classes-string", "ignore-bool", "raw-key-float", "raw-value-float",
+         "inverse-value-string", "names-key-bool", "names-duplicate", "names-fallback-duplicate"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
@@ -298,20 +315,27 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, missing):
     folder = str(tmp_path)  # a directory where a file is expected
     config = tmp_path / "config.yaml"
     config.write_text(f"class_map: {gone}\n")
-    scan = tmp_path / "scan.bin"
-    scan.write_bytes(np.zeros((4, 4), dtype="<f4").tobytes())
+    # a corpus whose scan, or whose scan's label file, is a directory
+    corpus = tmp_path / "corpus"
+    scan = corpus / "scans" / "000000.bin"
+    label = corpus / "labels" / "000000.label"
+    if missing == "labels":
+        scan.parent.mkdir(parents=True)
+        scan.write_bytes(np.ones((4, 4), dtype="<f4").tobytes())
+    (scan if missing == "scan" else label).mkdir(parents=True)
     out = str(tmp_path / "out")
     argv = {
         "config": ["gen", "--out", out, "--config", gone],
         "class_map": ["gen", "--out", out, "--config", str(config)],
         "model": ["refine", "--data", out, "--out", out, "--model", gone],
-        "scan": ["project", "--scan", gone, "--out", out],
-        "labels": ["export", "--scan", str(scan), "--labels", gone, "--out", out],
+        "scan": ["refine", "--data", str(corpus), "--out", out, "--no-refiner"],
+        "labels": ["refine", "--data", str(corpus), "--out", out, "--no-refiner"],
         "config_dir": ["gen", "--out", out, "--config", folder],
         "model_dir": ["refine", "--data", out, "--out", out, "--model", folder],
     }[missing]
     assert cli.main(argv) == 2
-    assert (folder if missing.endswith("_dir") else gone) in capsys.readouterr().err
+    named = {"scan": str(scan), "labels": str(label)}.get(missing, folder if missing.endswith("_dir") else gone)
+    assert named in capsys.readouterr().err
 
 
 def test_config_accepts_integer_float_fields():
@@ -627,64 +651,6 @@ def test_eval_disjoint_scan_sets(tmp_path):
         run_eval(tmp_path / "pred", tmp_path / "gt", cmap)
 
 
-# --- export ---
-
-
-def test_export_ply_roundtrip(tmp_path):
-    pts = np.array([[1.25, -2.5, 0.125, 0.5], [3.0, 4.0, 5.0, 0.1]], dtype=np.float32)
-    cloud = PointCloud(pts)
-    palette = {0: (128, 128, 128), 3: (255, 0, 0)}
-    path = tmp_path / "cloud.ply"
-    export_ply(cloud, np.array([3, 0]), palette, path, ignore_class=0)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ply"
-    assert "element vertex 2" in lines
-    body = lines[lines.index("end_header") + 1 :]
-    assert len(body) == 2
-    x, y, z, r, g, b = body[0].split()
-    assert (float(x), float(y), float(z)) == (1.25, -2.5, 0.125)
-    assert (r, g, b) == ("255", "0", "0")
-
-
-def test_export_ply_gray_default_and_missing_class(tmp_path):
-    pts = np.zeros((1, 4), dtype=np.float32)
-    pts[0, 0] = 1.0
-    cloud = PointCloud(pts)
-    path = tmp_path / "x.ply"
-    export_ply(cloud, np.array([0]), {}, path, ignore_class=0)  # ignore falls back to gray
-    assert "128 128 128" in path.read_text()
-    with pytest.raises(DataFormatError, match="class 5"):
-        export_ply(cloud, np.array([5]), {}, path, ignore_class=0)
-
-
-def ply_oracle(cloud, labels, palette, ignore_class):
-    """Per-point f-string formatting of the PLY file."""
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
-    lines += [f"property float {axis}" for axis in "xyz"]
-    lines += [f"property uchar {c}" for c in ("red", "green", "blue")]
-    lines.append("end_header")
-    for p, cls in zip(cloud.points, labels.tolist()):
-        r, g, b = palette[cls] if cls in palette else (128, 128, 128)
-        lines.append(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {r} {g} {b}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def test_export_ply_matches_per_point_oracle(tmp_path, rng):
-    pts = rng.normal(scale=40.0, size=(500, 4)).astype(np.float32)
-    pts[0, :3] = (-0.0, 0.0, -0.0)
-    pts[1, :3] = (-1e-9, -123.4567891, 5e-7)  # rounds to -0.000000 and 0.000001
-    pts[2, :3] = (-80.0, 1e4, -0.5)
-    cloud = PointCloud(pts)
-    palette = {1: (255, 0, 0), 2: (0, 200, 17), 4: (7, 7, 255)}
-    labels = rng.choice([0, 1, 2, 4], size=500)
-    labels[:3] = 0  # ignore class, not in the palette: gray
-    path = tmp_path / "cloud.ply"
-    export_ply(cloud, labels, palette, path, ignore_class=0)
-    assert path.read_bytes() == ply_oracle(cloud, labels, palette, 0)
-    export_ply(PointCloud(pts[:0]), labels[:0], palette, path, ignore_class=0)
-    assert path.read_bytes() == ply_oracle(PointCloud(pts[:0]), labels[:0], palette, 0)
-
-
 # --- CLI ---
 
 
@@ -692,6 +658,7 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["refine"])  # missing required arguments
     assert excinfo.value.code == 1
+    assert "{gen,train,refine,eval}" in cli.build_parser().format_usage()
 
 
 # every override: its arguments, the subcommands that take it, and the config
@@ -711,18 +678,16 @@ OVERRIDE_EXPECTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("command", ["gen", "project", "train", "refine", "eval", "export"])
+@pytest.mark.parametrize("command", ["gen", "train", "refine", "eval"])
 def test_each_override_sets_exactly_its_fields(tmp_path, capsys, monkeypatch, command):
     config = tmp_path / "config.yaml"
     tiny_config().save_yaml(config)
     base = dataclasses.asdict(tiny_config())
     paths = {
         "gen": ["--out", "c"],
-        "project": ["--scan", "s.bin", "--out", "s.pgm"],
         "train": ["--data", "c", "--out", "t"],
         "refine": ["--data", "c", "--out", "r"],
         "eval": ["--pred", "p", "--gt", "g"],
-        "export": ["--scan", "s.bin", "--labels", "s.label", "--out", "s.ply"],
     }[command]
     echo = tmp_path / "echo.yaml"
 
@@ -878,11 +843,6 @@ def test_cli_full_workflow(tmp_path, capsys):
     common = ["--config", str(cfg_path)]
 
     assert cli.main(["gen", "--out", str(corpus_dir), "--scans", "2", *common]) == 0
-    assert cli.main([
-        "project", "--scan", str(corpus_dir / "scans" / "000000.bin"),
-        "--out", str(tmp_path / "range.pgm"), *common,
-    ]) == 0
-    assert (tmp_path / "range.pgm").read_bytes().startswith(b"P5")
 
     train_dir = tmp_path / "train"
     assert cli.main([
@@ -900,14 +860,6 @@ def test_cli_full_workflow(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "mIoU" in out
-
-    ply_path = tmp_path / "scan.ply"
-    assert cli.main([
-        "export", "--scan", str(corpus_dir / "scans" / "000000.bin"),
-        "--labels", str(run_dir / "predictions" / "000000.label"),
-        "--out", str(ply_path), *common,
-    ]) == 0
-    assert ply_path.exists()
 
 
 def test_cli_overrides_apply(tmp_path):

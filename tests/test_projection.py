@@ -15,7 +15,6 @@ from rangerefine.projection import (
     background_distances,
     project,
     window_neighbors,
-    write_range_pgm,
 )
 
 from conftest import random_cloud
@@ -366,20 +365,3 @@ def test_window_rejects_even_window(rng):
     img = project(random_cloud(rng, 10), ProjectionConfig(width=64, height=16))
     with pytest.raises(DataFormatError, match="window"):
         window_neighbors(img, 4, 5)
-
-
-def test_range_pgm_dump(tmp_path, rng):
-    cloud = random_cloud(rng, 300)
-    img = project(cloud, ProjectionConfig(width=64, height=16))
-    path = tmp_path / "range.pgm"
-    write_range_pgm(img, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n64 16\n65535\n")
-    pixels = np.frombuffer(data, dtype=">u2", offset=len(b"P5\n64 16\n65535\n"))
-    assert pixels.shape == (16 * 64,)
-    grid = pixels.reshape(16, 64)
-    # every pixel no point projects to reads 0, every other its range in mm
-    assert 0 < img.valid_mask.sum() < img.valid_mask.size
-    assert (grid[~img.valid_mask] == 0).all()
-    for v, u in np.argwhere(img.valid_mask):
-        assert grid[v, u] == round(img.range_channel[v, u] * 1000)
