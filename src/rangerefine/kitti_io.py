@@ -146,10 +146,18 @@ class ClassMap:
         def table(key):
             return {integer(k, f"{key} key"): integer(v, f"{key} value") for k, v in doc[key].items()}
 
+        def name(value):
+            # a report line is "iou.<name> <value>", written as ASCII
+            if not (isinstance(value, str) and value.isascii() and value.split() == [value]):
+                raise DataFormatError(
+                    f"class names must be non-empty ASCII strings without whitespace, got {value!r}"
+                )
+            return value
+
         try:
             return cls(
                 raw_to_train=table("raw_to_train"),
-                train_to_name={integer(k, "names key"): str(v) for k, v in doc.get("names", {}).items()},
+                train_to_name={integer(k, "names key"): name(v) for k, v in doc.get("names", {}).items()},
                 num_classes=integer(doc["num_classes"], "num_classes"),
                 ignore_class=integer(doc.get("ignore_class", 0), "ignore_class"),
                 train_to_raw=table("train_to_raw") if "train_to_raw" in doc else None,

@@ -12,6 +12,16 @@ projection, scales scores by 1/sqrt(d) and applies a row softmax. No
 positional encoding is used: the points are an unordered set and the whole
 network is permutation-equivariant.
 
+The symmetry saves up to half of the score products. Attention cuts its rows
+into blocks and sweeps the block pairs (a, b) with a <= b, computing each
+score block once.
+Rows a read it as it is and rows b read its transpose, each through an
+online softmax: a running max and sum per row, rescaled when a larger score
+arrives (Milakov & Gimelshein, arXiv 1805.02867). The backward pass sweeps
+the same pairs and recomputes each block's probabilities from the cached
+per-row log-sum-exp, as FlashAttention does (Dao et al., arXiv 2205.14135).
+Memory stays bounded by a few score blocks whatever the pool size.
+
 The loss is weighted softmax cross-entropy plus the Lovasz-Softmax Jaccard
 surrogate; gradients are exact analytic expressions, verified against
 central finite differences in the test suite.
@@ -43,12 +53,13 @@ CHECKPOINT_VERSION = 2
 # The dtype of every parameter and buffer a new model creates.
 DTYPE = np.float32
 
-# Score elements per attention tile (4 MB of float32): a tile holds
-# max(1, _SCORE_BLOCK // n) full query rows, so the score memory of one
-# attention layer stays bounded whatever the pool size. BLAS blocks the score
-# product by its row count, so another tile height can change the last bits
-# of the logits, and with them the byte-compared artifacts.
-_SCORE_BLOCK = 2**20
+# Rows per attention block, at most. An n-entry context is cut into
+# max(2, ceil(n / _BLOCK_ROWS)) blocks of equal height (the last may be
+# shorter), so a layer's score workspaces hold at most _BLOCK_ROWS^2 entries
+# each. Larger blocks made the forward pass faster and smaller ones the
+# backward pass; 768 sits between them. BLAS blocks a product by its shape,
+# so another height can change the last bits of the logits.
+_BLOCK_ROWS = 768
 
 # Adam's moment decays and denominator guard, and the class-weight offset
 # eps in w_c = 1 / ln(eps + f_c).
@@ -86,90 +97,124 @@ class ModelDims:
         ]
 
 
-def _softmax_in_place(x: np.ndarray) -> np.ndarray:
-    """Row softmax of ``x``, written over ``x``."""
-    x -= x.max(axis=1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
-    return x
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    return _softmax_in_place(x.copy())
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_backward(softmaxed: np.ndarray, grad: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """softmaxed * (grad - rowsum(grad * softmaxed)), written over ``grad``;
-    ``work``, shaped like ``grad``, holds the product."""
-    inner = np.multiply(grad, softmaxed, out=work).sum(axis=1, keepdims=True)
-    grad -= inner
-    grad *= softmaxed
-    return grad
+def _softmax_backward(softmaxed: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient through a row softmax: softmaxed * (grad - rowsum(grad * softmaxed))."""
+    return softmaxed * (grad - (grad * softmaxed).sum(axis=1, keepdims=True))
 
 
-def _tile_rows(n: int) -> int:
-    """Query rows per attention tile of an n-entry context."""
-    return min(n, max(1, _SCORE_BLOCK // n))
+def _blocks(n: int) -> list[slice]:
+    """Row slices of the attention blocks of an n-entry context: at least two
+    (one block would compute every score twice), of at most _BLOCK_ROWS rows."""
+    height = -(-n // max(2, -(-n // _BLOCK_ROWS)))
+    return [slice(s, min(s + height, n)) for s in range(0, n, height)]
 
 
-def _attention_rows(q: np.ndarray, s: int, e: int, work: np.ndarray) -> np.ndarray:
-    """softmax_rows((q[s:e] @ q.T) / sqrt(d)), computed in place in work[:e - s].
+def _block_pairs(n: int) -> list[tuple[slice, slice]]:
+    """Every block pair (a, b) with a <= b, each block b's diagonal (b, b) first."""
+    blocks = _blocks(n)
+    return [(a, b) for j, b in enumerate(blocks) for a in (b, *blocks[:j])]
 
-    The same IEEE operations in the same order as the allocating expression,
-    so the result is bitwise equal to it.
-    """
-    attn = np.matmul(q[s:e], q.T, out=work[: e - s])
-    attn /= math.sqrt(q.shape[1])  # a Python float keeps the division in q's dtype
-    return _softmax_in_place(attn)
+
+def _scores(qs: np.ndarray, q: np.ndarray, a: slice, b: slice, work: np.ndarray) -> np.ndarray:
+    """qs[a] @ q[b].T in ``work``: the one score product of block pair (a, b)."""
+    return np.matmul(qs[a], q[b].T, out=work[: a.stop - a.start, : b.stop - b.start])
+
+
+def _absorb(s, p, m, l, o, v, work):
+    """Fold score block ``s`` into its rows' running max ``m``, running sum ``l``
+    and un-normalised output ``o``, in place. ``p`` (``s`` itself allowed)
+    receives exp(s - new max); ``v`` holds the columns' values."""
+    m_new = np.maximum(m, s.max(axis=1))
+    np.subtract(s, m_new[:, None], out=p)
+    np.exp(p, out=p)
+    scale = np.exp(m - m_new)
+    m[...] = m_new
+    l *= scale
+    l += p.sum(axis=1)
+    o *= scale[:, None]
+    o += np.matmul(p, v, out=work)
 
 
 def _attention_forward(f_in, wp, bp, wv, bv, out=None):
-    n = f_in.shape[0]
+    """softmax(q q^T / sqrt(d)) v. Each block starts from its diagonal score
+    block; pair (a, b)'s block then updates rows a and, transposed, rows b.
+    The cache keeps the output and each row's log-sum-exp."""
+    n, d = f_in.shape[0], wp.shape[1]
     q = f_in @ wp + bp
     v = f_in @ wv + bv
     if out is None:
         out = np.empty_like(v)
-    rows = _tile_rows(n)
-    work = np.empty((rows, n), dtype=q.dtype)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        np.matmul(_attention_rows(q, s, e, work), v, out=out[s:e])
-    return out, (f_in, q, v)
+    qs = q * (1.0 / math.sqrt(d))  # a Python float keeps q's dtype
+    m = np.empty(n, dtype=q.dtype)
+    l = np.empty_like(m)
+    height = _blocks(n)[0].stop
+    score_work = np.empty((height, height), dtype=q.dtype)
+    exp_work = np.empty_like(score_work)
+    rows_work = np.empty((height, d), dtype=q.dtype)
+    for a, b in _block_pairs(n):
+        s = _scores(qs, q, a, b, score_work)
+        k, c = s.shape
+        if a == b:
+            m[a] = s.max(axis=1)
+            s -= m[a, None]
+            np.exp(s, out=s)
+            l[a] = s.sum(axis=1)
+            np.matmul(s, v[a], out=out[a])
+        else:
+            _absorb(s, exp_work[:k, :c], m[a], l[a], out[a], v[b], rows_work[:k])
+            _absorb(s.T, s.T, m[b], l[b], out[b], v[a], rows_work[:c])
+    out /= l[:, None]
+    lse = np.log(l, out=l)
+    lse += m
+    return out, (f_in, q, v, out, lse)
 
 
 def _attention_backward(cache, wp, wv, d_out):
-    """Gradients tile by tile, recomputing each tile's attention rows.
+    """Gradients block pair by block pair, recomputing each score block once.
 
-    The scores are symmetric, so d_q = (D + D^T) q for the full score
-    gradient D. A row tile D[s:e] adds D[s:e] q to rows s:e and its
-    transpose times q[s:e] to every row; the diagonal block of both terms
-    is folded into D[s:e] first, so each product runs once.
-
-    Every tile reuses three score-sized workspaces (attention, score
-    gradient, the product whose row sum the softmax backward needs) and one
-    (n, d) product buffer; each product is formed there, then added.
+    Rows a and rows b of a pair each give a score gradient; their sum G (a
+    diagonal block's plus its transpose) adds G qs[b] to d_q[a] and G^T qs[a]
+    to d_q[b]. The softmax backward's row term is rowsum(d_out * out). Every
+    product is formed in a reused workspace, then added.
     """
-    f_in, q, v = cache
+    f_in, q, v, out, lse = cache
     n, d = q.shape
+    qs = q * (1.0 / math.sqrt(d))
+    row_term = np.einsum("ij,ij->i", d_out, out)
     d_q = np.zeros_like(q)
     d_v = np.zeros_like(v)
-    rows = _tile_rows(n)
-    attn_work = np.empty((rows, n), dtype=q.dtype)
-    grad_work = np.empty_like(attn_work)
-    prod_work = np.empty_like(attn_work)
-    rows_work = np.empty_like(q)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        k = e - s
-        attn = _attention_rows(q, s, e, attn_work)
-        d_v += np.matmul(attn.T, d_out[s:e], out=rows_work)
-        d_scores = np.matmul(d_out[s:e], v.T, out=grad_work[:k])
-        _softmax_backward(attn, d_scores, prod_work[:k])
-        d_scores /= math.sqrt(d)
-        d_scores[:, s:e] += d_scores[:, s:e].T
-        d_q[s:e] += np.matmul(d_scores, q, out=rows_work[:k])
-        d_q[:s] += np.matmul(d_scores[:, :s].T, q[s:e], out=rows_work[:s])
-        d_q[e:] += np.matmul(d_scores[:, e:].T, q[s:e], out=rows_work[: n - e])
+    height = _blocks(n)[0].stop
+    score_work = np.empty((height, height), dtype=q.dtype)
+    prob_work = np.empty_like(score_work)
+    grad_work = np.empty_like(score_work)
+    rows_work = np.empty((height, d), dtype=q.dtype)
+    for a, b in _block_pairs(n):
+        s = _scores(qs, q, a, b, score_work)
+        k, c = s.shape
+        p = np.subtract(s, lse[a, None], out=prob_work[:k, :c])  # rows a against columns b
+        np.exp(p, out=p)
+        d_v[b] += np.matmul(p.T, d_out[a], out=rows_work[:c])
+        g = np.matmul(d_out[a], v[b].T, out=grad_work[:k, :c])
+        g -= row_term[a, None]
+        g *= p
+        if a == b:
+            g = np.add(g, g.T, out=p)
+        else:
+            pt = s  # rows b against columns a, in the (a, b) layout
+            pt -= lse[None, b]
+            np.exp(pt, out=pt)
+            d_v[a] += np.matmul(pt, d_out[b], out=rows_work[:k])
+            gt = np.matmul(v[a], d_out[b].T, out=p)
+            gt -= row_term[None, b]
+            gt *= pt
+            g += gt
+            d_q[b] += np.matmul(g.T, qs[a], out=rows_work[:c])
+        d_q[a] += np.matmul(g, qs[b], out=rows_work[:k])
 
     grads = {
         "wp": f_in.T @ d_q,
@@ -375,7 +420,7 @@ def total_loss(
     wce, d_logits_wce = wce_loss(logits, targets, weights, ignore_class)
     probs = softmax_rows(logits)
     lovasz, d_probs = lovasz_softmax_loss(probs, targets, ignore_class)
-    d_logits = d_logits_wce + _softmax_backward(probs, d_probs, np.empty_like(d_probs))
+    d_logits = d_logits_wce + _softmax_backward(probs, d_probs)
     grads = model.backward(cache, d_logits)
     result = LossResult(total=wce + lovasz, wce=wce, lovasz=lovasz, grads=grads)
     if not np.isfinite(result.total):
@@ -504,8 +549,8 @@ def refine(model: RefinerModel, pool: UncertainPointSet) -> np.ndarray:
     """Predicted class per pool entry (argmax, ties to the smaller id).
 
     The whole pool is one attention context, as in the paper. Attention runs
-    in row tiles, so memory stays bounded for any pool size while time grows
-    as the square of the pool size.
+    over pairs of row blocks, so memory stays bounded for any pool size while
+    time grows as the square of the pool size.
     """
     return np.argmax(model.forward(pool.features), axis=1).astype(np.int32)
 

@@ -232,15 +232,29 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
             "raw_to_train: {0: 0, 1: 1, 2: 2}\nnum_classes: 3\nnames: {2: class_1}\n",
             "classes 1 and 2 are both named 'class_1'",
         ),
+        # a name is one whitespace-free ASCII token, so each report.kv line splits in two
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: null, 1: car}\n",
+            "class names must be non-empty ASCII strings without whitespace, got None",
+        ),
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: road, 1: traffic sign}\n",
+            "without whitespace, got 'traffic sign'",
+        ),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: ''}\n", "without whitespace, got ''"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: [a, b]}\n", "got ['a', 'b']"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: 7}\n", "without whitespace, got 7"),
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: café}\n", "got 'café'"),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
          "num-classes", "no-num-classes", "raw-16-bits", "ignore-range", "num-classes-float",
          "num-classes-string", "ignore-bool", "raw-key-float", "raw-value-float",
-         "inverse-value-string", "names-key-bool", "names-duplicate", "names-fallback-duplicate"],
+         "inverse-value-string", "names-key-bool", "names-duplicate", "names-fallback-duplicate",
+         "names-null", "names-space", "names-empty", "names-list", "names-int", "names-non-ascii"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
-    class_map.write_text(text)
+    class_map.write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError, match="class map"):
         ClassMap.from_yaml(class_map)
     config = tmp_path / "config.yaml"

@@ -135,7 +135,7 @@ def test_attention_rows_softmax_and_symmetry(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loss_path_softmax_kernels_bitwise(rng, dtype):
-    # the kernels attention shares, as the loss calls them, against the textbook expressions
+    # the loss's softmax kernels against the textbook expressions
     x = (4.0 * rng.normal(size=(37, 11))).astype(dtype)
     kept = x.copy()
     e = np.exp(x - x.max(axis=1, keepdims=True))
@@ -144,23 +144,109 @@ def test_loss_path_softmax_kernels_bitwise(rng, dtype):
     assert s.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
     g = rng.normal(size=x.shape).astype(dtype)
     want = s * (g - (g * s).sum(1, keepdims=True))
-    got = refiner._softmax_backward(s, g.copy(), np.empty_like(g))
+    got = refiner._softmax_backward(s, g)
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
-# --- row tiles ---
+# --- block pairs ---
 
 
-def test_single_tile_attention_bitwise_straightline(rng):
-    x, wp, bp, wv, bv = random_layer(rng, 64, 16, 16)
+def blockpair_attention(x, wp, bp, wv, bv, blocks):
+    """The block-pair sweep as allocating straight-line expressions, which the
+    in-place forward must equal bit for bit; returns the output and the lse."""
     q = x @ wp + bp
     v = x @ wv + bv
-    want = softmax_rows((q @ q.T) / np.sqrt(16)) @ v
-    assert refiner._attention_forward(x, wp, bp, wv, bv)[0].tobytes() == want.tobytes()
+    qs = q * (1.0 / math.sqrt(q.shape[1]))
+    m, l, o = [], [], []
+    for j, b in enumerate(blocks):
+        s = qs[b] @ q[b].T
+        m.append(s.max(axis=1))
+        p = np.exp(s - m[j][:, None])
+        l.append(p.sum(axis=1))
+        o.append(p @ v[b])
+        for i, a in enumerate(blocks[:j]):
+            s = qs[a] @ q[b].T
+            m_new = np.maximum(m[i], s.max(axis=1))  # rows a against columns b
+            p = np.exp(s - m_new[:, None])
+            scale = np.exp(m[i] - m_new)
+            l[i] = l[i] * scale + p.sum(axis=1)
+            o[i] = o[i] * scale[:, None] + p @ v[b]
+            m[i] = m_new
+            m_new = np.maximum(m[j], s.max(axis=0))  # rows b against columns a
+            p = np.exp(s - m_new[None, :])
+            scale = np.exp(m[j] - m_new)
+            l[j] = l[j] * scale + p.sum(axis=0)
+            o[j] = o[j] * scale[:, None] + p.T @ v[a]
+            m[j] = m_new
+    out = np.concatenate(o) / np.concatenate(l)[:, None]
+    lse = np.log(np.concatenate(l)) + np.concatenate(m)
+    return out, lse
+
+
+def blockpair_attention_backward(cache, wp, wv, d_out, blocks):
+    """The backward sweep as allocating straight-line expressions, which the
+    in-place backward must equal bit for bit."""
+    f_in, q, v, out, lse = cache
+    qs = q * (1.0 / math.sqrt(q.shape[1]))
+    row_term = np.einsum("ij,ij->i", d_out, out)
+    d_q = np.zeros_like(q)
+    d_v = np.zeros_like(v)
+    for j, b in enumerate(blocks):
+        for a in [b, *blocks[:j]]:
+            s = qs[a] @ q[b].T
+            p = np.exp(s - lse[a][:, None])
+            d_v[b] += p.T @ d_out[a]
+            g = p * (d_out[a] @ v[b].T - row_term[a][:, None])
+            if a == b:
+                g = g + g.T
+            else:
+                pt = np.exp(s - lse[b][None, :])
+                d_v[a] += pt @ d_out[b]
+                g = g + pt * (v[a] @ d_out[b].T - row_term[b][None, :])
+                d_q[b] += g.T @ qs[a]
+            d_q[a] += g @ qs[b]
+    grads = {"wp": f_in.T @ d_q, "bp": d_q.sum(axis=0), "wv": f_in.T @ d_v, "bv": d_v.sum(axis=0)}
+    return d_q @ wp.T + d_v @ wv.T, grads
+
+
+BLOCKINGS = {
+    "2-blocks": (2**20, [slice(0, 25), slice(25, 50)]),  # no cap: never fewer than two
+    "3-blocks": (17, [slice(0, 17), slice(17, 34), slice(34, 50)]),
+}
+
+
+@pytest.mark.parametrize("rows, blocks", BLOCKINGS.values(), ids=BLOCKINGS.keys())
+def test_attention_forward_bitwise_block_pair_straightline(rng, monkeypatch, rows, blocks):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", rows)
+    assert refiner._blocks(50) == blocks
+    # d = 24: 1/sqrt(d) is inexact, so scaling by it differs from dividing
+    x, wp, bp, wv, bv = random_layer(rng, 50, 16, 24)
+    want, want_lse = blockpair_attention(x, wp, bp, wv, bv, blocks)
+    out, (_, _, _, cached_out, lse) = refiner._attention_forward(x, wp, bp, wv, bv)
+    assert out.tobytes() == want.tobytes() and cached_out is out
+    assert lse.tobytes() == want_lse.tobytes()
+    # written into a column slice, as RefinerModel.forward does
+    concat = np.zeros((50, 72))
+    refiner._attention_forward(x, wp, bp, wv, bv, out=concat[:, 24:48])
+    assert concat[:, 24:48].tobytes() == want.tobytes()
+    assert not concat[:, :24].any() and not concat[:, 48:].any()
+
+
+@pytest.mark.parametrize("rows, blocks", BLOCKINGS.values(), ids=BLOCKINGS.keys())
+def test_attention_backward_bitwise_block_pair_straightline(rng, monkeypatch, rows, blocks):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", rows)
+    x, wp, bp, wv, bv = random_layer(rng, 50, 24, 24)
+    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
+    d_out = rng.normal(size=(50, 24))
+    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
+    want_in, want = blockpair_attention_backward(cache, wp, wv, d_out, blocks)
+    assert d_in.tobytes() == want_in.tobytes()
+    for key in ("wp", "bp", "wv", "bv"):
+        assert grads[key].tobytes() == want[key].tobytes(), key
 
 
 def test_tiled_attention_matches_oracle(rng, monkeypatch):
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 11 * 4)  # tiles of 4, 4 and 3 rows
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
     for _ in range(3):
         x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
         got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
@@ -168,17 +254,100 @@ def test_tiled_attention_matches_oracle(rng, monkeypatch):
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_scores_past_exp_overflow_match_oracle(rng, monkeypatch, dtype):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
+    x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
+    wp = 20.0 * np.eye(8)  # q = 20 x + bp: scores reach the thousands
+    x, wp, bp, wv, bv = (a.astype(dtype) for a in (x, wp, bp, wv, bv))
+    q = x.astype(np.float64) @ wp + bp
+    scores = q @ q.T / np.sqrt(8)
+    assert scores.max() > np.log(np.finfo(dtype).max)  # an unshifted exp would overflow
+    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    assert got.dtype == dtype
+    want = attention_oracle(*(a.astype(np.float64) for a in (x, wp, bp, wv, bv)))
+    tol = 1e-10 if dtype == np.float64 else 256 * np.finfo(np.float32).eps
+    assert np.abs(got - want).max() / np.abs(want).max() < tol
+
+
+def test_attention_rescales_when_a_later_block_holds_the_max(rng, monkeypatch):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
+    x, _, bp, wv, bv = random_layer(rng, 11, 8, 8)
+    wp, bp = np.eye(8), np.zeros(8)  # q = x
+    x[10] = 3.0 * x[0]  # row 0's largest score is in the last column block
+    x[9] = x[5] / 3.0  # row 9's is in block 1, which reaches it last, transposed
+    x[5] *= 3.0
+    scores = x @ x.T
+    assert scores[0].argmax() == 10 and scores[9].argmax() == 5
+    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    want = attention_oracle(x, wp, bp, wv, bv)
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
+
+
+@pytest.mark.parametrize("rows, n", [(2, 3), (3, 7)])  # blocks of 2 and 1; of 3, 3 and 1
+def test_attention_one_row_last_block_matches_oracle(rng, monkeypatch, rows, n):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", rows)
+    assert [b.stop - b.start for b in refiner._blocks(n)][-1] == 1
+    x, wp, bp, wv, bv = random_layer(rng, n, 8, 8)
+    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    want = attention_oracle(x, wp, bp, wv, bv)
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
+
+
+def test_attention_permutation_equivariant_across_blocks(rng, monkeypatch):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
+    x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
+    perm = rng.permutation(11)
+    assert set(perm[:4]) != set(range(4))  # rows change blocks
+    d_out = rng.normal(size=(11, 8))
+    out, cache = refiner._attention_forward(x, wp, bp, wv, bv)
+    out_p, cache_p = refiner._attention_forward(x[perm], wp, bp, wv, bv)
+    np.testing.assert_allclose(out_p, out[perm], rtol=0, atol=1e-12)
+    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
+    d_in_p, grads_p = refiner._attention_backward(cache_p, wp, wv, d_out[perm])
+    np.testing.assert_allclose(d_in_p, d_in[perm], rtol=0, atol=1e-12)
+    for key in grads:
+        np.testing.assert_allclose(grads_p[key], grads[key], rtol=0, atol=1e-12)
+
+
+def test_each_score_block_is_computed_once_per_pass(rng, monkeypatch):
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # T = 3 blocks of 4, 4 and 3 rows
+    calls = []
+    score_product = refiner._scores
+
+    def counted(qs, q, a, b, work):
+        calls.append((a.start, b.start))
+        return score_product(qs, q, a, b, work)
+
+    monkeypatch.setattr(refiner, "_scores", counted)
+    x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
+    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
+    pairs = [(0, 0), (4, 4), (0, 4), (8, 8), (0, 8), (4, 8)]  # T (T + 1) / 2 of them
+    assert calls == pairs
+    calls.clear()
+    refiner._attention_backward(cache, wp, wv, rng.normal(size=(11, 8)))
+    assert calls == pairs
+    calls.clear()
+    model = RefinerModel(TINY, seed=0)
+    feats = rng.normal(size=(11, 25))
+    model.forward(feats)
+    assert len(calls) == TINY.attn_layers * 6
+    calls.clear()
+    total_loss(model, feats, np.arange(11) % 4, np.ones(4), NO_CLASS)
+    assert len(calls) == 2 * TINY.attn_layers * 6
+
+
 def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
     model = float64_model(RefinerModel(TINY, seed=3))
     feats = rng.normal(size=(7, 25))
     targets = np.array([0, 1, 2, 3, 1, 2, 3])
     weights = rng.uniform(0.5, 2.0, size=4)
-    untiled = total_loss(model, feats, targets, weights, NO_CLASS)
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 7 * 3)  # tiles of 3, 3 and 1 rows
+    two_blocks = total_loss(model, feats, targets, weights, NO_CLASS)
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", 3)  # blocks of 3, 3 and 1 rows
     result = total_loss(model, feats, targets, weights, NO_CLASS)
-    scale = max(np.abs(g).max() for g in untiled.grads.values())
+    scale = max(np.abs(g).max() for g in two_blocks.grads.values())
     for key, grad in result.grads.items():
-        assert np.abs(grad - untiled.grads[key]).max() < 1e-14 * scale
+        assert np.abs(grad - two_blocks.grads[key]).max() < 1e-14 * scale
 
     def value():
         return total_loss(model, feats, targets, weights, NO_CLASS).total
@@ -187,58 +356,6 @@ def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
     for key, param in model.params.items():
         worst = max(worst, fd_check(value, param, result.grads[key], rel_tol=1e-4))
     assert worst < 1e-4
-
-
-def straightline_attention_backward(cache, wp, wv, d_out):
-    """The allocating per-tile expressions the in-place backward must equal bit for bit."""
-    f_in, q, v = cache
-    d = q.shape[1]
-    d_q = np.zeros_like(q)
-    d_v = np.zeros_like(v)
-    rows = refiner._tile_rows(len(q))
-    for s in range(0, len(q), rows):
-        e = min(s + rows, len(q))
-        attn = softmax_rows((q[s:e] @ q.T) / np.sqrt(d))
-        d_v += attn.T @ d_out[s:e]
-        grad = d_out[s:e] @ v.T
-        inner = (grad * attn).sum(axis=1, keepdims=True)
-        d_scores = attn * (grad - inner) / np.sqrt(d)
-        d_scores[:, s:e] += d_scores[:, s:e].T
-        d_q[s:e] += d_scores @ q
-        d_q[:s] += d_scores[:, :s].T @ q[s:e]
-        d_q[e:] += d_scores[:, e:].T @ q[s:e]
-    grads = {"wp": f_in.T @ d_q, "bp": d_q.sum(axis=0), "wv": f_in.T @ d_v, "bv": d_v.sum(axis=0)}
-    return d_q @ wp.T + d_v @ wv.T, grads
-
-
-def test_tiled_forward_bitwise_per_tile_straightline(rng, monkeypatch):
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", 64 * 22)  # tiles of 22, 22 and 20 rows
-    # d = 24: 1/sqrt(d) is inexact, so scaling by it differs from dividing
-    x, wp, bp, wv, bv = random_layer(rng, 64, 16, 24)
-    q = x @ wp + bp
-    v = x @ wv + bv
-    want = np.concatenate([
-        softmax_rows((q[s:e] @ q.T) / np.sqrt(24)) @ v for s, e in [(0, 22), (22, 44), (44, 64)]
-    ])
-    assert refiner._attention_forward(x, wp, bp, wv, bv)[0].tobytes() == want.tobytes()
-    # written into a column slice, as RefinerModel.forward does
-    concat = np.zeros((64, 72))
-    refiner._attention_forward(x, wp, bp, wv, bv, out=concat[:, 24:48])
-    assert concat[:, 24:48].tobytes() == want.tobytes()
-    assert not concat[:, :24].any() and not concat[:, 48:].any()
-
-
-@pytest.mark.parametrize("block", [2**20, 50 * 17])  # 1 tile; tiles of 17, 17 and 16 rows
-def test_attention_backward_bitwise_straightline(rng, monkeypatch, block):
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
-    x, wp, bp, wv, bv = random_layer(rng, 50, 24, 24)
-    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
-    d_out = rng.normal(size=(50, 24))
-    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
-    want_in, want = straightline_attention_backward(cache, wp, wv, d_out)
-    assert d_in.tobytes() == want_in.tobytes()
-    for key in ("wp", "bp", "wv", "bv"):
-        assert grads[key].tobytes() == want[key].tobytes(), key
 
 
 def straightline_model(model, features, d_logits):
@@ -295,11 +412,11 @@ def straightline_model(model, features, d_logits):
 
 @pytest.mark.parametrize(
     "dims, n, block",
-    [(TINY, 50, 50 * 17), (ModelDims(), 512, 2**20)],  # tiles of 17, 17 and 16 rows; 1 tile
+    [(TINY, 50, 17), (ModelDims(), 512, 2**20)],  # blocks of 17, 17 and 16 rows; 2 of 256
     ids=["tiny-3-tiles", "default-512"],
 )
 def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, block):
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", block)
     model = float64_model(RefinerModel(dims, seed=6))
     feats = rng.normal(size=(n, dims.in_dim))
     model.set_feature_standardization(feats)
@@ -315,7 +432,7 @@ def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, 
 
 
 def test_forward_memory_bounded():
-    # an untiled layer holds three 4096 x 4096 float32 score-sized arrays (200 MB)
+    # three whole 4096 x 4096 float32 score arrays would take 200 MB
     model = RefinerModel(ModelDims(), seed=0)
     feats = np.random.default_rng(0).normal(size=(4096, 25))
     tracemalloc.start()
@@ -328,7 +445,7 @@ def test_forward_memory_bounded():
 
 
 def test_train_step_memory_bounded():
-    # backward recomputes attention in tiles; its workspaces are score-tile sized
+    # backward recomputes each score block; its workspaces are score-block sized
     model = RefinerModel(ModelDims(), seed=0)
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(4096, 25))
@@ -354,7 +471,7 @@ def test_float32_throughout_train_step():
     assert logits.dtype == np.float32
     activations = [a for layer in cache["embed"] + cache["head"] for a in layer]
     activations += [a for layer in cache["attn"] for a in layer]
-    assert len(activations) == 2 * 5 + 3 * 4
+    assert len(activations) == 2 * 5 + 5 * 4  # attention: input, q, v, output and lse
     for a in activations:
         assert a.dtype == np.float32
     weights = rng.uniform(0.5, 2.0, size=20)
@@ -371,9 +488,9 @@ def test_float32_throughout_train_step():
         assert param.dtype == np.float32, key
 
 
-@pytest.mark.parametrize("n, block", [(512, 2**20), (300, 300 * 100)], ids=["1-tile", "3-tiles"])
+@pytest.mark.parametrize("n, block", [(512, 2**20), (300, 100)], ids=["2-blocks", "3-tiles"])
 def test_float32_logits_agree_with_float64(rng, monkeypatch, n, block):
-    monkeypatch.setattr(refiner, "_SCORE_BLOCK", block)
+    monkeypatch.setattr(refiner, "_BLOCK_ROWS", block)
     model = RefinerModel(ModelDims(), seed=8)
     feats = rng.normal(size=(n, 25))
     model.set_feature_standardization(feats)
