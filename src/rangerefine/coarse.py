@@ -1,10 +1,11 @@
 """Per-pixel class probabilities: loaded from a backbone export or synthesized.
 
 The oracle path box-blurs the one-hot foreground ground truth over valid
-pixels from exact integer class counts per window, then, on valid pixels
-only, swaps the top-2 classes of a seeded fraction and applies a temperature
-power transform. It reproduces the two error modes the refiner targets
-(blurred boundaries, confident mistakes) with controllable strength.
+pixels: each window's exact integer class counts over its valid-pixel count,
+one division per entry. Then, on valid pixels only, it swaps the top-2
+classes of a seeded fraction and applies a temperature power transform. It
+reproduces the two error modes the refiner targets (blurred boundaries,
+confident mistakes) with controllable strength.
 
 File format for loaded probabilities: raw little-endian float32, row-major
 (row, col, class), no header.
@@ -26,7 +27,8 @@ SUM_TOLERANCE = 1e-3
 
 @dataclass
 class CoarseSegmentation:
-    probs: np.ndarray  # (H, W, C) float64, rows sum to 1; only point pixels are read
+    # (H, W, C) float64, rows sum to 1 within rounding; only point pixels are read
+    probs: np.ndarray
 
     @property
     def num_classes(self) -> int:
@@ -61,10 +63,12 @@ def load_coarse(path, height: int, width: int, num_classes: int) -> CoarseSegmen
         )
     probs = np.frombuffer(data, dtype="<f4").astype(np.float64)
     probs = probs.reshape(height, width, num_classes)
-    if not np.isfinite(probs).all():
-        raise DataFormatError(f"{path}: non-finite probability values")
-    if (probs < 0).any():
-        raise DataFormatError(f"{path}: negative probability values")
+    for what, bad in (("non-finite", ~np.isfinite(probs)), ("negative", probs < 0)):
+        if bad.any():
+            v, u, c = np.argwhere(bad)[0]
+            raise DataFormatError(
+                f"{path}: {what} probability values, first at (row, col, class) ({v}, {u}, {c})"
+            )
     sums = probs.sum(axis=2)
     off = np.abs(sums - 1.0) > SUM_TOLERANCE
     if off.any():
@@ -96,26 +100,25 @@ def oracle_coarse(
     # radii beyond h - 1 (rows) or w - 1 (columns) add no pixel to any window
     rv, ru = min(spec.blur_radius, h - 1), min(spec.blur_radius, w - 1)
     fv, fu = np.nonzero(valid)
-    # per-class counts over the clipped window in exact small integers; the
-    # zero padding clips the window at the image edges
+    # per-class counts and valid-pixel totals over the clipped window in exact
+    # small integers; the zero padding clips the window at the image edges, and
+    # the window area bounds every count, so all fit one dtype
     dtype = np.min_scalar_type((2 * rv + 1) * (2 * ru + 1))
     pad = np.zeros((h + 2 * rv, w + 2 * ru, num_classes), dtype=dtype)
     pad[fv + rv, fu + ru, gt_labels[img.fg_point_index[fv, fu]]] = 1
-    vsum = sum(pad[d : d + h] for d in range(2 * rv + 1))
-    counts = sum(vsum[:, d : d + w] for d in range(2 * ru + 1))
-    del pad, vsum
-    # a window's valid-pixel count is the sum of its class counts; the window
-    # area bounds it, so it fits their dtype
+    counts = _window_sum(pad, h, w, rv, ru)
+    del pad
+    totals = _window_sum(np.pad(valid.astype(dtype), ((rv, rv), (ru, ru))), h, w, rv, ru)
+    # one correctly rounded division per entry: valid rows hold count / total
+    # and sum to 1 within rounding; a pixel with no valid pixel in its window
+    # holds zeros until the 1/C fill below
     probs = counts.astype(np.float64)
-    probs /= np.maximum(counts.sum(axis=2, dtype=dtype, keepdims=True), 1)
     del counts
+    probs /= np.maximum(totals, 1).astype(np.float64)[..., None]
+    del totals
 
-    # noise on valid pixels only: renormalize, swap the top-2 classes of the
-    # drawn pixels, temper, then give every invalid pixel the uniform 1/C (one
-    # with no valid pixel in its window holds 0/0 = NaN until then)
-    with np.errstate(invalid="ignore"):
-        probs /= probs.sum(axis=2, keepdims=True)
-
+    # noise on valid pixels only: swap the top-2 classes of the drawn pixels,
+    # temper, then give every invalid pixel the uniform 1/C
     flip = uniform01(spec.seed, "flip", fv, fu) < spec.flip_rate
     flv, flu = fv[flip], fu[flip]
     masked = probs[flv, flu]
@@ -129,6 +132,13 @@ def oracle_coarse(
         np.divide(probs, probs.sum(axis=2, keepdims=True), out=probs, where=valid[..., None])
     probs[~valid] = 1.0 / num_classes
     return CoarseSegmentation(probs=probs)
+
+
+def _window_sum(pad: np.ndarray, h: int, w: int, rv: int, ru: int) -> np.ndarray:
+    """Sum over each (2rv+1, 2ru+1) window of an array padded by (rv, ru) on its
+    first two axes, from shifted slices, in the array's dtype."""
+    rows = sum(pad[d : d + h] for d in range(2 * rv + 1))
+    return sum(rows[:, d : d + w] for d in range(2 * ru + 1))
 
 
 def top2_margin(seg: CoarseSegmentation) -> np.ndarray:

@@ -67,8 +67,18 @@ def test_load_rejects_nan(tmp_path):
     probs[0, 0, 0] = np.nan
     path = tmp_path / "x.probs"
     path.write_bytes(probs.tobytes())
-    with pytest.raises(DataFormatError, match="non-finite"):
+    with pytest.raises(DataFormatError, match=r"non-finite .* \(0, 0, 0\)$"):
         load_coarse(path, 1, 1, 2)
+
+
+def test_load_rejects_negative_naming_first_entry(tmp_path):
+    probs = np.full((2, 3, 4), 0.25, dtype="<f4")
+    probs[1, 2, 3] = -0.25  # row-major: (1, 2, 3) comes after (1, 1, 2)
+    probs[1, 1, 2] = -0.5
+    path = tmp_path / "x.probs"
+    path.write_bytes(probs.tobytes())
+    with pytest.raises(DataFormatError, match=r"negative .* \(row, col, class\) \(1, 1, 2\)$"):
+        load_coarse(path, 2, 3, 4)
 
 
 # --- oracle_coarse ---
@@ -171,42 +181,62 @@ def test_blur_errors_confined_to_boundary_band(rng):
             assert ((block >= 0) & (block != gt_pix[v, u])).any()
 
 
-def window_average_oracle(img, labels, radius, num_classes):
-    """Per valid pixel: mean of the valid neighbours' one-hot vectors over the
-    clipped (2r+1)^2 window, renormalized; also the largest class count."""
-    onehot = np.zeros((img.height, img.width, num_classes))
+def window_count_oracle(img, labels, radius, num_classes):
+    """Per valid pixel, in np.nonzero order: the integer class counts over the
+    valid pixels of its clipped (2r+1)^2 window, one window at a time."""
     vv, uu = np.nonzero(img.valid_mask)
-    onehot[vv, uu, labels[img.fg_point_index[vv, uu]]] = 1.0
-    out = np.empty((len(vv), num_classes))
-    max_count = 0
+    gt_pix = np.full((img.height, img.width), -1, dtype=np.int64)
+    gt_pix[vv, uu] = labels[img.fg_point_index[vv, uu]]
+    counts = np.zeros((len(vv), num_classes), dtype=np.int64)
     for i, (v, u) in enumerate(zip(vv, uu)):
-        v0, v1 = max(0, v - radius), min(img.height, v + radius + 1)
-        u0, u1 = max(0, u - radius), min(img.width, u + radius + 1)
-        window = onehot[v0:v1, u0:u1][img.valid_mask[v0:v1, u0:u1]]
-        max_count = max(max_count, int(window.sum(axis=0).max()))
-        mean = window.mean(axis=0)
-        out[i] = mean / mean.sum()
-    return out, max_count
+        block = gt_pix[max(0, v - radius) : v + radius + 1, max(0, u - radius) : u + radius + 1]
+        counts[i] = np.bincount(block[block >= 0], minlength=num_classes)
+    return counts
 
 
 @pytest.mark.parametrize(
     "radius, steps, width",
     # r = 8 overflows a uint8 count; r = 10**6 is a window wider than the image
-    [(1, 384, 192), (2, 384, 192), (3, 384, 192), (8, 256, 128), (10**6, 96, 48)],
+    [(0, 384, 192), (1, 384, 192), (2, 384, 192), (3, 384, 192), (8, 256, 128),
+     (10**6, 96, 48)],
 )
 def test_blur_matches_window_average_oracle(radius, steps, width):
+    # flips off, temperature 1: each valid pixel holds the correctly rounded
+    # count / total, byte for byte, with no renormalisation rounding on top
     cloud, img = projected_scene(steps=steps, width=width)
     valid = img.valid_mask
     # edge pixels are part of the comparison
     assert valid[0].any() and valid[-1].any() and valid[:, 0].any() and valid[:, -1].any()
-    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(radius, 0.0, 1.0, 0), 20)
-    expected, max_count = window_average_oracle(img, cloud.labels, radius, 20)
+    counts = window_count_oracle(img, cloud.labels, radius, 20)
     if radius == 8:
-        assert max_count > 255  # a uint8 window count would wrap here
+        assert counts.sum(axis=1).max() > 255  # a uint8 window count would wrap here
+    expected = counts / counts.sum(axis=1, keepdims=True)
+    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(radius, 0.0, 1.0, 0), 20)
     got = seg.probs[valid]
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(expected, axis=1))
-    np.testing.assert_array_equal(seg.probs[~valid], 1 / 20)
+    assert got.tobytes() == expected.tobytes(), f"{(got != expected).any(axis=1).sum()} pixels differ"
+    assert (seg.probs[~valid] == 1 / 20).all()
+
+
+@pytest.mark.parametrize("flip_rate", [0.25, 0.5])
+@pytest.mark.parametrize("radius", [1, 2])
+def test_flipped_argmax_matches_integer_oracle(flip_rate, radius):
+    # the labels the KNN vote reads: each drawn pixel's top and runner-up
+    # counts swapped (ties to the smaller class id), then the argmax
+    cloud, img = projected_scene()
+    vv, uu = np.nonzero(img.valid_mask)
+    counts = window_count_oracle(img, cloud.labels, radius, 20)
+    drawn = uniform01(11, "flip", vv, uu) < flip_rate
+    expected = np.empty(len(vv), dtype=np.int64)
+    for i, row in enumerate(counts):
+        row = [int(c) for c in row]
+        if drawn[i]:
+            top = max(range(20), key=lambda c: (row[c], -c))
+            runner = max((c for c in range(20) if c != top), key=lambda c: (row[c], -c))
+            row[top], row[runner] = row[runner], row[top]
+        expected[i] = max(range(20), key=lambda c: (row[c], -c))
+    seg = oracle_coarse(img, cloud.labels, OracleNoiseSpec(radius, flip_rate, 1.0, 11), 20)
+    np.testing.assert_array_equal(np.argmax(seg.probs[vv, uu], axis=1), expected)
+    assert (expected != np.argmax(counts, axis=1)).mean() > flip_rate / 2
 
 
 def test_flip_draws_on_valid_pixels_equal_full_grid_draws():
