@@ -39,13 +39,10 @@ _OVERRIDES = [
     ("--boundary-budget", _PIPELINE, [("selection", "boundary_budget")],
      dict(type=int, help="max boundary-uncertain points")),
     ("--n-u", _PIPELINE, [("selection", "n_u")], dict(type=int, help="training sample size per scan")),
-    ("--knn-k", _PIPELINE, [("knn", "k")], dict(type=int, help="KNN neighbor count")),
     ("--seed", _PIPELINE, [("scene", "seed"), ("oracle", "seed"), ("selection", "seed"), ("train", "seed")],
      dict(type=int, help="master seed (scene, oracle, selection, training)")),
     ("--mode", _PIPELINE, [(None, "mode")], dict(help="coarse probability source: oracle or loaded")),
     ("--epochs", ("train",), [("train", "epochs")], dict(type=int, help="override training epochs")),
-    ("--no-knn", ("refine",), [(None, "use_knn")],
-     dict(action="store_const", const=False, help="skip KNN (pure back-projection)")),
     ("--no-refiner", ("refine",), [(None, "use_refiner")],
      dict(action="store_const", const=False, help="skip the refiner stage")),
 ]

@@ -87,6 +87,9 @@ class ClassMap:
             raise DataFormatError(f"train ids out of range 0..{num_classes - 1}: {sorted(set(bad))}")
         if not 0 <= self.ignore_class < num_classes:
             raise DataFormatError(f"ignore_class {ignore_class} out of range")
+        bad = [t for t in self.train_to_name if not 0 <= t < num_classes]
+        if bad:
+            raise DataFormatError(f"names keys out of range 0..{num_classes - 1}: {sorted(bad)}")
         # a report keys each class's IoU by its name
         named = {}
         for train in range(self.num_classes):
@@ -176,10 +179,12 @@ class ClassMap:
 
 
 def read_yaml(path, kind: str):
-    """Parse a YAML file; a syntax error is a DataFormatError naming the file."""
+    """Parse a UTF-8 YAML file; bad text or syntax is a DataFormatError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=_YAML_LOADER)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{kind} {path} is not UTF-8 text: {exc}") from exc
         except yaml.YAMLError as exc:
             raise DataFormatError(f"{kind} {path} is not valid YAML: {exc}") from exc
 

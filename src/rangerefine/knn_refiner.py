@@ -1,7 +1,7 @@
 """Windowed KNN vote over range-image neighbors, RangeNet++ style.
 
 For every point the candidates are the foreground points of valid pixels in
-the window around its own pixel. The k candidates nearest in |delta range|
+the window around its own pixel. The K candidates nearest in |delta range|
 (ties by row-major window order) vote for their pixel's label, weighted by a
 Gaussian of the range difference; candidates farther than the range cutoff
 are dropped. A point with no surviving candidate keeps its back-projected
@@ -19,17 +19,15 @@ from .projection import RangeImage, back_project_labels, row_blocks, window_neig
 
 SIGMA = 1.0  # m, width of the Gaussian vote weight
 RANGE_CUTOFF = 1.0  # m, candidates farther in range do not vote
+K = 5  # nearest candidates that vote
 
 
 @dataclass
 class KnnConfig:
-    k: int = 5
     window: int = 5
 
     def __post_init__(self):
         check_field_types(self)
-        if self.k < 1:
-            raise DataFormatError("k must be >= 1")
         if self.window < 1 or self.window % 2 == 0:
             raise DataFormatError("window must be odd and >= 1")
 
@@ -42,7 +40,7 @@ def knn_refine(
     num_classes = int(pixel_labels.max()) + 1
     flat_labels = pixel_labels.ravel()
 
-    pixel, delta = window_neighbors(img, cfg.window, cfg.k)
+    pixel, delta = window_neighbors(img, cfg.window, K)
     for rows in row_blocks(len(labels)):
         gap = delta[rows]
         # an invalid candidate (pixel -1, delta +inf) fails the cutoff and so

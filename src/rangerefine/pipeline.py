@@ -47,7 +47,6 @@ class PipelineConfig:
     scene: SyntheticSceneSpec = field(default_factory=SyntheticSceneSpec)
     mode: str = "oracle"            # coarse source: "oracle" | "loaded"
     class_map: str | None = None    # YAML path; None = packaged Semantic-KITTI map
-    use_knn: bool = True
     use_refiner: bool = True
 
     def __post_init__(self):
@@ -164,11 +163,7 @@ def refine_scan(
 ) -> np.ndarray:
     """Per-point labels of one scan; the refiner stage needs a trained model."""
     sid, img, seg, pixel_labels = _scan_front(cloud, cfg, class_map, data_dir)
-    if cfg.use_knn:
-        labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
-    else:
-        labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
-
+    labels = _stage("knn", sid, knn_refine, img, pixel_labels, cfg.knn)
     if cfg.use_refiner and model is not None:
         pool = _stage("pool", sid, build_pool, cloud, img, seg, cfg.selection, labels)
         if len(pool):
@@ -303,22 +298,10 @@ def summarize(cm: ConfusionMatrix, class_map: ClassMap) -> dict:
     }
 
 
-def format_report(summary: dict) -> str:
-    width = max([len(n) for n in summary["iou"]] + [8])
-    lines = [f"{'class':<{width}}  iou"]
-    for name, value in summary["iou"].items():
-        lines.append(f"{name:<{width}}  {value:.4f}")
-    lines.append(f"{'mIoU':<{width}}  {summary['miou']:.4f}")
-    lines.append(f"{'oACC':<{width}}  {summary['oacc']:.4f}")
-    return "\n".join(lines) + "\n"
-
-
 def write_report(summary: dict, out_dir) -> None:
-    out_dir = Path(out_dir)
-    atomic_write_bytes(out_dir / "report.txt", format_report(summary).encode("ascii"))
     kv = [f"miou {summary['miou']:.9f}", f"oacc {summary['oacc']:.9f}"]
     kv += [f"iou.{name} {value:.9f}" for name, value in summary["iou"].items()]
-    atomic_write_bytes(out_dir / "report.kv", ("\n".join(kv) + "\n").encode("ascii"))
+    atomic_write_bytes(Path(out_dir) / "report.kv", ("\n".join(kv) + "\n").encode("ascii"))
 
 
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:

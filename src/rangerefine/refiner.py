@@ -115,7 +115,8 @@ def _blocks(n: int) -> list[slice]:
 
 
 def _block_pairs(n: int) -> list[tuple[slice, slice]]:
-    """Every block pair (a, b) with a <= b, each block b's diagonal (b, b) first."""
+    """Every block pair (a, b) with a <= b, each block b's diagonal (b, b)
+    first: the order fixes the online softmax's rounding, not its result."""
     blocks = _blocks(n)
     return [(a, b) for j, b in enumerate(blocks) for a in (b, *blocks[:j])]
 
@@ -141,17 +142,18 @@ def _absorb(s, p, m, l, o, v, work):
 
 
 def _attention_forward(f_in, wp, bp, wv, bv, out=None):
-    """softmax(q q^T / sqrt(d)) v. Each block starts from its diagonal score
-    block; pair (a, b)'s block then updates rows a and, transposed, rows b.
-    The cache keeps the output and each row's log-sum-exp."""
+    """softmax(q q^T / sqrt(d)) v. Pair (a, b)'s score block updates rows a
+    and, transposed, rows b (once for a diagonal block). The cache keeps the
+    output and each row's log-sum-exp."""
     n, d = f_in.shape[0], wp.shape[1]
     q = f_in @ wp + bp
     v = f_in @ wv + bv
     if out is None:
         out = np.empty_like(v)
+    out[...] = 0.0
     qs = q * (1.0 / math.sqrt(d))  # a Python float keeps q's dtype
-    m = np.empty(n, dtype=q.dtype)
-    l = np.empty_like(m)
+    m = np.full(n, -np.inf, dtype=q.dtype)
+    l = np.zeros_like(m)
     height = _blocks(n)[0].stop
     score_work = np.empty((height, height), dtype=q.dtype)
     exp_work = np.empty_like(score_work)
@@ -159,14 +161,8 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     for a, b in _block_pairs(n):
         s = _scores(qs, q, a, b, score_work)
         k, c = s.shape
-        if a == b:
-            m[a] = s.max(axis=1)
-            s -= m[a, None]
-            np.exp(s, out=s)
-            l[a] = s.sum(axis=1)
-            np.matmul(s, v[a], out=out[a])
-        else:
-            _absorb(s, exp_work[:k, :c], m[a], l[a], out[a], v[b], rows_work[:k])
+        _absorb(s, exp_work[:k, :c], m[a], l[a], out[a], v[b], rows_work[:k])
+        if a != b:
             _absorb(s.T, s.T, m[b], l[b], out[b], v[a], rows_work[:c])
     out /= l[:, None]
     lse = np.log(l, out=l)

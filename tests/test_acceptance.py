@@ -23,7 +23,6 @@ from rangerefine.refiner import (
     TrainConfig,
     _attention_forward,
     lovasz_softmax_loss,
-    softmax_rows,
     total_loss,
 )
 from rangerefine.uncertainty import (
@@ -37,7 +36,7 @@ from conftest import random_cloud
 from test_knn_refiner import knn_oracle
 from test_projection import project_oracle
 from test_refiner import NO_CLASS, TINY, attention_oracle, fd_check, float64_model, random_layer
-from test_refiner import lovasz_oracle
+from test_refiner import lovasz_oracle, softmax_oracle
 from test_uncertainty import aggregate_oracle, random_seg
 
 
@@ -79,12 +78,13 @@ def test_criterion_2_knn_oracle(monkeypatch):
         pixel_labels = np.zeros((16, 64), dtype=np.int32)
         vv, uu = np.nonzero(img.valid_mask)
         pixel_labels[vv, uu] = rng.integers(0, 6, size=len(vv))
-        cfg = KnnConfig(k=int(rng.integers(1, 8)), window=int(rng.choice([1, 3, 5, 7])))
+        k, cfg = int(rng.integers(1, 8)), KnnConfig(window=int(rng.choice([1, 3, 5, 7])))
         sigma, cutoff = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 4.0))
+        monkeypatch.setattr(knn_refiner, "K", k)
         monkeypatch.setattr(knn_refiner, "SIGMA", sigma)
         monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", cutoff)
         np.testing.assert_array_equal(
-            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, sigma, cutoff)
+            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, k, sigma, cutoff)
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -134,7 +134,7 @@ def test_criterion_5_attention_correctness():
     q = x @ wp + bp
     scores = q @ q.T
     assert np.abs(scores - scores.T).max() < 1e-9
-    attn = softmax_rows(scores / np.sqrt(16))
+    attn = np.array(softmax_oracle(scores / np.sqrt(16)))
     assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-9
 
     worst = 0.0

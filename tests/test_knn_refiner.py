@@ -14,7 +14,7 @@ from conftest import random_cloud
 from test_projection import cloud_from_xyz
 
 
-def knn_oracle(img, pixel_labels, cfg, sigma, range_cutoff):
+def knn_oracle(img, pixel_labels, cfg, k, sigma, range_cutoff):
     """Independent per-point loop: enumerate window, stable-sort, filter, vote."""
     num_classes = int(pixel_labels.max()) + 1
     half = cfg.window // 2
@@ -33,7 +33,7 @@ def knn_oracle(img, pixel_labels, cfg, sigma, range_cutoff):
         cands.sort(key=lambda c: c[0])  # stable: ties keep window scan order
         votes = [0.0] * num_classes
         any_vote = False
-        for dr, label in cands[: cfg.k]:
+        for dr, label in cands[:k]:
             if dr > range_cutoff:
                 continue
             w = math.exp(-(dr * dr) / (2.0 * sigma * sigma))
@@ -62,7 +62,7 @@ def labeled_image(rng, n, num_classes=5, width=48, height=16):
 def test_isolated_point_keeps_backprojected_label():
     img = project(cloud_from_xyz([[10.0, 0.0, 0.0]]), ProjectionConfig(width=64, height=16))
     labels = np.full((16, 64), 3, dtype=np.int32)
-    out = knn_refine(img, labels, KnnConfig(k=5, window=5))
+    out = knn_refine(img, labels, KnnConfig(window=5))
     assert out[0] == 3
 
 
@@ -76,7 +76,7 @@ def test_cutoff_filters_all_neighbors():
     v, u = img.point_v[0], img.point_u[0]
     labels[v, u] = 2  # "car" pixel; it is also the background point's own pixel label
     assert knn_refiner.RANGE_CUTOFF == 1.0
-    out = knn_refine(img, labels, KnnConfig(k=5, window=5))
+    out = knn_refine(img, labels, KnnConfig(window=5))
     assert out[1] == 2  # keeps back-projected label, vote was emptied
 
 
@@ -96,34 +96,40 @@ def test_seven_point_hand_scene_matches_oracle(monkeypatch):
     labels[vv, uu] = [1, 2, 3, 1, 2][: len(vv)]
     monkeypatch.setattr(knn_refiner, "SIGMA", 0.5)
     monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", 2.0)
-    cfg = KnnConfig(k=3, window=5)
+    monkeypatch.setattr(knn_refiner, "K", 3)
+    cfg = KnnConfig(window=5)
     np.testing.assert_array_equal(
-        knn_refine(img, labels, cfg), knn_oracle(img, labels, cfg, 0.5, 2.0)
+        knn_refine(img, labels, cfg), knn_oracle(img, labels, cfg, 3, 0.5, 2.0)
     )
 
 
 def test_matches_oracle_on_random_scenes(rng, monkeypatch):
     for trial in range(20):
         img, pixel_labels = labeled_image(rng, int(rng.integers(50, 1200)))
-        cfg = KnnConfig(k=int(rng.integers(1, 8)), window=int(rng.choice([1, 3, 5, 7])))
+        k, cfg = int(rng.integers(1, 8)), KnnConfig(window=int(rng.choice([1, 3, 5, 7])))
         sigma, cutoff = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.5, 4.0))
+        monkeypatch.setattr(knn_refiner, "K", k)
         monkeypatch.setattr(knn_refiner, "SIGMA", sigma)
         monkeypatch.setattr(knn_refiner, "RANGE_CUTOFF", cutoff)
         np.testing.assert_array_equal(
-            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, sigma, cutoff)
+            knn_refine(img, pixel_labels, cfg), knn_oracle(img, pixel_labels, cfg, k, sigma, cutoff)
         )
 
 
 @pytest.mark.parametrize("block", [1, 7, 10**6])
 def test_block_size_does_not_change_labels(rng, monkeypatch, block):
     img, pixel_labels = labeled_image(rng, 1200)
-    configs = [KnnConfig(), KnnConfig(k=9, window=7), KnnConfig(k=1, window=1)]
-    default = [knn_refine(img, pixel_labels, cfg) for cfg in configs]
+    cases = [(knn_refiner.K, KnnConfig()), (9, KnnConfig(window=7)), (1, KnnConfig(window=1))]
+    default = []
+    for k, cfg in cases:
+        monkeypatch.setattr(knn_refiner, "K", k)
+        default.append(knn_refine(img, pixel_labels, cfg))
     monkeypatch.setattr(projection, "ROW_BLOCK", block)
-    for cfg, labels in zip(configs, default):
+    for (k, cfg), labels in zip(cases, default):
+        monkeypatch.setattr(knn_refiner, "K", k)
         got = knn_refine(img, pixel_labels, cfg)
         assert got.dtype == labels.dtype and got.tobytes() == labels.tobytes()
-        oracle = knn_oracle(img, pixel_labels, cfg, knn_refiner.SIGMA, knn_refiner.RANGE_CUTOFF)
+        oracle = knn_oracle(img, pixel_labels, cfg, k, knn_refiner.SIGMA, knn_refiner.RANGE_CUTOFF)
         np.testing.assert_array_equal(got, oracle)
 
 
@@ -150,7 +156,7 @@ def test_full_size_scan_memory_bounded():
 def test_locality(rng):
     # editing pixels outside the window never changes a point's label
     img, pixel_labels = labeled_image(rng, 800)
-    cfg = KnnConfig(k=5, window=5)
+    cfg = KnnConfig(window=5)
     before = knn_refine(img, pixel_labels, cfg)
     p = 17
     pv, pu = int(img.point_v[p]), int(img.point_u[p])
@@ -186,7 +192,5 @@ def test_shape_mismatch(rng):
 
 
 def test_config_validation():
-    with pytest.raises(DataFormatError):
-        KnnConfig(k=0)
     with pytest.raises(DataFormatError):
         KnnConfig(window=4)

@@ -22,7 +22,7 @@ from rangerefine.pipeline import (
     run_refine,
     run_train,
 )
-from rangerefine.projection import ProjectionConfig, back_project_labels, project
+from rangerefine.projection import ProjectionConfig, project
 from rangerefine.refiner import ModelDims, RefinerModel, TrainConfig, load_checkpoint, save_checkpoint
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
 from rangerefine.uncertainty import SelectionConfig
@@ -68,12 +68,15 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_rejects_removed_refine_keys(tmp_path, capsys):
+    # refine always runs the KNN vote: use_knn went with the back-projection-only path
     path = tmp_path / "config.yaml"
-    path.write_text("refine_context_limit: 16384\n")
-    with pytest.raises(DataFormatError, match="unknown keys in config: .*refine_context_limit"):
-        PipelineConfig.from_yaml(path)
-    assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(path)]) == 2
-    assert "unknown keys in config" in capsys.readouterr().err
+    for key, value in (("refine_context_limit", "16384"), ("use_knn", "true")):
+        path.write_text(f"{key}: {value}\n")
+        with pytest.raises(DataFormatError, match=f"unknown keys in config: .*{key}"):
+            PipelineConfig.from_yaml(path)
+        assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(path)]) == 2
+        assert f"unknown keys in config: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(
@@ -142,6 +145,7 @@ def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value
         ("scene", "fov_up_deg"),
         ("scene", "sensor_height"),
         # fixed by the stage that reads them: module constants
+        ("knn", "k"),
         ("knn", "sigma"),
         ("knn", "range_cutoff"),
         ("selection", "agg_k"),
@@ -162,7 +166,6 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--knn-k", "0", "k must be >= 1"),
         ("--boundary-budget", "-5", "boundary_budget must be >= 0"),
         ("--n-u", "0", "n_u must be >= 1"),
         ("--c-u", "-3", "c_u must be > 0"),
@@ -201,6 +204,11 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
         (
             "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: 10, 2: 10}\n",
             "train_to_raw key 2 out of range 0..1",
+        ),
+        # a typo'd names key would leave its class named class_<id>
+        (
+            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: a, 1: b, 7: zz, -1: neg}\n",
+            "names keys out of range 0..1: [-1, 7]",
         ),
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 70000\n", "num_classes 70000 exceeds the 65536"),
         ("raw_to_train: {0: 0, 1: 1}\n", "is missing key 'num_classes'"),
@@ -247,6 +255,7 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
         ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: café}\n", "got 'café'"),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
+         "names-key-range",
          "num-classes", "no-num-classes", "raw-16-bits", "ignore-range", "num-classes-float",
          "num-classes-string", "ignore-bool", "raw-key-float", "raw-value-float",
          "inverse-value-string", "names-key-bool", "names-duplicate", "names-fallback-duplicate",
@@ -282,19 +291,25 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
-    "kind, text",
-    [("config", "knn: {k: [\n"), ("class map", "num_classes: [\n")],
-    ids=["config", "class_map"],
+    "kind, payload, problem",
+    [
+        ("config", b"knn: {window: [\n", "is not valid YAML"),
+        ("class map", b"num_classes: [\n", "is not valid YAML"),
+        # Latin-1 bytes in a comment: the file is not UTF-8 text
+        ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
+        ("class map", b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+    ],
+    ids=["config", "class_map", "config-bytes", "class_map-bytes"],
 )
-def test_malformed_yaml_is_located(tmp_path, capsys, kind, text):
+def test_malformed_yaml_is_located(tmp_path, capsys, kind, payload, problem):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(text)
+    bad.write_bytes(payload)
     config = bad
     if kind == "class map":
         config = tmp_path / "config.yaml"
         config.write_text(f"class_map: {bad}\n")
     assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(config)]) == 2
-    assert f"{kind} {bad} is not valid YAML" in capsys.readouterr().err
+    assert f"{kind} {bad} {problem}" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -316,9 +331,15 @@ def test_yaml_loaders_parse_alike(tmp_path, monkeypatch):
 def test_malformed_yaml_is_located_by_either_loader(tmp_path, monkeypatch, loader):
     monkeypatch.setattr(kitti_io, "_YAML_LOADER", getattr(yaml, loader))
     bad = tmp_path / "bad.yaml"
-    bad.write_text("knn: {k: [\n")
-    with pytest.raises(DataFormatError, match=f"config {bad} is not valid YAML"):
-        kitti_io.read_yaml(bad, "config")
+    for kind, payload, problem in [
+        ("config", b"knn: {window: [\n", "is not valid YAML"),
+        ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
+        # past the first chunk either parser decodes
+        ("class map", b"# padding\n" * 2000 + b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+    ]:
+        bad.write_bytes(payload)
+        with pytest.raises(DataFormatError, match=f"{kind} {bad} {problem}"):
+            kitti_io.read_yaml(bad, kind)
 
 
 @pytest.mark.parametrize(
@@ -361,7 +382,7 @@ def test_config_accepts_integer_float_fields():
 
 # every settable value, as (section, field); None is the top level
 SETTABLE = [
-    ("knn", "k"), ("knn", "window"),
+    ("knn", "window"),
     ("oracle", "blur_radius"), ("oracle", "flip_rate"), ("oracle", "seed"),
     ("oracle", "temperature"),
     ("projection", "height"), ("projection", "width"),
@@ -370,7 +391,7 @@ SETTABLE = [
     ("selection", "boundary_budget"), ("selection", "c_u"), ("selection", "n_u"),
     ("selection", "seed"),
     ("train", "epochs"), ("train", "learning_rate"), ("train", "seed"),
-    (None, "class_map"), (None, "mode"), (None, "use_knn"), (None, "use_refiner"),
+    (None, "class_map"), (None, "mode"), (None, "use_refiner"),
 ]
 
 
@@ -382,7 +403,7 @@ def test_config_schema_is_pinned():
             leaves |= {(key, name) for name in value}
         else:
             leaves.add((None, key))
-    assert len(SETTABLE) == 24
+    assert len(SETTABLE) == 22
     assert leaves == set(SETTABLE)
 
 
@@ -452,7 +473,7 @@ def test_refine_writes_predictions_and_report(tmp_path, corpus, trained):
     preds = sorted((out / "predictions").glob("*.label"))
     assert len(preds) == 3
     assert 0.0 <= report["miou"] <= 1.0
-    assert (out / "report.txt").exists() and (out / "report.kv").exists()
+    assert (out / "report.kv").exists()
     kv = dict(
         line.split() for line in (out / "report.kv").read_text().strip().splitlines()
     )
@@ -604,20 +625,6 @@ def test_refiner_rewrites_only_pool_members(corpus, trained):
     assert set(changed.tolist()) <= set(pool.indices.tolist())
 
 
-def test_no_knn_reproduces_back_projection(corpus):
-    root, cfg = corpus
-    cmap = cfg.load_class_map()
-    cloud = read_point_cloud(root / "scans" / "000001.bin")
-    cloud.labels = read_labels(root / "labels" / "000001.label", cmap)
-    cfg_noknn = dataclasses.replace(cfg, use_knn=False)
-    labels = refine_scan(cloud, cfg_noknn, cmap, None, root)
-    img = project(cloud, cfg.projection)
-    seg = oracle_coarse(img, cloud.labels, cfg.oracle, cmap.num_classes)
-    pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
-    pixel_labels[~img.valid_mask] = cmap.ignore_class
-    np.testing.assert_array_equal(labels, back_project_labels(img, pixel_labels))
-
-
 def test_full_size_scan_without_refiner_memory_bounded(tmp_path):
     # criterion-11 scene, 64 x 2048, 144k points, default stages: the
     # (H, W, 20) probabilities alone are 21 MB. With per-row kernels that
@@ -643,7 +650,7 @@ def test_eval_perfect_predictions(tmp_path, corpus):
     report = run_eval(root / "labels", root / "labels", cfg.load_class_map(), tmp_path)
     assert report["miou"] == pytest.approx(1.0)
     assert report["oacc"] == pytest.approx(1.0)
-    assert (tmp_path / "report.txt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.kv"]
 
 
 def test_eval_hand_built_four_points(tmp_path):
@@ -683,11 +690,9 @@ OVERRIDE_EXPECTATIONS = [
     ("--c-u 9.5", PIPELINE, {("selection", "c_u"): 9.5}),
     ("--boundary-budget 5", PIPELINE, {("selection", "boundary_budget"): 5}),
     ("--n-u 7", PIPELINE, {("selection", "n_u"): 7}),
-    ("--knn-k 3", PIPELINE, {("knn", "k"): 3}),
     ("--seed 9", PIPELINE, {(section, "seed"): 9 for section in SEEDS}),
     ("--mode loaded", PIPELINE, {(None, "mode"): "loaded"}),
     ("--epochs 1", ("train",), {("train", "epochs"): 1}),
-    ("--no-knn", ("refine",), {(None, "use_knn"): False}),
     ("--no-refiner", ("refine",), {(None, "use_refiner"): False}),
 ]
 
@@ -724,6 +729,19 @@ def test_each_override_sets_exactly_its_fields(tmp_path, capsys, monkeypatch, co
             assert (base if section is None else base[section])[name] != value
             (expected if section is None else expected[section])[name] = value
         assert yaml.safe_load(echo.read_text()) == expected
+
+
+@pytest.mark.parametrize("flag", ["--knn-k 3", "--no-knn"])
+def test_cli_rejects_removed_flags(tmp_path, capsys, flag):
+    # KNN always votes, with the RangeNet++ k; neither is a setting
+    out = ["--out", str(tmp_path / "o")]
+    for args in (["gen", *out], ["train", "--data", str(tmp_path), *out],
+                 ["refine", "--data", str(tmp_path), *out]):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*args, *flag.split()])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):
@@ -890,15 +908,14 @@ def test_cli_overrides_apply(tmp_path):
     run_dir = tmp_path / "r"
     assert cli.main([
         "refine", "--data", str(corpus_dir), "--out", str(run_dir), *common,
-        "--no-refiner", "--no-knn", "--c-u", "2.5", "--knn-k", "3", "--boundary-budget", "11",
+        "--no-refiner", "--c-u", "2.5", "--boundary-budget", "11",
         "--n-u", "7",
     ]) == 0
     echoed = PipelineConfig.from_yaml(run_dir / "config.yaml")
     assert echoed.selection.c_u == 2.5
-    assert echoed.knn.k == 3
     assert echoed.selection.boundary_budget == 11
     assert echoed.selection.n_u == 7
-    assert echoed.use_refiner is False and echoed.use_knn is False
+    assert echoed.use_refiner is False
 
     train_dir = tmp_path / "t"
     assert cli.main([
