@@ -43,8 +43,6 @@ _OVERRIDES = [
      dict(type=int, help="master seed (scene, oracle, selection, training)")),
     ("--mode", _PIPELINE, [(None, "mode")], dict(help="coarse probability source: oracle or loaded")),
     ("--epochs", ("train",), [("train", "epochs")], dict(type=int, help="override training epochs")),
-    ("--no-refiner", ("refine",), [(None, "use_refiner")],
-     dict(action="store_const", const=False, help="skip the refiner stage")),
 ]
 
 

@@ -178,11 +178,43 @@ class ClassMap:
             return cls.from_yaml(path)
 
 
+def _repeated_key(loader, root):
+    """A scalar key equal to an earlier key of its mapping once constructed
+    (``1``, ``0x1`` and ``true`` are one dict key), or None: PyYAML would keep
+    the last value without a word."""
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, yaml.CollectionNode) or id(node) in seen:  # an alias can recur
+            continue
+        seen.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            stack += node.value
+            continue
+        keys = set()
+        for key, value in node.value:
+            # a merge key ("<<") is not a dict key; every one of them merges
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                constructed = loader.construct_object(key)
+                if constructed in keys:
+                    return key
+                keys.add(constructed)
+            stack += [key, value]
+    return None
+
+
 def read_yaml(path, kind: str):
-    """Parse a UTF-8 YAML file; bad text or syntax is a DataFormatError naming the file."""
+    """Parse a UTF-8 YAML file; bad text or syntax, or a key repeated in one
+    mapping, is a DataFormatError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            loader = _YAML_LOADER(fh)
+            node = loader.get_single_node()
+            key = _repeated_key(loader, node)
+            if key is not None:
+                line = key.start_mark.line + 1
+                raise DataFormatError(f"{kind} {path} repeats key {key.value!r} at line {line}")
+            return None if node is None else loader.construct_document(node)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{kind} {path} is not UTF-8 text: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -73,13 +73,14 @@ class PipelineConfig:
             if dataclasses.is_dataclass(section):
                 if not isinstance(value, dict):
                     raise DataFormatError(f"config section {f.name} must be a mapping, got {value!r}")
-                unknown = set(value) - {sf.name for sf in dataclasses.fields(section)}
+                # sorted by their text: YAML keys may be integers or null
+                unknown = sorted(set(value) - {sf.name for sf in dataclasses.fields(section)}, key=str)
                 if unknown:
-                    raise DataFormatError(f"unknown keys in config section {f.name}: {sorted(unknown)}")
+                    raise DataFormatError(f"unknown keys in config section {f.name}: {unknown}")
                 value = section(**value)
             kwargs[f.name] = value
         if doc:
-            raise DataFormatError(f"unknown keys in config: {sorted(doc)}")
+            raise DataFormatError(f"unknown keys in config: {sorted(doc, key=str)}")
         return cls(**kwargs)
 
     @classmethod
@@ -279,8 +280,6 @@ def run_eval(pred_dir, gt_dir, class_map: ClassMap, out_dir=None) -> dict:
 
     summary = summarize(cm, class_map)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_report(summary, out_dir)
     return summary
 

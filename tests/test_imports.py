@@ -1,5 +1,6 @@
 """Every imported name is read somewhere in the module that imports it, and
-nothing in the package exists only for its tests.
+nothing in the package exists only for its tests: no module-level name and no
+record field.
 
 A stdlib ``ast`` check over the package and the tests: no linter is a
 dependency. ``from __future__`` imports and the package ``__init__`` (whose
@@ -70,20 +71,48 @@ def module_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return [(name, node) for name, node in defs if not (name.startswith("__") and name.endswith("__"))]
 
 
-def unread_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
-    """``<module>: <name>`` for each module-level definition in ``package``
-    (module name -> source) that neither the package nor ``readers`` reads
-    outside the definition itself."""
+def class_fields(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, annotated statement) of each annotated field of each class."""
+    return [
+        (node.target.id, node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often a tree reads each attribute name (an attribute load)."""
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread(package: dict[str, str], readers: list[str], definitions, reads) -> list[str]:
+    """``<module>: <name>`` for each of ``definitions(tree)`` in ``package``
+    (module name -> source) that ``reads`` finds nowhere in the package and
+    ``readers`` outside the definition itself."""
     trees = {module: ast.parse(source) for module, source in package.items()}
-    reads = Counter()
+    total = Counter()
     for tree in [*trees.values(), *map(ast.parse, readers)]:
-        reads += name_reads(tree)
+        total += reads(tree)
     return [
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name, node in module_definitions(tree)
-        if reads[name] == name_reads(node)[name]
+        for name, node in definitions(tree)
+        if total[name] == reads(node)[name]
     ]
+
+
+def unread_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Module-level definitions that neither the package nor ``readers`` reads."""
+    return unread(package, readers, module_definitions, name_reads)
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Class fields that neither the package nor ``readers`` reads as an
+    attribute: a record field that only its tests read."""
+    return unread(package, readers, class_fields, attribute_reads)
 
 
 def test_unread_definition_check_flags_a_dead_name():
@@ -96,7 +125,28 @@ def test_unread_definition_check_flags_a_dead_name():
     assert unread_definitions(package, ["import a\na.Y, a.Z, a.f\n"]) == []
 
 
-def test_every_package_definition_is_read():
+def test_unread_field_check_flags_a_dead_field():
+    package = {
+        "a.py": "class R:\n    x: int\n    y: int = 0\n    z: int = 0\n    w = 0\n\n"
+                "    def set(self):\n        self.x = self.y\n        self.z += 1\n",
+    }
+    # stores and a plain class attribute are not reads, nor is a local name
+    assert unread_fields(package, ["x = 1\n"]) == ["a.py: x", "a.py: z"]
+    assert unread_fields(package, ["def f(r):\n    return r.x + r.z\n"]) == []
+
+
+def package_and_readers() -> tuple[dict[str, str], list[str]]:
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unread_definitions(package, readers) == []
+    return package, readers
+
+
+def test_every_package_definition_is_read():
+    assert unread_definitions(*package_and_readers()) == []
+
+
+def test_every_record_field_is_read():
+    # RangeImage.is_foreground, UncertainPointSet.reason and
+    # UncertainPointSet.coarse_label pass only because perfbench's tracer
+    # reads them: once it stops, this check flags each of them
+    assert unread_fields(*package_and_readers()) == []

@@ -279,8 +279,11 @@ def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     [
         ("- 1\n", "config must be a mapping of sections, got [1]"),
         ("knn: 5\n", "config section knn must be a mapping, got 5"),
+        # keys YAML reads as an integer and a string, which do not sort together
+        ("foo: 1\n2: 3\n", "unknown keys in config: [2, 'foo']"),
+        ("selection: {7: 1, bar: 2}\n", "unknown keys in config section selection: [7, 'bar']"),
     ],
-    ids=["document", "section"],
+    ids=["document", "section", "mixed-keys", "mixed-section-keys"],
 )
 def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
     path = tmp_path / "config.yaml"
@@ -288,6 +291,11 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
     assert cli.main(["gen", "--out", str(tmp_path / "c"), "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+REPEATED_SECTION = b"projection: {width: 256}\nmode: oracle\nprojection: {width: 128}\n"
+# class 1 keeps raw id 11, so the map is valid whichever value raw 10 gets
+REPEATED_RAW_ID = b"num_classes: 3\nraw_to_train:\n  0: 0\n  10: 1\n  11: 1\n  30: 2\n  10: 2\n"
 
 
 @pytest.mark.parametrize(
@@ -298,8 +306,11 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
         # Latin-1 bytes in a comment: the file is not UTF-8 text
         ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
         ("class map", b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+        # a repeated key, whose last value PyYAML would keep without a word
+        ("config", REPEATED_SECTION, "repeats key 'projection' at line 3"),
+        ("class map", REPEATED_RAW_ID, "repeats key '10' at line 7"),
     ],
-    ids=["config", "class_map", "config-bytes", "class_map-bytes"],
+    ids=["config", "class_map", "config-bytes", "class_map-bytes", "config-repeat", "class_map-repeat"],
 )
 def test_malformed_yaml_is_located(tmp_path, capsys, kind, payload, problem):
     bad = tmp_path / "bad.yaml"
@@ -336,6 +347,10 @@ def test_malformed_yaml_is_located_by_either_loader(tmp_path, monkeypatch, loade
         ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
         # past the first chunk either parser decodes
         ("class map", b"# padding\n" * 2000 + b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+        ("config", REPEATED_SECTION, "repeats key 'projection' at line 3"),
+        ("class map", REPEATED_RAW_ID, "repeats key '10' at line 7"),
+        # two spellings of one integer are one dict key
+        ("class map", b"num_classes: 2\nnames: {1: a, 0x1: b}\n", "repeats key '0x1' at line 2"),
     ]:
         bad.write_bytes(payload)
         with pytest.raises(DataFormatError, match=f"{kind} {bad} {problem}"):
@@ -363,8 +378,8 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys, missing):
         "config": ["gen", "--out", out, "--config", gone],
         "class_map": ["gen", "--out", out, "--config", str(config)],
         "model": ["refine", "--data", out, "--out", out, "--model", gone],
-        "scan": ["refine", "--data", str(corpus), "--out", out, "--no-refiner"],
-        "labels": ["refine", "--data", str(corpus), "--out", out, "--no-refiner"],
+        "scan": ["refine", "--data", str(corpus), "--out", out],
+        "labels": ["refine", "--data", str(corpus), "--out", out],
         "config_dir": ["gen", "--out", out, "--config", folder],
         "model_dir": ["refine", "--data", out, "--out", out, "--model", folder],
     }[missing]
@@ -530,7 +545,7 @@ def test_refine_refuses_stale_predictions(tmp_path, corpus):
     with pytest.raises(DataFormatError, match="not empty") as excinfo:
         run_refine(one_scan, out, cfg, model=None)
     assert str(out / "predictions") in str(excinfo.value)
-    assert cli.main(["refine", "--data", str(one_scan), "--out", str(out), "--no-refiner"]) == 2
+    assert cli.main(["refine", "--data", str(one_scan), "--out", str(out)]) == 2
     assert sorted(p.name for p in (out / "predictions").iterdir()) == before
     assert run_refine(one_scan, tmp_path / "fresh", cfg, model=None)["num_scans"] == 1
 
@@ -608,6 +623,16 @@ def test_empty_pool_reproduces_knn_only(corpus, trained):
     np.testing.assert_array_equal(with_refiner, knn_only)
 
 
+def test_use_refiner_false_ignores_the_model(tmp_path, corpus, trained):
+    # the config's switch gives the run refine makes without --model
+    root, cfg = corpus
+    model = load_checkpoint(trained[1])
+    run_refine(root, tmp_path / "off", dataclasses.replace(cfg, use_refiner=False), model)
+    run_refine(root, tmp_path / "knn", cfg, None)
+    for name in ("report.kv", *(f"predictions/{stem}.label" for stem in ("000000", "000001", "000002"))):
+        assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "knn" / name).read_bytes()
+
+
 def test_refiner_rewrites_only_pool_members(corpus, trained):
     # the whole pool is refined, and nothing outside it is touched
     root, cfg = corpus
@@ -647,10 +672,11 @@ def test_full_size_scan_without_refiner_memory_bounded(tmp_path):
 
 def test_eval_perfect_predictions(tmp_path, corpus):
     root, cfg = corpus
-    report = run_eval(root / "labels", root / "labels", cfg.load_class_map(), tmp_path)
+    out = tmp_path / "missing" / "eval"  # the report writer makes its parents
+    report = run_eval(root / "labels", root / "labels", cfg.load_class_map(), out)
     assert report["miou"] == pytest.approx(1.0)
     assert report["oacc"] == pytest.approx(1.0)
-    assert [p.name for p in tmp_path.iterdir()] == ["report.kv"]
+    assert [p.name for p in out.iterdir()] == ["report.kv"]
 
 
 def test_eval_hand_built_four_points(tmp_path):
@@ -693,7 +719,6 @@ OVERRIDE_EXPECTATIONS = [
     ("--seed 9", PIPELINE, {(section, "seed"): 9 for section in SEEDS}),
     ("--mode loaded", PIPELINE, {(None, "mode"): "loaded"}),
     ("--epochs 1", ("train",), {("train", "epochs"): 1}),
-    ("--no-refiner", ("refine",), {(None, "use_refiner"): False}),
 ]
 
 
@@ -731,12 +756,14 @@ def test_each_override_sets_exactly_its_fields(tmp_path, capsys, monkeypatch, co
         assert yaml.safe_load(echo.read_text()) == expected
 
 
-@pytest.mark.parametrize("flag", ["--knn-k 3", "--no-knn"])
+@pytest.mark.parametrize("flag", ["--knn-k 3", "--no-knn", "--no-refiner"])
 def test_cli_rejects_removed_flags(tmp_path, capsys, flag):
-    # KNN always votes, with the RangeNet++ k; neither is a setting
+    # KNN always votes, with the RangeNet++ k, and refine without --model is
+    # the KNN-only run; none of these is a setting
     out = ["--out", str(tmp_path / "o")]
     for args in (["gen", *out], ["train", "--data", str(tmp_path), *out],
-                 ["refine", "--data", str(tmp_path), *out]):
+                 ["refine", "--data", str(tmp_path), *out],
+                 ["refine", "--data", str(tmp_path), *out, "--model", str(tmp_path / "m.ckpt")]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([*args, *flag.split()])
         assert excinfo.value.code == 1
@@ -762,8 +789,7 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
     data = tmp_path / "data"
     shutil.copytree(root, data)
     out = tmp_path / "out"
-    refine = ["refine", "--data", str(data), "--out", str(out), "--no-refiner",
-              "--config", str(data / "config.yaml")]
+    refine = ["refine", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
     if case == "unlabeled-oracle":
         (data / "labels" / "000000.label").unlink()
         argv = refine
@@ -908,14 +934,12 @@ def test_cli_overrides_apply(tmp_path):
     run_dir = tmp_path / "r"
     assert cli.main([
         "refine", "--data", str(corpus_dir), "--out", str(run_dir), *common,
-        "--no-refiner", "--c-u", "2.5", "--boundary-budget", "11",
-        "--n-u", "7",
+        "--c-u", "2.5", "--boundary-budget", "11", "--n-u", "7",
     ]) == 0
     echoed = PipelineConfig.from_yaml(run_dir / "config.yaml")
     assert echoed.selection.c_u == 2.5
     assert echoed.selection.boundary_budget == 11
     assert echoed.selection.n_u == 7
-    assert echoed.use_refiner is False
 
     train_dir = tmp_path / "t"
     assert cli.main([
