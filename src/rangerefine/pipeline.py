@@ -9,6 +9,7 @@ directory so results are reproducible from the artifacts alone.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,28 +189,51 @@ def build_pool_for_scan(
     return pool, cloud.labels[pool.indices]
 
 
+def _spill_pool(path: Path, cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
+    """Build one scan's training pool, write its features and ground truth to
+    ``path`` and return a loader that reads them back; the pool is dropped."""
+    pool, gt = build_pool_for_scan(cloud, cfg, class_map, data_dir)
+    with open(path, "wb") as fh:
+        np.save(fh, pool.features)
+        np.save(fh, gt)
+
+    def load() -> tuple[np.ndarray, np.ndarray]:
+        with open(path, "rb") as fh:
+            return np.load(fh), np.load(fh)
+
+    return load
+
+
 def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Path]:
-    """Build pools for every labeled scan, train the refiner, save artifacts."""
+    """Build the pool of every labeled scan, train the refiner, save artifacts.
+
+    Each pool is built once and spilled to a file in a temporary directory,
+    which ``train`` reads back in its statistics passes and steps, so one
+    pool is in memory at a time. The directory is removed however the run ends.
+    """
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
     class_map = cfg.load_class_map()
 
-    scans = {}
-    for scan_path in list_scan_paths(data_dir):
-        label_path = _label_path(data_dir, scan_path)
-        if label_path is None:
-            continue
-        cloud = read_scan(scan_path, label_path, class_map)
-        scans[scan_path.stem] = build_pool_for_scan(cloud, cfg, class_map, data_dir)
-    if not scans:
-        raise DataFormatError(f"no labeled scans under {data_dir}")
+    with tempfile.TemporaryDirectory() as spill_dir:
+        scans = {}
+        for scan_path in list_scan_paths(data_dir):
+            label_path = _label_path(data_dir, scan_path)
+            if label_path is None:
+                continue
+            scans[scan_path.stem] = _spill_pool(
+                Path(spill_dir) / f"{len(scans)}.npy",
+                read_scan(scan_path, label_path, class_map), cfg, class_map, data_dir,
+            )
+        if not scans:
+            raise DataFormatError(f"no labeled scans under {data_dir}")
 
-    num_classes = class_map.num_classes
-    dims = ModelDims(in_dim=GEOMETRY_FEATURES + num_classes, num_classes=num_classes)
-    model = RefinerModel(dims, seed=cfg.train.seed)
-    log = train(
-        model, scans, cfg.train, n_u=cfg.selection.n_u, ignore_class=class_map.ignore_class
-    )
+        num_classes = class_map.num_classes
+        dims = ModelDims(in_dim=GEOMETRY_FEATURES + num_classes, num_classes=num_classes)
+        model = RefinerModel(dims, seed=cfg.train.seed)
+        log = train(
+            model, scans, cfg.train, n_u=cfg.selection.n_u, ignore_class=class_map.ignore_class
+        )
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt_path)

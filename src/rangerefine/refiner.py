@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -218,7 +219,8 @@ def _attention_backward(cache, wp, wv, d_out):
         "wv": f_in.T @ d_v,
         "bv": d_v.sum(axis=0),
     }
-    d_in = d_q @ wp.T + d_v @ wv.T
+    d_in = d_q @ wp.T
+    d_in += d_v @ wv.T
     return d_in, grads
 
 
@@ -255,8 +257,13 @@ class RefinerModel:
         return self.params["embed0.w"].dtype
 
     def set_feature_standardization(self, features: np.ndarray) -> None:
-        self.feature_mean = features.mean(axis=0).astype(self.dtype)
-        self.feature_scale = np.maximum(features.std(axis=0), 1e-6).astype(self.dtype)
+        self.set_feature_moments(features.mean(axis=0), features.std(axis=0))
+
+    def set_feature_moments(self, mean: np.ndarray, std: np.ndarray) -> None:
+        """Standardize by a feature mean and std (floored at 1e-6), as ``train``
+        streams them over its pools."""
+        self.feature_mean = mean.astype(self.dtype)
+        self.feature_scale = np.maximum(std, 1e-6).astype(self.dtype)
 
     def forward(self, features: np.ndarray, want_cache: bool = False):
         """Logits (n, C) for feature rows (n, 5 + C)."""
@@ -295,38 +302,53 @@ class RefinerModel:
         return logits, {"embed": embed_cache, "attn": attn_caches, "head": head_cache}
 
     def backward(self, cache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-        """Analytic gradients of every trainable parameter."""
+        """Analytic gradients of every trainable parameter.
+
+        Each layer's activations are released as soon as its gradients are
+        taken, so ``cache`` is consumed: it is left empty.
+        """
         p = self.params
         grads: dict[str, np.ndarray] = {}
-        d_concat = self._dense_backward(self.HEAD_LAYERS, cache["head"], d_logits, grads)
+        d_concat = self._dense_backward(self.HEAD_LAYERS, cache.pop("head"), d_logits, grads)
 
         d = self.dims.embed_dim
+        attn_caches = cache.pop("attn")
         d_carry = np.zeros_like(d_concat[:, :d])
         for i in reversed(range(self.dims.attn_layers)):
             d_out = d_concat[:, i * d : (i + 1) * d] + d_carry
             d_carry, layer_grads = _attention_backward(
-                cache["attn"][i], p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
+                attn_caches.pop(), p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
             )
             for key, name in (("wp", "p.w"), ("bp", "p.b"), ("wv", "v.w"), ("bv", "v.b")):
                 grads[f"attn{i}.{name}"] = layer_grads[key]
 
-        self._dense_backward(self.EMBED_LAYERS, cache["embed"], d_carry, grads)
+        self._dense_backward(self.EMBED_LAYERS, cache.pop("embed"), d_carry, grads)
         return grads
 
     def _dense_forward(self, layers, x: np.ndarray):
-        """Run ``layers`` in order; returns the output and each layer's (input, pre-activation)."""
+        """Run ``layers`` in order; returns the output and each layer's (input, output).
+
+        A layer's output is the next layer's input, one array cached once. The
+        ReLU is applied in place: the backward mask ``y > 0`` equals ``a > 0``
+        on the pre-activation ``a`` bit for bit, NaN included.
+        """
         cache = []
         for name, relu in layers:
-            a = x @ self.params[f"{name}.w"] + self.params[f"{name}.b"]
-            cache.append((x, a))
-            x = np.maximum(a, 0.0) if relu else a
+            y = x @ self.params[f"{name}.w"]
+            y += self.params[f"{name}.b"]
+            if relu:
+                np.maximum(y, 0.0, out=y)
+            cache.append((x, y))
+            x = y
         return x, cache
 
-    def _dense_backward(self, layers, cache, d_out: np.ndarray, grads: dict) -> np.ndarray:
-        """Walk ``layers`` in reverse into ``grads``; returns the gradient of their input."""
-        for (name, relu), (x, a) in zip(reversed(layers), reversed(cache)):
+    def _dense_backward(self, layers, cache: list, d_out: np.ndarray, grads: dict) -> np.ndarray:
+        """Walk ``layers`` in reverse into ``grads``, popping each layer's cache
+        entry as it goes; returns the gradient of their input."""
+        for name, relu in reversed(layers):
+            x, y = cache.pop()
             if relu:
-                d_out = d_out * (a > 0)
+                d_out = d_out * (y > 0)
             grads[f"{name}.w"] = x.T @ d_out
             grads[f"{name}.b"] = d_out.sum(axis=0)
             d_out = d_out @ self.params[f"{name}.w"].T
@@ -413,10 +435,12 @@ def total_loss(
 ) -> LossResult:
     """Combined loss (cross entropy + Lovasz) with full parameter gradients."""
     logits, cache = model.forward(features, want_cache=True)
-    wce, d_logits_wce = wce_loss(logits, targets, weights, ignore_class)
+    wce, d_logits = wce_loss(logits, targets, weights, ignore_class)
     probs = softmax_rows(logits)
+    del logits
     lovasz, d_probs = lovasz_softmax_loss(probs, targets, ignore_class)
-    d_logits = d_logits_wce + _softmax_backward(probs, d_probs)
+    d_logits += _softmax_backward(probs, d_probs)
+    del probs, d_probs
     grads = model.backward(cache, d_logits)
     result = LossResult(total=wce + lovasz, wce=wce, lovasz=lovasz, grads=grads)
     if not np.isfinite(result.total):
@@ -470,11 +494,9 @@ class Adam:
             param -= step
 
 
-def class_frequency_weights(label_arrays, num_classes: int, ignore_class: int) -> np.ndarray:
-    """w_c = 1 / ln(eps + f_c) from corpus class frequencies; ignore weight 0."""
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for labels in label_arrays:
-        counts += np.bincount(np.asarray(labels), minlength=num_classes)
+def class_frequency_weights(counts: np.ndarray, ignore_class: int) -> np.ndarray:
+    """w_c = 1 / ln(eps + f_c) from the corpus's per-class point counts; ignore weight 0."""
+    counts = np.array(counts, dtype=np.int64)  # a copy: the ignore class's count is dropped
     counts[ignore_class] = 0
     total = counts.sum()
     if total == 0:
@@ -482,6 +504,57 @@ def class_frequency_weights(label_arrays, num_classes: int, ignore_class: int) -
     weights = 1.0 / np.log(CLASS_WEIGHT_EPS + counts / total)
     weights[ignore_class] = 0.0
     return weights
+
+
+def _add_rows(carry: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """carry + rows[0] + rows[1] + ..., added left to right (``rows.sum(axis=0)``
+    when there is no carry yet).
+
+    numpy reduces a C-contiguous 2-D array over axis 0 by adding its rows in
+    order to a row of +0.0, so carrying this sum from pool to pool adds the
+    rows of the concatenated pools in the same order, bit for bit. (A sum
+    that starts at +0.0 is never -0.0, so the carry passes unchanged through
+    the +0.0 that the concatenated sum starts from.)
+    """
+    if carry is None:
+        return rows.sum(axis=0)
+    return np.concatenate([carry[None], rows]).sum(axis=0)
+
+
+def _corpus_statistics(scans: dict, num_classes: int, ignore_class: int):
+    """(scan id, loader) of each non-empty pool, the class weights, and the
+    feature mean and std over every pool, holding one pool at a time.
+
+    The first pass over the loaders takes the exact class counts and the
+    feature row sum, the second the squared deviations from the mean. Each
+    result equals its value over the concatenated pools bit for bit:
+    ``class_frequency_weights`` of the counts, ``features.mean(axis=0)`` and
+    ``features.std(axis=0)``.
+    """
+    kept = []
+    counts = np.zeros(num_classes, dtype=np.int64)
+    row_sum, rows = None, 0
+    for sid, load in scans.items():
+        features, gt = load()
+        if len(features) == 0:
+            continue
+        if len(gt) != len(features):
+            raise DataFormatError(
+                f"scan {sid}: {len(gt)} ground-truth labels for {len(features)} pool entries"
+            )
+        kept.append((sid, load))
+        counts += np.bincount(gt, minlength=num_classes)
+        row_sum = _add_rows(row_sum, features)
+        rows += len(features)
+    if not kept:
+        raise DataFormatError("training needs at least one scan with a non-empty pool")
+    mean = row_sum / rows
+    square_sum = None
+    for _, load in kept:
+        deviation = load()[0] - mean
+        deviation *= deviation
+        square_sum = _add_rows(square_sum, deviation)
+    return kept, class_frequency_weights(counts, ignore_class), mean, np.sqrt(square_sum / rows)
 
 
 @dataclass
@@ -494,33 +567,28 @@ class EpochStats:
 
 def train(
     model: RefinerModel,
-    scans: dict[str, tuple[UncertainPointSet, np.ndarray]],
+    scans: dict[str, Callable[[], tuple[np.ndarray, np.ndarray]]],
     cfg: TrainConfig,
     n_u: int,
     ignore_class: int,
 ) -> list[EpochStats]:
-    """Train in place on scan id -> (pool, ground-truth labels); returns the epoch log.
+    """Train in place on scan id -> loader of (pool features, ground-truth
+    labels); returns the epoch log.
 
-    One optimizer step per scan per epoch, on a freshly sampled batch of at
-    most ``n_u`` pool entries. Scan order is reshuffled each epoch; all
-    randomness derives from ``cfg.seed`` and the scans' positions among those
-    with a non-empty pool, so identical runs produce bit-identical
-    parameters. The coarse probabilities inside the features are plain
-    inputs: nothing upstream of the refiner is updated. A failing step names
-    its epoch and its scan id.
+    Each loader is called in two statistics passes and once per step, and
+    one pool is held at a time, so memory does not grow with the corpus. One
+    optimizer step per scan per epoch, on a freshly sampled batch of at most
+    ``n_u`` pool entries. Scan order is reshuffled each epoch; all randomness
+    derives from ``cfg.seed`` and the scans' positions among those with a
+    non-empty pool, so identical runs produce bit-identical parameters. The
+    coarse probabilities inside the features are plain inputs: nothing
+    upstream of the refiner is updated. A failing step names its epoch and
+    its scan id.
     """
-    scans = [(sid, pool, np.asarray(gt)) for sid, (pool, gt) in scans.items() if len(pool) > 0]
-    if not scans:
-        raise DataFormatError("training needs at least one scan with a non-empty pool")
-    for _, pool, gt in scans:
-        if len(gt) != len(pool):
-            raise DataFormatError("ground-truth labels must cover the pool")
-
-    weights = class_frequency_weights([gt for _, _, gt in scans], model.dims.num_classes, ignore_class)
-
-    model.set_feature_standardization(
-        np.concatenate([pool.features for _, pool, _ in scans], axis=0)
+    scans, weights, feature_mean, feature_std = _corpus_statistics(
+        scans, model.dims.num_classes, ignore_class
     )
+    model.set_feature_moments(feature_mean, feature_std)
 
     optimizer = Adam(model, cfg)
     log: list[EpochStats] = []
@@ -528,12 +596,18 @@ def train(
         order = generator("epoch-order", cfg.seed, epoch).permutation(len(scans))
         totals = np.zeros(3)
         for scan_index in order:
-            sid, pool, gt = scans[scan_index]
+            sid, load = scans[scan_index]
+            features, gt = load()
             pos = sample_positions(
-                len(pool), n_u, derive_seed(cfg.seed, "batch", epoch, int(scan_index))
+                len(features), n_u, derive_seed(cfg.seed, "batch", epoch, int(scan_index))
             )
+            # The previous step's gradients go before this step's forward and
+            # backward. Not right after Adam: freed then, they leave the heap top
+            # unused, and glibc trims it and faults it back in on every step; the
+            # pool just loaded keeps the top in use.
+            result = None
             with located(f"training failed at epoch {epoch}, scan {sid}"):
-                result = total_loss(model, pool.features[pos], gt[pos], weights, ignore_class)
+                result = total_loss(model, features[pos], gt[pos], weights, ignore_class)
             optimizer.step(result.grads)
             totals += (result.total, result.wce, result.lovasz)
         mean = totals / len(scans)

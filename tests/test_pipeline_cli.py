@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import shutil
+import tempfile
 import tracemalloc
 from importlib import resources
 
@@ -10,7 +11,7 @@ import yaml
 
 from rangerefine import cli, kitti_io, pipeline
 from rangerefine.coarse import OracleNoiseSpec, oracle_coarse
-from rangerefine.errors import DataFormatError
+from rangerefine.errors import DataFormatError, NumericError
 from rangerefine.kitti_io import ClassMap, read_labels, read_point_cloud, write_labels
 from rangerefine.knn_refiner import KnnConfig
 from rangerefine.pipeline import (
@@ -665,6 +666,61 @@ def test_full_size_scan_without_refiner_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 60e6, f"refine_scan peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_train_leaves_no_spill(tmp_path, corpus, monkeypatch):
+    # the pools are spilled to a temporary directory, which goes however the run ends
+    root, cfg = corpus
+    spill = tmp_path / "tmp"
+    spill.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill))
+    spilled = []
+    real_train = pipeline.train
+
+    def spying_train(*args, **kwargs):
+        spilled.append(sorted(p.name for p in spill.rglob("*") if p.is_file()))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", spying_train)
+    run_train(root, tmp_path / "finished", cfg)
+    assert spilled == [["0.npy", "1.npy", "2.npy"]]
+    assert not any(spill.iterdir())
+
+    diverging = dataclasses.replace(cfg, train=TrainConfig(epochs=2, learning_rate=1e200, seed=1))
+    with pytest.raises(NumericError, match="training failed at epoch"):
+        run_train(root, tmp_path / "diverged", diverging)
+    assert len(spilled) == 2 and not any(spill.iterdir())
+
+    data = tmp_path / "data"
+    shutil.copytree(root, data)
+    label = data / "labels" / "000001.label"  # scan 000000 is spilled before this one fails
+    label.write_bytes(label.read_bytes()[:-4])
+    with pytest.raises(DataFormatError, match="labels for"):
+        run_train(data, tmp_path / "bad-labels", cfg)
+    assert len(spilled) == 2 and not any(spill.iterdir())
+
+
+def test_run_train_memory_does_not_grow_with_corpus(tmp_path):
+    # one pool in memory at a time: with every pool held, 16 full-size scans
+    # (144k points, ~8.2k pool entries each) peaked 31.8 MB above 4 scans
+    cfg = PipelineConfig(
+        selection=SelectionConfig(n_u=64),
+        train=TrainConfig(epochs=1),
+        scene=SyntheticSceneSpec(seed=31, azimuth_steps=2600),
+    )
+    for scans in (4, 16):
+        generate_corpus(tmp_path / f"corpus{scans}", cfg, scans)
+    peaks = {}
+    for scans in (4, 16):
+        tracemalloc.start()
+        try:
+            run_train(tmp_path / f"corpus{scans}", tmp_path / f"out{scans}", cfg)
+            peaks[scans] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] - peaks[4] < 5e6, f"{peaks[4] / 1e6:.1f} MB at 4 scans, {peaks[16] / 1e6:.1f} MB at 16"
 
 
 # --- eval ---

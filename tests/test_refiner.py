@@ -464,6 +464,23 @@ def test_train_step_memory_bounded():
     assert peak < 220e6, f"train step peak {peak / 1e6:.0f} MB"
 
 
+def test_train_step_releases_activations():
+    # a dense layer caches its output once (no pre-activation), backward frees
+    # each layer's activations once used, and the loss temporaries go before
+    # backward: 148.5 MB when the whole forward cache lived through backward
+    model = RefinerModel(ModelDims(), seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(4096, 25))
+    targets = rng.integers(0, 20, size=4096)
+    tracemalloc.start()
+    try:
+        total_loss(model, feats, targets, np.ones(20), ignore_class=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 130e6, f"train step peak {peak / 1e6:.1f} MB"
+
+
 def test_float32_throughout_train_step():
     # a silent float64 upcast anywhere on the hot path would give the float32 gain back
     model = RefinerModel(ModelDims(), seed=0)
@@ -734,8 +751,13 @@ def make_pool(rng, n, num_classes=4):
     return pool, labels
 
 
+def loader(pool, labels):
+    """A scan's loader of (features, labels), as run_train passes its spilled pools."""
+    return lambda: (pool.features, labels)
+
+
 def test_train_deterministic(rng):
-    scans = {f"s{i}": make_pool(rng, 40) for i in range(3)}
+    scans = {f"s{i}": loader(*make_pool(rng, 40)) for i in range(3)}
     cfg = TrainConfig(epochs=3, seed=7)
     models = []
     for _ in range(2):
@@ -748,7 +770,7 @@ def test_train_deterministic(rng):
 
 
 def test_train_loss_decreases(rng):
-    scans = {f"s{i}": make_pool(rng, 60) for i in range(5)}
+    scans = {f"s{i}": loader(*make_pool(rng, 60)) for i in range(5)}
     model = RefinerModel(TINY, seed=1)
     log = train(model, scans, TrainConfig(epochs=25, seed=1), n_u=32, ignore_class=0)
     assert log[-1].loss < log[0].loss
@@ -762,8 +784,15 @@ def test_train_requires_nonempty_pool(rng):
         coarse_label=np.empty(0, dtype=np.int32),
     )
     with pytest.raises(DataFormatError):
-        train(RefinerModel(TINY), {"s0": (empty, np.empty(0, dtype=np.int64))}, TrainConfig(epochs=1),
-              n_u=16, ignore_class=0)
+        train(RefinerModel(TINY), {"s0": loader(empty, np.empty(0, dtype=np.int64))},
+              TrainConfig(epochs=1), n_u=16, ignore_class=0)
+
+
+def test_train_rejects_labels_that_do_not_cover_the_pool(rng):
+    pool, labels = make_pool(rng, 20)
+    scans = {"s0": loader(*make_pool(rng, 20)), "s1": loader(pool, labels[:-1])}
+    with pytest.raises(DataFormatError, match="scan s1: 19 ground-truth labels for 20 pool entries"):
+        train(RefinerModel(TINY), scans, TrainConfig(epochs=1), n_u=16, ignore_class=0)
 
 
 def test_train_config_validation():
@@ -806,14 +835,55 @@ def test_adam_steps_bitwise_textbook(rng):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_reports_context(rng):
     # the epoch-0 step at lr 1e200 wrecks the parameters; epoch 1 hits them
-    scans = {"s0": make_pool(rng, 20)}
+    scans = {"s0": loader(*make_pool(rng, 20))}
     model = RefinerModel(TINY, seed=0)
     with pytest.raises(NumericError, match="training failed at epoch 1, scan s0"):
         train(model, scans, TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
 
 
+def test_streamed_statistics_equal_concatenated_bitwise():
+    # numpy reduces a C-contiguous array over axis 0 row by row, in order;
+    # summing each pool first and then the pool sums regroups the additions
+    rng = np.random.default_rng(11)
+    regrouped_differs = False
+    for chunking in range(5):
+        sizes = [1, 0, *rng.integers(25_000, 40_000, size=4)]  # > 100k rows in all
+        rng.shuffle(sizes)
+        pools = []
+        for n in sizes:
+            feats = rng.normal(size=(n, 25)) * rng.uniform(0.1, 50, size=25) + rng.uniform(-1e3, 1e3, size=25)
+            feats[:, 7] = -0.0  # a carry that started from the first row would keep -0.0
+            pools.append((feats, rng.integers(0, TINY.num_classes, size=n)))
+        calls = [0] * len(pools)
+
+        def loader_of(i):
+            def load():
+                calls[i] += 1
+                return pools[i]
+            return load
+
+        scans = {f"s{i}": loader_of(i) for i in range(len(pools))}
+        kept, weights, mean, std = refiner._corpus_statistics(scans, TINY.num_classes, ignore_class=0)
+        feats = np.concatenate([f for f, _ in pools])
+        labels = np.concatenate([gt for _, gt in pools])
+        assert [sid for sid, _ in kept] == [f"s{i}" for i, n in enumerate(sizes) if n]
+        assert calls == [2 if n else 1 for n in sizes]
+        assert mean.tobytes() == feats.mean(axis=0).tobytes()  # column 7 sums to numpy's +0.0
+        assert np.maximum(std, 1e-6).tobytes() == np.maximum(feats.std(axis=0), 1e-6).tobytes()
+        counts = np.bincount(labels, minlength=TINY.num_classes)
+        assert weights.tobytes() == class_frequency_weights(counts, ignore_class=0).tobytes()
+        regrouped = sum(f.sum(axis=0) for f, _ in pools) / len(feats)
+        regrouped_differs |= regrouped.tobytes() != mean.tobytes()
+        if chunking == 0:  # train standardizes by them: a float64 model keeps every bit
+            model = float64_model(RefinerModel(TINY, seed=0))
+            train(model, scans, TrainConfig(epochs=1), n_u=8, ignore_class=0)
+            assert model.feature_mean.tobytes() == mean.tobytes()
+            assert model.feature_scale.tobytes() == np.maximum(std, 1e-6).tobytes()
+    assert regrouped_differs
+
+
 def test_class_frequency_weights():
-    weights = class_frequency_weights([np.array([1, 1, 1, 2])], 4, ignore_class=0)
+    weights = class_frequency_weights(np.array([0, 3, 1, 0]), ignore_class=0)
     assert weights[0] == 0.0
     assert weights[2] > weights[1] > 0  # rarer class weighs more
     assert weights[3] == pytest.approx(1.0 / math.log(1.02))  # absent class
