@@ -9,7 +9,6 @@ directory so results are reproducible from the artifacts alone.
 from __future__ import annotations
 
 import dataclasses
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,51 +188,30 @@ def build_pool_for_scan(
     return pool, cloud.labels[pool.indices]
 
 
-def _spill_pool(path: Path, cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
-    """Build one scan's training pool, write its features and ground truth to
-    ``path`` and return a loader that reads them back; the pool is dropped."""
-    pool, gt = build_pool_for_scan(cloud, cfg, class_map, data_dir)
-    with open(path, "wb") as fh:
-        np.save(fh, pool.features)
-        np.save(fh, gt)
-
-    def load() -> tuple[np.ndarray, np.ndarray]:
-        with open(path, "rb") as fh:
-            return np.load(fh), np.load(fh)
-
-    return load
-
-
 def run_train(data_dir, out_dir, cfg: PipelineConfig) -> tuple[RefinerModel, Path]:
-    """Build the pool of every labeled scan, train the refiner, save artifacts.
+    """Train the refiner on the pool of every labeled scan, save artifacts.
 
-    Each pool is built once and spilled to a file in a temporary directory,
-    which ``train`` reads back in its statistics passes and steps, so one
-    pool is in memory at a time. The directory is removed however the run ends.
+    ``train`` is handed the pools one at a time, as they are built, and
+    keeps them in its own spill file, so one pool is in memory at a time.
     """
     data_dir = Path(data_dir)
     out_dir = Path(out_dir)
     class_map = cfg.load_class_map()
+    labeled = [(path, label) for path in list_scan_paths(data_dir)
+               if (label := _label_path(data_dir, path)) is not None]
+    if not labeled:
+        raise DataFormatError(f"no labeled scans under {data_dir}")
 
-    with tempfile.TemporaryDirectory() as spill_dir:
-        scans = {}
-        for scan_path in list_scan_paths(data_dir):
-            label_path = _label_path(data_dir, scan_path)
-            if label_path is None:
-                continue
-            scans[scan_path.stem] = _spill_pool(
-                Path(spill_dir) / f"{len(scans)}.npy",
-                read_scan(scan_path, label_path, class_map), cfg, class_map, data_dir,
-            )
-        if not scans:
-            raise DataFormatError(f"no labeled scans under {data_dir}")
+    def pools():
+        for path, label in labeled:
+            pool, gt = build_pool_for_scan(read_scan(path, label, class_map), cfg, class_map, data_dir)
+            yield path.stem, pool.features, gt
+            del pool, gt  # not kept while the next pool is built
 
-        num_classes = class_map.num_classes
-        dims = ModelDims(in_dim=GEOMETRY_FEATURES + num_classes, num_classes=num_classes)
-        model = RefinerModel(dims, seed=cfg.train.seed)
-        log = train(
-            model, scans, cfg.train, n_u=cfg.selection.n_u, ignore_class=class_map.ignore_class
-        )
+    num_classes = class_map.num_classes
+    dims = ModelDims(in_dim=GEOMETRY_FEATURES + num_classes, num_classes=num_classes)
+    model = RefinerModel(dims, seed=cfg.train.seed)
+    log = train(model, pools(), cfg.train, n_u=cfg.selection.n_u, ignore_class=class_map.ignore_class)
 
     ckpt_path = out_dir / "model.ckpt"
     save_checkpoint(model, ckpt_path)

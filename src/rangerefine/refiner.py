@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
+import tempfile
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -171,15 +172,14 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     return out, (f_in, q, v, out, lse)
 
 
-def _attention_backward(cache, wp, wv, d_out):
-    """Gradients block pair by block pair, recomputing each score block once.
+def _score_backward(q, v, out, lse, d_out):
+    """(d_q, d_v), block pair by block pair, recomputing each score block once.
 
     Rows a and rows b of a pair each give a score gradient; their sum G (a
     diagonal block's plus its transpose) adds G qs[b] to d_q[a] and G^T qs[a]
     to d_q[b]. The softmax backward's row term is rowsum(d_out * out). Every
     product is formed in a reused workspace, then added.
     """
-    f_in, q, v, out, lse = cache
     n, d = q.shape
     qs = q * (1.0 / math.sqrt(d))
     row_term = np.einsum("ij,ij->i", d_out, out)
@@ -212,7 +212,14 @@ def _attention_backward(cache, wp, wv, d_out):
             g += gt
             d_q[b] += np.matmul(g.T, qs[a], out=rows_work[:c])
         d_q[a] += np.matmul(g, qs[b], out=rows_work[:k])
+    return d_q, d_v
 
+
+def _attention_backward(cache, wp, wv, d_out):
+    """Input and parameter gradients of one attention layer. The score sweep's
+    workspaces are freed before these are formed."""
+    f_in, q, v, out, lse = cache
+    d_q, d_v = _score_backward(q, v, out, lse, d_out)
     grads = {
         "wp": f_in.T @ d_q,
         "bp": d_q.sum(axis=0),
@@ -255,9 +262,6 @@ class RefinerModel:
     def dtype(self) -> np.dtype:
         """The dtype the model computes in: that of its parameters."""
         return self.params["embed0.w"].dtype
-
-    def set_feature_standardization(self, features: np.ndarray) -> None:
-        self.set_feature_moments(features.mean(axis=0), features.std(axis=0))
 
     def set_feature_moments(self, mean: np.ndarray, std: np.ndarray) -> None:
         """Standardize by a feature mean and std (floored at 1e-6), as ``train``
@@ -521,37 +525,40 @@ def _add_rows(carry: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([carry[None], rows]).sum(axis=0)
 
 
-def _corpus_statistics(scans: dict, num_classes: int, ignore_class: int):
-    """(scan id, loader) of each non-empty pool, the class weights, and the
-    feature mean and std over every pool, holding one pool at a time.
+def _spill(pools: Iterable, spill, num_classes: int, ignore_class: int):
+    """Append each non-empty pool's features and ground truth to ``spill`` as
+    it arrives; returns the (scan id, file offset) of each, the class weights,
+    and the feature mean and std over every pool, holding one pool at a time.
 
-    The first pass over the loaders takes the exact class counts and the
-    feature row sum, the second the squared deviations from the mean. Each
-    result equals its value over the concatenated pools bit for bit:
+    The exact class counts and the feature row sum are taken as each pool
+    arrives, the squared deviations from the mean in one pass over the file.
+    Each result equals its value over the concatenated pools bit for bit:
     ``class_frequency_weights`` of the counts, ``features.mean(axis=0)`` and
     ``features.std(axis=0)``.
     """
     kept = []
     counts = np.zeros(num_classes, dtype=np.int64)
     row_sum, rows = None, 0
-    for sid, load in scans.items():
-        features, gt = load()
-        if len(features) == 0:
-            continue
-        if len(gt) != len(features):
-            raise DataFormatError(
-                f"scan {sid}: {len(gt)} ground-truth labels for {len(features)} pool entries"
-            )
-        kept.append((sid, load))
-        counts += np.bincount(gt, minlength=num_classes)
-        row_sum = _add_rows(row_sum, features)
-        rows += len(features)
+    for sid, features, gt in pools:
+        if len(features):
+            if len(gt) != len(features):
+                raise DataFormatError(
+                    f"scan {sid}: {len(gt)} ground-truth labels for {len(features)} pool entries"
+                )
+            kept.append((sid, spill.tell()))
+            np.save(spill, features)
+            np.save(spill, gt)
+            counts += np.bincount(gt, minlength=num_classes)
+            row_sum = _add_rows(row_sum, features)
+            rows += len(features)
+        del features, gt  # this pool goes before the next one is built
     if not kept:
         raise DataFormatError("training needs at least one scan with a non-empty pool")
     mean = row_sum / rows
     square_sum = None
-    for _, load in kept:
-        deviation = load()[0] - mean
+    for _, offset in kept:
+        spill.seek(offset)
+        deviation = np.load(spill) - mean
         deviation *= deviation
         square_sum = _add_rows(square_sum, deviation)
     return kept, class_frequency_weights(counts, ignore_class), mean, np.sqrt(square_sum / rows)
@@ -567,51 +574,54 @@ class EpochStats:
 
 def train(
     model: RefinerModel,
-    scans: dict[str, Callable[[], tuple[np.ndarray, np.ndarray]]],
+    pools: Iterable[tuple[str, np.ndarray, np.ndarray]],
     cfg: TrainConfig,
     n_u: int,
     ignore_class: int,
 ) -> list[EpochStats]:
-    """Train in place on scan id -> loader of (pool features, ground-truth
-    labels); returns the epoch log.
+    """Train in place on (scan id, pool features, ground-truth labels) tuples;
+    returns the epoch log.
 
-    Each loader is called in two statistics passes and once per step, and
-    one pool is held at a time, so memory does not grow with the corpus. One
-    optimizer step per scan per epoch, on a freshly sampled batch of at most
-    ``n_u`` pool entries. Scan order is reshuffled each epoch; all randomness
-    derives from ``cfg.seed`` and the scans' positions among those with a
-    non-empty pool, so identical runs produce bit-identical parameters. The
-    coarse probabilities inside the features are plain inputs: nothing
-    upstream of the refiner is updated. A failing step names its epoch and
-    its scan id.
+    Each pool is appended to one unnamed temporary file as it arrives and read
+    back for the statistics and for each step, so one pool is held at a time
+    and memory does not grow with the corpus; the file goes however the
+    process ends. One optimizer step per scan per epoch, on a freshly sampled
+    batch of at most ``n_u`` pool entries. Scan order is reshuffled each
+    epoch; all randomness derives from ``cfg.seed`` and the scans' positions
+    among those with a non-empty pool, so identical runs produce
+    bit-identical parameters. The coarse probabilities inside the features
+    are plain inputs: nothing upstream of the refiner is updated. A failing
+    step names its epoch and its scan id.
     """
-    scans, weights, feature_mean, feature_std = _corpus_statistics(
-        scans, model.dims.num_classes, ignore_class
-    )
-    model.set_feature_moments(feature_mean, feature_std)
+    with tempfile.TemporaryFile() as spill:
+        scans, weights, feature_mean, feature_std = _spill(
+            pools, spill, model.dims.num_classes, ignore_class
+        )
+        model.set_feature_moments(feature_mean, feature_std)
 
-    optimizer = Adam(model, cfg)
-    log: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        order = generator("epoch-order", cfg.seed, epoch).permutation(len(scans))
-        totals = np.zeros(3)
-        for scan_index in order:
-            sid, load = scans[scan_index]
-            features, gt = load()
-            pos = sample_positions(
-                len(features), n_u, derive_seed(cfg.seed, "batch", epoch, int(scan_index))
-            )
-            # The previous step's gradients go before this step's forward and
-            # backward. Not right after Adam: freed then, they leave the heap top
-            # unused, and glibc trims it and faults it back in on every step; the
-            # pool just loaded keeps the top in use.
-            result = None
-            with located(f"training failed at epoch {epoch}, scan {sid}"):
-                result = total_loss(model, features[pos], gt[pos], weights, ignore_class)
-            optimizer.step(result.grads)
-            totals += (result.total, result.wce, result.lovasz)
-        mean = totals / len(scans)
-        log.append(EpochStats(epoch=epoch, loss=mean[0], wce=mean[1], lovasz=mean[2]))
+        optimizer = Adam(model, cfg)
+        log: list[EpochStats] = []
+        for epoch in range(cfg.epochs):
+            order = generator("epoch-order", cfg.seed, epoch).permutation(len(scans))
+            totals = np.zeros(3)
+            for scan_index in order:
+                sid, offset = scans[scan_index]
+                spill.seek(offset)
+                features, gt = np.load(spill), np.load(spill)
+                pos = sample_positions(
+                    len(features), n_u, derive_seed(cfg.seed, "batch", epoch, int(scan_index))
+                )
+                # The previous step's gradients go before this step's forward and
+                # backward. Not right after Adam: freed then, they leave the heap top
+                # unused, and glibc trims it and faults it back in on every step; the
+                # pool just loaded keeps the top in use.
+                result = None
+                with located(f"training failed at epoch {epoch}, scan {sid}"):
+                    result = total_loss(model, features[pos], gt[pos], weights, ignore_class)
+                optimizer.step(result.grads)
+                totals += (result.total, result.wce, result.lovasz)
+            mean = totals / len(scans)
+            log.append(EpochStats(epoch=epoch, loss=mean[0], wce=mean[1], lovasz=mean[2]))
     return log
 
 

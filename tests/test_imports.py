@@ -1,6 +1,6 @@
 """Every imported name is read somewhere in the module that imports it, and
-nothing in the package exists only for its tests: no module-level name and no
-record field.
+nothing in the package exists only for its tests: no module-level name, no
+record field and no method.
 
 A stdlib ``ast`` check over the package and the tests: no linter is a
 dependency. ``from __future__`` imports and the package ``__init__`` (whose
@@ -104,6 +104,17 @@ def unread(package: dict[str, str], readers: list[str], definitions, reads) -> l
     ]
 
 
+def class_methods(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, def) of each method defined in a class body, dunders excepted.
+    A class with a base class is skipped: its base may call what it overrides."""
+    return [
+        (node.name, node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and not cls.bases
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def unread_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
     """Module-level definitions that neither the package nor ``readers`` reads."""
     return unread(package, readers, module_definitions, name_reads)
@@ -113,6 +124,12 @@ def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
     """Class fields that neither the package nor ``readers`` reads as an
     attribute: a record field that only its tests read."""
     return unread(package, readers, class_fields, attribute_reads)
+
+
+def unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Methods that neither the package nor ``readers`` reads as an attribute
+    outside their own body: a method that only its tests call."""
+    return unread(package, readers, class_methods, attribute_reads)
 
 
 def test_unread_definition_check_flags_a_dead_name():
@@ -135,6 +152,21 @@ def test_unread_field_check_flags_a_dead_field():
     assert unread_fields(package, ["def f(r):\n    return r.x + r.z\n"]) == []
 
 
+def test_unread_method_check_flags_a_dead_method():
+    package = {
+        "a.py": "class M:\n    def __init__(self):\n        self.run()\n\n"
+                "    def run(self):\n        return self.step\n\n"
+                "    @property\n    def step(self):\n        return 1\n\n"
+                "    def walk(self, n):\n        return self.walk(n - 1)\n\n"
+                "    def idle(self):\n        pass\n\n"
+                "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n",
+    }
+    # a read inside the method's own body does not count, nor does a local name;
+    # an override is read by its base class
+    assert unread_methods(package, ["idle = 1\n"]) == ["a.py: walk", "a.py: idle"]
+    assert unread_methods(package, ["def f(m):\n    return m.walk(1), m.idle()\n"]) == []
+
+
 def package_and_readers() -> tuple[dict[str, str], list[str]]:
     package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
@@ -150,3 +182,7 @@ def test_every_record_field_is_read():
     # UncertainPointSet.coarse_label pass only because perfbench's tracer
     # reads them: once it stops, this check flags each of them
     assert unread_fields(*package_and_readers()) == []
+
+
+def test_every_method_is_read():
+    assert unread_methods(*package_and_readers()) == []

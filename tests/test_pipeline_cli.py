@@ -1,9 +1,14 @@
 import copy
 import dataclasses
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -671,27 +676,18 @@ def test_full_size_scan_without_refiner_memory_bounded(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_train_leaves_no_spill(tmp_path, corpus, monkeypatch):
-    # the pools are spilled to a temporary directory, which goes however the run ends
+    # the pools are spilled to a temporary file, which goes however the run ends
     root, cfg = corpus
     spill = tmp_path / "tmp"
     spill.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spill))
-    spilled = []
-    real_train = pipeline.train
-
-    def spying_train(*args, **kwargs):
-        spilled.append(sorted(p.name for p in spill.rglob("*") if p.is_file()))
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "train", spying_train)
     run_train(root, tmp_path / "finished", cfg)
-    assert spilled == [["0.npy", "1.npy", "2.npy"]]
     assert not any(spill.iterdir())
 
     diverging = dataclasses.replace(cfg, train=TrainConfig(epochs=2, learning_rate=1e200, seed=1))
     with pytest.raises(NumericError, match="training failed at epoch"):
         run_train(root, tmp_path / "diverged", diverging)
-    assert len(spilled) == 2 and not any(spill.iterdir())
+    assert not any(spill.iterdir())
 
     data = tmp_path / "data"
     shutil.copytree(root, data)
@@ -699,7 +695,29 @@ def test_run_train_leaves_no_spill(tmp_path, corpus, monkeypatch):
     label.write_bytes(label.read_bytes()[:-4])
     with pytest.raises(DataFormatError, match="labels for"):
         run_train(data, tmp_path / "bad-labels", cfg)
-    assert len(spilled) == 2 and not any(spill.iterdir())
+    assert not any(spill.iterdir())
+
+
+# Trains on a corpus, its pools spilled, and kills itself at the first step.
+KILLED_RUN = """
+import os, signal, sys
+from rangerefine import pipeline, refiner
+refiner.total_loss = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+pipeline.run_train(sys.argv[1], sys.argv[2], pipeline.PipelineConfig.from_yaml(sys.argv[3]))
+"""
+
+
+def test_killed_run_train_leaves_no_spill(tmp_path, corpus):
+    root, _ = corpus
+    spill = tmp_path / "tmp"
+    spill.mkdir()
+    env = dict(os.environ, TMPDIR=str(spill), PYTHONPATH=str(Path(pipeline.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_RUN, str(root), str(tmp_path / "out"), str(root / "config.yaml")],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+    assert not any(spill.iterdir())
 
 
 def test_run_train_memory_does_not_grow_with_corpus(tmp_path):

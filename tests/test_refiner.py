@@ -1,6 +1,7 @@
 import copy
 import math
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -424,7 +425,7 @@ def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, 
     monkeypatch.setattr(refiner, "_BLOCK_ROWS", block)
     model = float64_model(RefinerModel(dims, seed=6))
     feats = rng.normal(size=(n, dims.in_dim))
-    model.set_feature_standardization(feats)
+    model.set_feature_moments(feats.mean(axis=0), feats.std(axis=0))
     d_logits = rng.normal(size=(n, dims.num_classes))
     logits, cache = model.forward(feats, want_cache=True)
     grads = model.backward(cache, d_logits)
@@ -481,13 +482,29 @@ def test_train_step_releases_activations():
     assert peak < 130e6, f"train step peak {peak / 1e6:.1f} MB"
 
 
+def test_attention_backward_frees_its_sweep_before_the_gradients():
+    # the scaled q, the row term and the score workspaces go before the
+    # parameter and input gradients are formed: 114.2 MB while they lived
+    model = RefinerModel(ModelDims(), seed=0)
+    rng = np.random.default_rng(0)
+    feats = rng.normal(size=(4096, 25))
+    targets = rng.integers(0, 20, size=4096)
+    tracemalloc.start()
+    try:
+        total_loss(model, feats, targets, np.ones(20), ignore_class=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110e6, f"train step peak {peak / 1e6:.1f} MB"
+
+
 def test_float32_throughout_train_step():
     # a silent float64 upcast anywhere on the hot path would give the float32 gain back
     model = RefinerModel(ModelDims(), seed=0)
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(512, 25))  # pool features are float64
     targets = rng.integers(0, 20, size=512)
-    model.set_feature_standardization(feats)
+    model.set_feature_moments(feats.mean(axis=0), feats.std(axis=0))
     assert model.feature_mean.dtype == model.feature_scale.dtype == np.float32
     logits, cache = model.forward(feats, want_cache=True)
     assert logits.dtype == np.float32
@@ -515,7 +532,7 @@ def test_float32_logits_agree_with_float64(rng, monkeypatch, n, block):
     monkeypatch.setattr(refiner, "_BLOCK_ROWS", block)
     model = RefinerModel(ModelDims(), seed=8)
     feats = rng.normal(size=(n, 25))
-    model.set_feature_standardization(feats)
+    model.set_feature_moments(feats.mean(axis=0), feats.std(axis=0))
     wide = float64_model(copy.deepcopy(model))  # the same weights, widened
     logits32 = model.forward(feats)
     logits64 = wide.forward(feats)
@@ -738,31 +755,21 @@ def test_total_loss_decreases_on_separable_batch(rng):
 # --- training loop ---
 
 
-def make_pool(rng, n, num_classes=4):
+def scan_pool(rng, n, num_classes=4):
+    """A pool's features and ground-truth labels, as ``train`` takes them."""
     feats = rng.normal(size=(n, 25))
     labels = rng.integers(1, num_classes, size=n).astype(np.int32)
     feats[:, 5] = labels  # separable signal
-    pool = UncertainPointSet(
-        indices=np.arange(n),
-        reason=np.ones(n, dtype=np.uint8),
-        features=feats,
-        coarse_label=np.zeros(n, dtype=np.int32),
-    )
-    return pool, labels
-
-
-def loader(pool, labels):
-    """A scan's loader of (features, labels), as run_train passes its spilled pools."""
-    return lambda: (pool.features, labels)
+    return feats, labels
 
 
 def test_train_deterministic(rng):
-    scans = {f"s{i}": loader(*make_pool(rng, 40)) for i in range(3)}
+    pools = [(f"s{i}", *scan_pool(rng, 40)) for i in range(3)]
     cfg = TrainConfig(epochs=3, seed=7)
     models = []
     for _ in range(2):
         model = RefinerModel(TINY, seed=7)
-        log = train(model, scans, cfg, n_u=16, ignore_class=0)
+        log = train(model, pools, cfg, n_u=16, ignore_class=0)
         assert len(log) == 3
         models.append(model)
     for key in models[0].params:
@@ -770,29 +777,23 @@ def test_train_deterministic(rng):
 
 
 def test_train_loss_decreases(rng):
-    scans = {f"s{i}": loader(*make_pool(rng, 60)) for i in range(5)}
+    pools = [(f"s{i}", *scan_pool(rng, 60)) for i in range(5)]
     model = RefinerModel(TINY, seed=1)
-    log = train(model, scans, TrainConfig(epochs=25, seed=1), n_u=32, ignore_class=0)
+    log = train(model, pools, TrainConfig(epochs=25, seed=1), n_u=32, ignore_class=0)
     assert log[-1].loss < log[0].loss
 
 
 def test_train_requires_nonempty_pool(rng):
-    empty = UncertainPointSet(
-        indices=np.empty(0, dtype=np.int64),
-        reason=np.empty(0, dtype=np.uint8),
-        features=np.empty((0, 25)),
-        coarse_label=np.empty(0, dtype=np.int32),
-    )
     with pytest.raises(DataFormatError):
-        train(RefinerModel(TINY), {"s0": loader(empty, np.empty(0, dtype=np.int64))},
+        train(RefinerModel(TINY), [("s0", np.empty((0, 25)), np.empty(0, dtype=np.int64))],
               TrainConfig(epochs=1), n_u=16, ignore_class=0)
 
 
 def test_train_rejects_labels_that_do_not_cover_the_pool(rng):
-    pool, labels = make_pool(rng, 20)
-    scans = {"s0": loader(*make_pool(rng, 20)), "s1": loader(pool, labels[:-1])}
+    features, labels = scan_pool(rng, 20)
+    pools = [("s0", *scan_pool(rng, 20)), ("s1", features, labels[:-1])]
     with pytest.raises(DataFormatError, match="scan s1: 19 ground-truth labels for 20 pool entries"):
-        train(RefinerModel(TINY), scans, TrainConfig(epochs=1), n_u=16, ignore_class=0)
+        train(RefinerModel(TINY), pools, TrainConfig(epochs=1), n_u=16, ignore_class=0)
 
 
 def test_train_config_validation():
@@ -835,10 +836,9 @@ def test_adam_steps_bitwise_textbook(rng):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_reports_context(rng):
     # the epoch-0 step at lr 1e200 wrecks the parameters; epoch 1 hits them
-    scans = {"s0": loader(*make_pool(rng, 20))}
     model = RefinerModel(TINY, seed=0)
     with pytest.raises(NumericError, match="training failed at epoch 1, scan s0"):
-        train(model, scans, TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
+        train(model, [("s0", *scan_pool(rng, 20))], TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
 
 
 def test_streamed_statistics_equal_concatenated_bitwise():
@@ -853,30 +853,21 @@ def test_streamed_statistics_equal_concatenated_bitwise():
         for n in sizes:
             feats = rng.normal(size=(n, 25)) * rng.uniform(0.1, 50, size=25) + rng.uniform(-1e3, 1e3, size=25)
             feats[:, 7] = -0.0  # a carry that started from the first row would keep -0.0
-            pools.append((feats, rng.integers(0, TINY.num_classes, size=n)))
-        calls = [0] * len(pools)
-
-        def loader_of(i):
-            def load():
-                calls[i] += 1
-                return pools[i]
-            return load
-
-        scans = {f"s{i}": loader_of(i) for i in range(len(pools))}
-        kept, weights, mean, std = refiner._corpus_statistics(scans, TINY.num_classes, ignore_class=0)
-        feats = np.concatenate([f for f, _ in pools])
-        labels = np.concatenate([gt for _, gt in pools])
+            pools.append((f"s{len(pools)}", feats, rng.integers(0, TINY.num_classes, size=n)))
+        with tempfile.TemporaryFile() as spill:
+            kept, weights, mean, std = refiner._spill(pools, spill, TINY.num_classes, ignore_class=0)
+        feats = np.concatenate([f for _, f, _ in pools])
+        labels = np.concatenate([gt for _, _, gt in pools])
         assert [sid for sid, _ in kept] == [f"s{i}" for i, n in enumerate(sizes) if n]
-        assert calls == [2 if n else 1 for n in sizes]
         assert mean.tobytes() == feats.mean(axis=0).tobytes()  # column 7 sums to numpy's +0.0
         assert np.maximum(std, 1e-6).tobytes() == np.maximum(feats.std(axis=0), 1e-6).tobytes()
         counts = np.bincount(labels, minlength=TINY.num_classes)
         assert weights.tobytes() == class_frequency_weights(counts, ignore_class=0).tobytes()
-        regrouped = sum(f.sum(axis=0) for f, _ in pools) / len(feats)
+        regrouped = sum(f.sum(axis=0) for _, f, _ in pools) / len(feats)
         regrouped_differs |= regrouped.tobytes() != mean.tobytes()
         if chunking == 0:  # train standardizes by them: a float64 model keeps every bit
             model = float64_model(RefinerModel(TINY, seed=0))
-            train(model, scans, TrainConfig(epochs=1), n_u=8, ignore_class=0)
+            train(model, pools, TrainConfig(epochs=1), n_u=8, ignore_class=0)
             assert model.feature_mean.tobytes() == mean.tobytes()
             assert model.feature_scale.tobytes() == np.maximum(std, 1e-6).tobytes()
     assert regrouped_differs
@@ -894,7 +885,12 @@ def test_class_frequency_weights():
 
 def test_refine_outputs_and_determinism(rng):
     model = RefinerModel(TINY, seed=2)
-    pool, _ = make_pool(rng, 10)
+    pool = UncertainPointSet(
+        indices=np.arange(10),
+        reason=np.ones(10, dtype=np.uint8),
+        features=scan_pool(rng, 10)[0],
+        coarse_label=np.zeros(10, dtype=np.int32),
+    )
     out = refine(model, pool)
     assert out.shape == (10,)
     assert ((out >= 0) & (out < TINY.num_classes)).all()
@@ -925,7 +921,8 @@ def checkpoint_header(version, *dims):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     model = RefinerModel(TINY, seed=5)
-    model.set_feature_standardization(rng.normal(size=(100, 25)))
+    feats = rng.normal(size=(100, 25))
+    model.set_feature_moments(feats.mean(axis=0), feats.std(axis=0))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     data = path.read_bytes()
