@@ -1,14 +1,14 @@
 """Command-line entry points: gen, train, refine, eval.
 
-Every subcommand takes ``--config`` (YAML, schema = PipelineConfig); gen, train
-and refine also take a small set of targeted overrides. Exit codes: 0 success,
-1 usage error, 2 data error, 3 numeric failure.
+Every run setting comes from one file, ``--config`` (YAML, schema =
+PipelineConfig; the defaults without it); the command line names only paths
+and gen's scan count. Exit codes: 0 success, 1 usage error, 2 data error,
+3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,42 +23,21 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # options match by full name only: refine must not read --mode as a short --model
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-_PIPELINE = ("gen", "train", "refine")
-
-# Each override once: its flag, the subcommands that take it, the (section,
-# field) pairs it sets (section None is the top level), its argparse options.
-# A flag a command does not read still lands in the config it echoes.
-_OVERRIDES = [
-    ("--c-u", _PIPELINE, [("selection", "c_u")], dict(type=float, help="background distance cutoff (m)")),
-    ("--boundary-budget", _PIPELINE, [("selection", "boundary_budget")],
-     dict(type=int, help="max boundary-uncertain points")),
-    ("--n-u", _PIPELINE, [("selection", "n_u")], dict(type=int, help="training sample size per scan")),
-    ("--seed", _PIPELINE, [("scene", "seed"), ("oracle", "seed"), ("selection", "seed"), ("train", "seed")],
-     dict(type=int, help="master seed (scene, oracle, selection, training)")),
-    ("--mode", _PIPELINE, [(None, "mode")], dict(help="coarse probability source: oracle or loaded")),
-    ("--epochs", ("train",), [("train", "epochs")], dict(type=int, help="override training epochs")),
-]
-
-
 def _load_config(args) -> pipeline.PipelineConfig:
-    """The YAML config (or the defaults) with each given flag written into its
-    fields, built once through ``from_dict`` so every override is checked like
-    a YAML value."""
-    cfg = pipeline.PipelineConfig.from_yaml(args.config) if args.config else pipeline.PipelineConfig()
-    doc = dataclasses.asdict(cfg)
-    for flag, commands, targets, _ in _OVERRIDES:
-        # argparse's dest for the flag; no default, so a mismatch fails loudly
-        value = getattr(args, flag[2:].replace("-", "_")) if args.command in commands else None
-        if value is not None:
-            for section, name in targets:
-                (doc if section is None else doc[section])[name] = value
-    return pipeline.PipelineConfig.from_dict(doc)
+    """The ``--config`` file, or the defaults without one; "" is a missing file."""
+    if args.config is None:
+        return pipeline.PipelineConfig()
+    return pipeline.PipelineConfig.from_yaml(args.config)
 
 
 def build_parser() -> _Parser:
@@ -83,11 +62,8 @@ def build_parser() -> _Parser:
     ev.add_argument("--gt", required=True, help="directory of ground-truth .label files")
     ev.add_argument("--out", help="optional report output directory")
 
-    for flag, names, _, options in _OVERRIDES:
-        for name in names:
-            commands.choices[name].add_argument(flag, **options)
     for sub in commands.choices.values():
-        sub.add_argument("--config", help="pipeline config YAML")
+        sub.add_argument("--config", help="pipeline config YAML, every run setting (omit for the defaults)")
     return parser
 
 
@@ -104,7 +80,7 @@ def _cmd_train(args, cfg: pipeline.PipelineConfig) -> int:
 
 
 def _cmd_refine(args, cfg: pipeline.PipelineConfig) -> int:
-    model = load_checkpoint(args.model) if args.model else None
+    model = None if args.model is None else load_checkpoint(args.model)
     report = pipeline.run_refine(args.data, args.out, cfg, model)
     if "miou" in report:
         print(f"mIoU {report['miou']:.4f}  oACC {report['oacc']:.4f}")

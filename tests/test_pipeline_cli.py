@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import os
 import shutil
@@ -43,6 +42,10 @@ def tiny_config(seed=1):
         oracle=OracleNoiseSpec(blur_radius=1, flip_rate=0.02, seed=seed),
         scene=SyntheticSceneSpec(seed=seed, azimuth_steps=256, boxes=3, cylinders=4, planes=1),
     )
+
+
+# the config sections that hold a seed: one for every stage that draws
+SEEDS = ("scene", "oracle", "selection", "train")
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,9 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         ("scene", "boxes", "-1", "object counts must be >= 0"),
         ("scene", "azimuth_steps", "0", "scanner needs at least one azimuth step"),
         ("projection", "width", "0", "projection width and height must be >= 1"),
+        ("selection", "boundary_budget", "-5", "boundary_budget must be >= 0"),
+        ("selection", "n_u", "0", "n_u must be >= 1"),
+        ("selection", "c_u", "-3", "c_u must be > 0"),
     ],
 )
 def test_config_rejects_bad_float_fields(tmp_path, capsys, section, field, value, message):
@@ -171,14 +177,7 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [
-        ("--boundary-budget", "-5", "boundary_budget must be >= 0"),
-        ("--n-u", "0", "n_u must be >= 1"),
-        ("--c-u", "-3", "c_u must be > 0"),
-        ("--mode", "foo", "mode must be 'oracle' or 'loaded'"),
-        ("--scans", "0", "num_scans must be >= 1"),
-        ("--seed", "18446744073709551616", "seed must be an integer"),
-    ],
+    [("--scans", "0", "num_scans must be >= 1")],
 )
 def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
     out = tmp_path / "c"
@@ -452,7 +451,9 @@ def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, sub):
     if sub == "labels":
         shutil.rmtree(out / "scans")
     before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-    assert cli.main(["gen", "--out", str(out), "--scans", "1", "--seed", "9"]) == 2
+    seeds = tmp_path / "seeds.yaml"
+    seeds.write_text("".join(f"{section}: {{seed: 9}}\n" for section in SEEDS))
+    assert cli.main(["gen", "--out", str(out), "--scans", "1", "--config", str(seeds)]) == 2
     assert f"{sub} directory {out / sub} is not empty" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
@@ -574,6 +575,12 @@ def test_label_length_mismatch_is_located(tmp_path, capsys, corpus, command, cha
     assert not (out / "model.ckpt").exists()
 
 
+def loaded_config(path, cfg):
+    """Write ``cfg`` in loaded mode to ``path``; return the path as an argument."""
+    dataclasses.replace(cfg, mode="loaded").save_yaml(path)
+    return str(path)
+
+
 def export_oracle_probs(data, cfg, fill_empty_pixels=None):
     """Write each scan's oracle probabilities as ``coarse/<scan>.probs``; with
     ``fill_empty_pixels``, pixels no point projects to put all mass on that class."""
@@ -596,7 +603,7 @@ def test_loaded_mode_end_to_end_ignores_empty_pixels(tmp_path, corpus):
         data = tmp_path / name / "data"
         shutil.copytree(root, data)
         export_oracle_probs(data, cfg, fill)
-        common = ["--config", str(data / "config.yaml"), "--mode", "loaded"]
+        common = ["--config", loaded_config(tmp_path / name / "loaded.yaml", cfg)]
         train_dir, run_dir = tmp_path / name / "train", tmp_path / name / "run"
         assert cli.main(["train", "--data", str(data), "--out", str(train_dir), *common]) == 0
         assert cli.main([
@@ -782,67 +789,34 @@ def test_cli_usage_error_exit_code():
     assert "{gen,train,refine,eval}" in cli.build_parser().format_usage()
 
 
-# every override: its arguments, the subcommands that take it, and the config
-# values it sets, each unlike tiny_config's; written apart from cli's own table
-PIPELINE = ("gen", "train", "refine")
-SEEDS = ("scene", "oracle", "selection", "train")
-OVERRIDE_EXPECTATIONS = [
-    ("--c-u 9.5", PIPELINE, {("selection", "c_u"): 9.5}),
-    ("--boundary-budget 5", PIPELINE, {("selection", "boundary_budget"): 5}),
-    ("--n-u 7", PIPELINE, {("selection", "n_u"): 7}),
-    ("--seed 9", PIPELINE, {(section, "seed"): 9 for section in SEEDS}),
-    ("--mode loaded", PIPELINE, {(None, "mode"): "loaded"}),
-    ("--epochs 1", ("train",), {("train", "epochs"): 1}),
-]
-
-
-@pytest.mark.parametrize("command", ["gen", "train", "refine", "eval"])
-def test_each_override_sets_exactly_its_fields(tmp_path, capsys, monkeypatch, command):
-    config = tmp_path / "config.yaml"
-    tiny_config().save_yaml(config)
-    base = dataclasses.asdict(tiny_config())
-    paths = {
-        "gen": ["--out", "c"],
-        "train": ["--data", "c", "--out", "t"],
-        "refine": ["--data", "c", "--out", "r"],
-        "eval": ["--pred", "p", "--gt", "g"],
-    }[command]
-    echo = tmp_path / "echo.yaml"
-
-    def run(args, cfg):  # echoes the config it is handed, as every pipeline run does
-        cfg.save_yaml(echo)
-        return cli.EXIT_OK
-
-    monkeypatch.setitem(cli._COMMANDS, command, run)
-    for flag, commands, sets in OVERRIDE_EXPECTATIONS:
-        argv = [command, *paths, "--config", str(config), *flag.split()]
-        if command not in commands:
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(argv)
-            assert excinfo.value.code == 1
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-            continue
-        assert cli.main(argv) == 0
-        expected = copy.deepcopy(base)
-        for (section, name), value in sets.items():
-            assert (base if section is None else base[section])[name] != value
-            (expected if section is None else expected[section])[name] = value
-        assert yaml.safe_load(echo.read_text()) == expected
-
-
-@pytest.mark.parametrize("flag", ["--knn-k 3", "--no-knn", "--no-refiner"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--knn-k 3", "--no-knn", "--no-refiner", "--c-u 9.5", "--boundary-budget 5", "--n-u 7",
+     "--seed 9", "--mode loaded", "--epochs 1"],
+)
 def test_cli_rejects_removed_flags(tmp_path, capsys, flag):
     # KNN always votes, with the RangeNet++ k, and refine without --model is
-    # the KNN-only run; none of these is a setting
+    # the KNN-only run; every setting comes from --config, none from a flag
     out = ["--out", str(tmp_path / "o")]
     for args in (["gen", *out], ["train", "--data", str(tmp_path), *out],
                  ["refine", "--data", str(tmp_path), *out],
-                 ["refine", "--data", str(tmp_path), *out, "--model", str(tmp_path / "m.ckpt")]):
+                 ["refine", "--data", str(tmp_path), *out, "--model", str(tmp_path / "m.ckpt")],
+                 ["eval", "--pred", str(tmp_path), "--gt", str(tmp_path), *out]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([*args, *flag.split()])
         assert excinfo.value.code == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", ["--model", "--config"])
+def test_cli_empty_path_is_a_missing_file(tmp_path, capsys, corpus, option):
+    # "" names no file: it asks neither for the KNN-only run nor for the defaults
+    root, _ = corpus
+    out = tmp_path / "run"
+    assert cli.main(["refine", "--data", str(root), "--out", str(out), option, ""]) == 2
+    assert "data error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_data_error_exit_code(tmp_path, capsys):
@@ -863,7 +837,8 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
     data = tmp_path / "data"
     shutil.copytree(root, data)
     out = tmp_path / "out"
-    refine = ["refine", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
+    run = ["refine", "--data", str(data), "--out", str(out), "--config"]
+    refine = [*run, str(data / "config.yaml")]
     if case == "unlabeled-oracle":
         (data / "labels" / "000000.label").unlink()
         argv = refine
@@ -874,7 +849,7 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
         values = np.frombuffer(probs.read_bytes(), dtype="<f4").copy()
         values[7] = -0.5
         probs.write_bytes(values.tobytes())
-        argv = [*refine, "--mode", "loaded"]
+        argv = [*run, loaded_config(tmp_path / "loaded.yaml", cfg)]
         message = f"stage 'coarse' failed on scan 000000: {probs}: negative probability values"
     elif case == "empty-gt":
         (tmp_path / "gt").mkdir()
@@ -896,7 +871,7 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
         argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
         message = f"no labeled scans under {data}"
     elif case == "no-coarse":
-        argv = [*refine, "--mode", "loaded"]
+        argv = [*run, loaded_config(tmp_path / "loaded.yaml", cfg)]
         message = f"stage 'coarse' failed on scan 000000: missing coarse probabilities {data / 'coarse'}"
     else:
         # label files of 2 and 3 words, or both empty
@@ -971,15 +946,15 @@ def test_train_skips_the_knn_vote(tmp_path, corpus, monkeypatch):
 def test_cli_full_workflow(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     cfg_path = tmp_path / "config.yaml"
-    tiny_config(seed=3).save_yaml(cfg_path)
+    cfg = tiny_config(seed=3)
+    dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=1)).save_yaml(cfg_path)
     common = ["--config", str(cfg_path)]
 
     assert cli.main(["gen", "--out", str(corpus_dir), "--scans", "2", *common]) == 0
 
     train_dir = tmp_path / "train"
     assert cli.main([
-        "train", "--data", str(corpus_dir), "--out", str(train_dir),
-        "--epochs", "1", *common,
+        "train", "--data", str(corpus_dir), "--out", str(train_dir), *common,
     ]) == 0
     run_dir = tmp_path / "run"
     assert cli.main([
@@ -994,30 +969,42 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert "mIoU" in out
 
 
-def test_cli_overrides_apply(tmp_path):
-    config = tmp_path / "config.yaml"
-    tiny_config().save_yaml(config)
-    common = ["--config", str(config)]
+# every setting the tiny corpus varies, in one partial file
+SEEDS_YAML = """\
+mode: loaded
+projection: {height: 64, width: 128}
+scene: {seed: 9, azimuth_steps: 256, boxes: 3, cylinders: 4, planes: 1}
+oracle: {seed: 9, blur_radius: 1, flip_rate: 0.02}
+selection: {seed: 9, boundary_budget: 11, n_u: 7, c_u: 2.5}
+train: {seed: 9, epochs: 1}
+"""
+
+
+def test_cli_runs_from_the_config_gen_echoes(tmp_path):
+    # the corpus's config.yaml, passed on, gives the runs its own file gives
+    seeds = tmp_path / "seeds.yaml"
+    seeds.write_text(SEEDS_YAML)
     corpus_dir = tmp_path / "c"
-    gen = ["gen", "--out", str(corpus_dir), "--scans", "2", "--seed", "9", "--mode", "loaded"]
-    assert cli.main([*gen, *common]) == 0
-    echoed = PipelineConfig.from_yaml(corpus_dir / "config.yaml")
-    assert [echoed.scene.seed, echoed.oracle.seed, echoed.selection.seed, echoed.train.seed] == [9] * 4
+    assert cli.main(["gen", "--out", str(corpus_dir), "--scans", "2", "--config", str(seeds)]) == 0
+    echo = corpus_dir / "config.yaml"
+    echoed = PipelineConfig.from_yaml(echo)
+    assert [getattr(echoed, section).seed for section in SEEDS] == [9] * 4
     assert echoed.mode == "loaded"
+    export_oracle_probs(corpus_dir, echoed)
 
-    run_dir = tmp_path / "r"
-    assert cli.main([
-        "refine", "--data", str(corpus_dir), "--out", str(run_dir), *common,
-        "--c-u", "2.5", "--boundary-budget", "11", "--n-u", "7",
-    ]) == 0
-    echoed = PipelineConfig.from_yaml(run_dir / "config.yaml")
-    assert echoed.selection.c_u == 2.5
-    assert echoed.selection.boundary_budget == 11
-    assert echoed.selection.n_u == 7
-
-    train_dir = tmp_path / "t"
-    assert cli.main([
-        "train", "--data", str(corpus_dir), "--out", str(train_dir), *common, "--epochs", "1",
-    ]) == 0
-    assert PipelineConfig.from_yaml(train_dir / "config.yaml").train.epochs == 1
-    assert len((train_dir / "train_log.txt").read_text().splitlines()) == 1
+    runs = {}
+    for name, config in (("given", seeds), ("echoed", echo)):
+        run = tmp_path / name
+        data, common = ["--data", str(corpus_dir)], ["--config", str(config)]
+        assert cli.main(["train", *data, "--out", str(run / "train"), *common]) == 0
+        model = ["--model", str(run / "train" / "model.ckpt")]
+        assert cli.main(["refine", *data, "--out", str(run / "full"), *model, *common]) == 0
+        assert cli.main(["refine", *data, "--out", str(run / "knn"), *common]) == 0
+        assert cli.main(["eval", "--pred", str(run / "full" / "predictions"),
+                         "--gt", str(corpus_dir / "labels"), "--out", str(run / "eval"), *common]) == 0
+        runs[name] = {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+    assert runs["given"] == runs["echoed"]
+    files = runs["given"]
+    assert files[Path("train/config.yaml")] == files[Path("full/config.yaml")] == echo.read_bytes()
+    assert len(files[Path("train/train_log.txt")].splitlines()) == 1
+    assert len([p for p in files if p.suffix == ".label"]) == 4
