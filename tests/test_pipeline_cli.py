@@ -177,11 +177,26 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--scans", "0", "num_scans must be >= 1")],
+    [
+        ("--scans", "0", "num_scans must be >= 1"),
+        # mode and seed were flags once; gen now reads them from its config
+        ("--mode", "foo", "mode must be 'oracle' or 'loaded'"),
+        ("--seed", "18446744073709551616", "seed must be an integer"),
+    ],
 )
 def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
     out = tmp_path / "c"
-    assert cli.main(["gen", "--out", str(out), "--scans", "1", flag, value]) == 2
+    args = ["gen", "--out", str(out), "--scans", "1"]
+    if flag == "--scans":
+        args += [flag, value]
+    else:
+        config = tmp_path / "config.yaml"
+        if flag == "--mode":
+            config.write_text(f"mode: {value}\n")
+        else:
+            config.write_text("".join(f"{section}: {{seed: {value}}}\n" for section in SEEDS))
+        args += ["--config", str(config)]
+    assert cli.main(args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
