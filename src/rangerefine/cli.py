@@ -108,6 +108,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # "" would name the working directory: gen would fill it, refine read it as a model
+        for option in ("out", "data", "pred", "gt", "model"):
+            if getattr(args, option, None) == "":
+                raise DataFormatError(f"--{option} is an empty path")
         return _COMMANDS[args.command](args, _load_config(args))
     except (DataFormatError, OSError) as exc:  # an unreadable input file is a data error
         print(f"data error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ On-disk conventions:
   16 bytes per point, no header;
 * label file (``.label``): little-endian uint32 per point, lower 16 bits the
   raw semantic id, upper 16 bits the instance id (written as zero);
-* class map: a YAML file with the raw->train mapping and class names (a
-  default Semantic-KITTI map ships with the package).
+* class map: the dataset API's ``semantic-kitti.yaml``, of which the four
+  tables ``labels``, ``learning_map``, ``learning_map_inv`` and
+  ``learning_ignore`` are read (the package ships them for the 20 classes).
 
 Writes go through a temp file and a rename, so a reader never sees a
 partial file. The synthetic scene source lives in ``scanner``.
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import DataFormatError, is_integer
+from .errors import DataFormatError, is_integer, located
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -59,69 +60,67 @@ class PointCloud:
 
 
 class ClassMap:
-    """Raw 16-bit semantic ids <-> contiguous train ids ``0..C-1``.
+    """Raw 16-bit semantic ids <-> contiguous train ids ``0..C-1``, from the
+    four tables of Semantic-KITTI's ``semantic-kitti.yaml``.
 
-    Unknown raw ids map to ``ignore_class``. The inverse map gives each train id
-    one raw id that reads back as it (the smallest, unless ``train_to_raw`` is
-    given), so write->read round-trips. Class names, ``class_<id>`` where none
-    is given, are distinct.
+    ``learning_map`` maps raw -> train; unknown raw ids map to the ignore
+    class, the one class that ``learning_ignore`` marks. ``learning_map_inv``
+    maps each train id ``0..C-1`` to a raw id that reads back as it, so
+    write->read round-trips. Train class ``c`` is named
+    ``labels[learning_map_inv[c]]``, and the names are distinct.
     """
 
     def __init__(
         self,
-        raw_to_train: dict[int, int],
-        train_to_name: dict[int, str],
-        num_classes: int,
-        ignore_class: int,
-        train_to_raw: dict[int, int] | None,
+        labels: dict[int, str],
+        learning_map: dict[int, int],
+        learning_map_inv: dict[int, int],
+        learning_ignore: dict[int, bool],
     ):
-        self.train_to_name = dict(train_to_name)
-        self.num_classes = int(num_classes)
-        self.ignore_class = int(ignore_class)
-
-        # a map that round-trips has at most one class per 16-bit raw id
-        if self.num_classes > 1 << 16:
-            raise DataFormatError(f"num_classes {num_classes} exceeds the {1 << 16} raw ids")
-        bad = [t for t in raw_to_train.values() if not 0 <= t < num_classes]
+        self.num_classes = num = len(learning_map_inv)
+        missing = [t for t in range(num) if t not in learning_map_inv]
+        if missing:
+            raise DataFormatError(
+                f"learning_map_inv keys must be the train ids 0..{num - 1}; "
+                f"{len(missing)} missing, the first {missing[:5]}"
+            )
+        bad = sorted({t for t in learning_map.values() if not 0 <= t < num})
         if bad:
-            raise DataFormatError(f"train ids out of range 0..{num_classes - 1}: {sorted(set(bad))}")
-        if not 0 <= self.ignore_class < num_classes:
-            raise DataFormatError(f"ignore_class {ignore_class} out of range")
-        bad = [t for t in self.train_to_name if not 0 <= t < num_classes]
-        if bad:
-            raise DataFormatError(f"names keys out of range 0..{num_classes - 1}: {sorted(bad)}")
-        # a report keys each class's IoU by its name
-        named = {}
-        for train in range(self.num_classes):
-            first = named.setdefault(self.name(train), train)
-            if first != train:
-                raise DataFormatError(f"classes {first} and {train} are both named {self.name(train)!r}")
+            raise DataFormatError(f"learning_map values are not train ids 0..{num - 1}: {bad}")
+        if learning_ignore.keys() != learning_map_inv.keys():
+            raise DataFormatError(f"learning_ignore keys must be the train ids 0..{num - 1}")
+        ignored = [t for t in range(num) if learning_ignore[t]]
+        if len(ignored) != 1:
+            raise DataFormatError(f"learning_ignore must mark exactly one train id, not {ignored}")
+        self.ignore_class = ignored[0]
 
         # dense lookup tables, built once
         self._lut = np.full(1 << 16, self.ignore_class, dtype=np.int32)
-        for raw, train in raw_to_train.items():
+        for raw, train in learning_map.items():
             if not 0 <= raw < (1 << 16):
                 raise DataFormatError(f"raw id {raw} does not fit 16 bits")
             self._lut[raw] = train
-        if train_to_raw is None:
-            train_to_raw = {}
-            for raw, train in sorted(raw_to_train.items()):
-                train_to_raw.setdefault(train, raw)
-        missing = [t for t in range(num_classes) if t not in train_to_raw]
-        if missing:
-            raise DataFormatError(
-                f"no raw id for {len(missing)} train ids, the first {missing[:5]}"
-            )
-        # the label file's word: little-endian whatever the host's byte order
-        self._inv_lut = np.zeros(num_classes, dtype="<u4")
-        for train, raw in train_to_raw.items():
-            if not 0 <= train < num_classes:
-                raise DataFormatError(f"train_to_raw key {train} out of range 0..{num_classes - 1}")
+        # a report keys each class's IoU by its name
+        self.names = []
+        for train in range(num):
+            raw = learning_map_inv[train]
             if not (0 <= raw < (1 << 16) and self._lut[raw] == train):
                 raise DataFormatError(
-                    f"train_to_raw maps {train} to raw id {raw}, which does not read back as {train}"
+                    f"learning_map_inv maps {train} to raw id {raw}, which does not read back as {train}"
                 )
-            self._inv_lut[train] = raw
+            if raw not in labels:
+                raise DataFormatError(f"labels has no name for raw id {raw}, train id {train}")
+            name = labels[raw]
+            # a report line is "iou.<name> <value>", written as ASCII
+            if not (isinstance(name, str) and name.isascii() and name.split() == [name]):
+                raise DataFormatError(
+                    f"class names must be non-empty ASCII strings without whitespace, got {name!r}"
+                )
+            if name in self.names:
+                raise DataFormatError(f"classes {self.names.index(name)} and {train} are both named {name!r}")
+            self.names.append(name)
+        # the label file's word: little-endian whatever the host's byte order
+        self._inv_lut = np.array([learning_map_inv[t] for t in range(num)], dtype="<u4")
 
     def to_train(self, raw_ids: np.ndarray) -> np.ndarray:
         return self._lut[raw_ids]
@@ -129,46 +128,34 @@ class ClassMap:
     def to_raw(self, train_ids: np.ndarray) -> np.ndarray:
         return self._inv_lut[train_ids]
 
-    def name(self, train_id: int) -> str:
-        return self.train_to_name.get(train_id, f"class_{train_id}")
-
     @classmethod
     def from_yaml(cls, path) -> "ClassMap":
+        """Read the four tables of a ``semantic-kitti.yaml``; other keys are ignored."""
         doc = read_yaml(path, "class map")
-        if not isinstance(doc, dict):
-            raise DataFormatError(f"class map {path} must be a mapping, got {doc!r}")
-        for key in ("raw_to_train", "names", "train_to_raw"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise DataFormatError(f"class map {path}: {key} must be a mapping, got {doc[key]!r}")
 
-        def integer(value, what):
-            if not is_integer(value):
-                raise DataFormatError(f"{what} must be an integer, got {value!r}")
-            return value
+        def table(key, accepts=is_integer, kind="an integer"):
+            if key not in doc:
+                raise DataFormatError(f"missing key {key!r}")
+            if not isinstance(doc[key], dict):
+                raise DataFormatError(f"{key} must be a mapping, got {doc[key]!r}")
+            for k, v in doc[key].items():
+                if not is_integer(k):
+                    raise DataFormatError(f"{key} key must be an integer, got {k!r}")
+                if not accepts(v):
+                    raise DataFormatError(f"{key} value must be {kind}, got {v!r}")
+            return doc[key]
 
-        def table(key):
-            return {integer(k, f"{key} key"): integer(v, f"{key} value") for k, v in doc[key].items()}
-
-        def name(value):
-            # a report line is "iou.<name> <value>", written as ASCII
-            if not (isinstance(value, str) and value.isascii() and value.split() == [value]):
-                raise DataFormatError(
-                    f"class names must be non-empty ASCII strings without whitespace, got {value!r}"
-                )
-            return value
-
-        try:
+        with located(f"class map {path}"):
+            if not isinstance(doc, dict):
+                raise DataFormatError(f"must be a mapping, got {doc!r}")
+            # keyword arguments are evaluated in order: an old-format map names learning_map
             return cls(
-                raw_to_train=table("raw_to_train"),
-                train_to_name={integer(k, "names key"): name(v) for k, v in doc.get("names", {}).items()},
-                num_classes=integer(doc["num_classes"], "num_classes"),
-                ignore_class=integer(doc.get("ignore_class", 0), "ignore_class"),
-                train_to_raw=table("train_to_raw") if "train_to_raw" in doc else None,
+                learning_map=table("learning_map"),
+                learning_map_inv=table("learning_map_inv"),
+                learning_ignore=table("learning_ignore", lambda v: isinstance(v, bool), "true or false"),
+                # a name is checked where a train class takes it
+                labels=table("labels", accepts=lambda name: True),
             )
-        except KeyError as exc:
-            raise DataFormatError(f"class map {path} is missing key {exc}") from exc
-        except DataFormatError as exc:  # a non-integer id, or a map __init__ rejects
-            raise DataFormatError(f"class map {path}: {exc}") from exc
 
     @classmethod
     def semantic_kitti(cls) -> "ClassMap":

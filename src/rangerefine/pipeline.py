@@ -292,7 +292,7 @@ def summarize(cm: ConfusionMatrix, class_map: ClassMap) -> dict:
         "miou": cm.miou(),
         "oacc": cm.oacc(),
         "iou": {
-            class_map.name(c): float(iou[c])
+            class_map.names[c]: float(iou[c])
             for c in range(cm.num_classes)
             if not np.isnan(iou[c])
         },

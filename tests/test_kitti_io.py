@@ -35,13 +35,12 @@ from rangerefine.scanner import (
 )
 
 
-def small_map(num_classes=4):
+def small_map():
     return ClassMap(
-        raw_to_train={0: 0, 10: 1, 11: 2, 20: 3, 252: 1},
-        train_to_name={0: "unlabeled", 1: "a", 2: "b", 3: "c"},
-        num_classes=num_classes,
-        ignore_class=0,
-        train_to_raw=None,
+        labels={0: "unlabeled", 10: "a", 11: "b", 20: "c", 252: "moving-a"},
+        learning_map={0: 0, 10: 1, 11: 2, 20: 3, 252: 1},
+        learning_map_inv={0: 0, 1: 10, 2: 11, 3: 20},
+        learning_ignore={0: True, 1: False, 2: False, 3: False},
     )
 
 
@@ -162,30 +161,70 @@ def test_label_roundtrip_identity(tmp_path_factory, labels):
     np.testing.assert_array_equal(read_labels(path, cmap), arr)
 
 
-def test_default_semantic_kitti_map(tmp_path):
+# the packaged map, pinned: the 20 train classes, their raw ids, and where
+# each of the 34 listed raw ids goes
+SEMANTIC_KITTI_NAMES = [
+    "unlabeled", "car", "bicycle", "motorcycle", "truck", "other-vehicle", "person",
+    "bicyclist", "motorcyclist", "road", "parking", "sidewalk", "other-ground", "building",
+    "fence", "vegetation", "trunk", "terrain", "pole", "traffic-sign",
+]
+SEMANTIC_KITTI_TRAIN_TO_RAW = [0, 10, 11, 15, 18, 20, 30, 31, 32, 40, 44, 48, 49, 50, 51, 70, 71, 72, 80, 81]
+SEMANTIC_KITTI_RAW_TO_TRAIN = {
+    0: 0, 1: 0, 10: 1, 11: 2, 13: 5, 15: 3, 16: 5, 18: 4, 20: 5, 30: 6, 31: 7, 32: 8,
+    40: 9, 44: 10, 48: 11, 49: 12, 50: 13, 51: 14, 52: 0, 60: 9, 70: 15, 71: 16, 72: 17,
+    80: 18, 81: 19, 99: 0, 252: 1, 253: 7, 254: 6, 255: 8, 256: 5, 257: 5, 258: 4, 259: 5,
+}
+
+
+def test_default_semantic_kitti_map():
     cmap = ClassMap.semantic_kitti()
-    assert cmap.num_classes == 20
-    assert cmap.ignore_class == 0
-    # moving-car folds onto car; write picks the canonical raw id back
-    assert cmap.to_train(np.array([252]))[0] == 1
-    assert cmap.to_raw(np.array([1]))[0] == 10
-    assert len({cmap.name(c) for c in range(20)}) == 20
-    # a map that still carries a viewer's palette loads as if it had none
+    assert (cmap.num_classes, cmap.ignore_class) == (20, 0)
+    assert cmap.names == SEMANTIC_KITTI_NAMES
+    np.testing.assert_array_equal(cmap.to_raw(np.arange(20)), SEMANTIC_KITTI_TRAIN_TO_RAW)
+    raw = np.array([*SEMANTIC_KITTI_RAW_TO_TRAIN, 100])
+    np.testing.assert_array_equal(cmap.to_train(raw), [*SEMANTIC_KITTI_RAW_TO_TRAIN.values(), 0])
+
+
+def test_dataset_keys_beside_the_tables_are_ignored(tmp_path):
+    # the dataset's semantic-kitti.yaml also carries color_map, content and
+    # split, and maps of earlier versions a viewer's palette
     ref = resources.files("rangerefine").joinpath("data/semantic_kitti.yaml")
-    path = tmp_path / "palette.yaml"
-    path.write_text(ref.read_text() + "palette:\n  0: [128, 128, 128]\n  1: [100, 150, 245]\n")
-    with_palette = ClassMap.from_yaml(path)
-    assert with_palette.train_to_name == cmap.train_to_name
+    path = tmp_path / "semantic-kitti.yaml"
+    path.write_text(
+        ref.read_text()
+        + "color_map:\n  0: [0, 0, 0]\n  10: [245, 150, 100]\n"
+        + "content:\n  0: 0.018889854628292943\n  10: 0.040818519255974316\n"
+        + "split:\n  train: [0, 1, 2]\n  valid: [8]\n  test: [11, 12]\n"
+        + "palette:\n  0: [128, 128, 128]\n"
+    )
+    cmap, full = ClassMap.semantic_kitti(), ClassMap.from_yaml(path)
+    assert (full.num_classes, full.ignore_class, full.names) == (20, 0, cmap.names)
     raw = np.arange(1 << 16)
-    np.testing.assert_array_equal(with_palette.to_train(raw), cmap.to_train(raw))
-    np.testing.assert_array_equal(with_palette.to_raw(np.arange(20)), cmap.to_raw(np.arange(20)))
+    np.testing.assert_array_equal(full.to_train(raw), cmap.to_train(raw))
+    np.testing.assert_array_equal(full.to_raw(np.arange(20)), cmap.to_raw(np.arange(20)))
+
+
+def test_class_map_checks_only_the_names_train_classes_take(tmp_path):
+    # raw 99 folds onto unlabeled, so no report line carries its name
+    path = tmp_path / "classes.yaml"
+    path.write_text(
+        "labels: {0: unlabeled, 10: car, 99: other object}\n"
+        "learning_map: {0: 0, 10: 1, 99: 0}\n"
+        "learning_map_inv: {0: 0, 1: 10}\n"
+        "learning_ignore: {0: true, 1: false}\n"
+    )
+    cmap = ClassMap.from_yaml(path)
+    assert (cmap.num_classes, cmap.ignore_class, cmap.names) == (2, 0, ["unlabeled", "car"])
+    np.testing.assert_array_equal(cmap.to_train(np.array([0, 10, 99, 7])), [0, 1, 0, 0])
 
 
 def test_class_map_missing_ids_message_is_bounded():
+    # 1,000 train ids keyed 0, 2, ..., 1998: the 500 odd ones below 1,000 are missing
+    inverse = {2 * t: t for t in range(1000)}
     with pytest.raises(DataFormatError) as exc:
-        ClassMap({0: 0}, {}, 1 << 16, ignore_class=0, train_to_raw=None)
+        ClassMap({}, {}, inverse, {t: t == 0 for t in inverse})
     message = str(exc.value)
-    assert "no raw id for 65535 train ids, the first [1, 2, 3, 4, 5]" in message
+    assert "500 missing, the first [1, 3, 5, 7, 9]" in message
     assert len(message) < 200
 
 

@@ -201,85 +201,102 @@ def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+def class_map_text(**tables):
+    """A two-class map in the dataset's format, with the given tables' YAML in place of its own."""
+    tables = {
+        "labels": "{0: unlabeled, 10: car}",
+        "learning_map": "{0: 0, 10: 1}",
+        "learning_map_inv": "{0: 0, 1: 10}",
+        "learning_ignore": "{0: true, 1: false}",
+        **tables,
+    }
+    return "".join(f"{key}: {value}\n" for key, value in tables.items())
+
+
+THREE_CLASSES = {
+    "learning_map": "{0: 0, 10: 1, 20: 2}",
+    "learning_map_inv": "{0: 0, 1: 10, 2: 20}",
+    "learning_ignore": "{0: true, 1: false, 2: false}",
+}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("- 1\n", "must be a mapping, got [1]"),
-        ("raw_to_train: 5\nnum_classes: 2\n", "raw_to_train must be a mapping, got 5"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: x\n", "num_classes must be an integer, got 'x'"),
+        (class_map_text(learning_map="5"), "learning_map must be a mapping, got 5"),
+        (
+            class_map_text(learning_ignore="{0: true, one: false}"),
+            "learning_ignore key must be an integer, got 'one'",
+        ),
         # an inverse that does not invert: written [0, 1, 2] would read back as [0, 2, 1]
         (
-            "raw_to_train: {0: 0, 10: 1, 20: 2}\nnum_classes: 3\ntrain_to_raw: {0: 0, 1: 20, 2: 10}\n",
-            "train_to_raw maps 1 to raw id 20, which does not read back as 1",
+            class_map_text(**{**THREE_CLASSES, "learning_map_inv": "{0: 0, 1: 20, 2: 10}"}),
+            "learning_map_inv maps 1 to raw id 20, which does not read back as 1",
         ),
         # 70010 spills into the instance bits and would read back as the ignore class
+        (class_map_text(learning_map_inv="{0: 0, 1: 70010}"), "learning_map_inv maps 1 to raw id 70010"),
+        (class_map_text(learning_map_inv="{0: 0, 1: -10}"), "learning_map_inv maps 1 to raw id -10"),
+        # the class count is len(learning_map_inv), whose keys are the train ids
         (
-            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: 70010}\n",
-            "train_to_raw maps 1 to raw id 70010",
+            class_map_text(learning_map_inv="{0: 0, 2: 10}"),
+            "learning_map_inv keys must be the train ids 0..1; 1 missing, the first [1]",
+        ),
+        # one learning_ignore boolean for each of those train ids
+        (
+            class_map_text(learning_ignore="{0: true, 1: false, 2: false}"),
+            "learning_ignore keys must be the train ids 0..1",
+        ),
+        # a map in the format of earlier versions
+        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\n", "missing key 'learning_map'"),
+        (class_map_text(learning_map="{0: 0, 10: 1, 70000: 1}"), "raw id 70000 does not fit 16 bits"),
+        (
+            class_map_text(learning_map="{0: 0, 10: 1, 11: 2, 12: -1}"),
+            "learning_map values are not train ids 0..1: [-1, 2]",
         ),
         (
-            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: -10}\n",
-            "train_to_raw maps 1 to raw id -10",
+            class_map_text(learning_ignore="{0: false, 1: false}"),
+            "learning_ignore must mark exactly one train id, not []",
         ),
         (
-            "raw_to_train: {0: 0, 10: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: 10, 2: 10}\n",
-            "train_to_raw key 2 out of range 0..1",
+            class_map_text(learning_ignore="{0: true, 1: true}"),
+            "learning_ignore must mark exactly one train id, not [0, 1]",
         ),
-        # a typo'd names key would leave its class named class_<id>
+        # an integer is not read as a boolean
         (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: a, 1: b, 7: zz, -1: neg}\n",
-            "names keys out of range 0..1: [-1, 7]",
+            class_map_text(learning_ignore="{0: 1, 1: 0}"),
+            "learning_ignore value must be true or false, got 1",
         ),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 70000\n", "num_classes 70000 exceeds the 65536"),
-        ("raw_to_train: {0: 0, 1: 1}\n", "is missing key 'num_classes'"),
-        ("raw_to_train: {0: 0, 70000: 1}\nnum_classes: 2\n", "raw id 70000 does not fit 16 bits"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nignore_class: 5\n", "ignore_class 5 out of range"),
         # YAML that is not an integer is not read as one: no rounding, no bool or string ids
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2.7\n", "num_classes must be an integer, got 2.7"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: '2'\n", "num_classes must be an integer, got '2'"),
+        (class_map_text(learning_map="{0: 0, 1.9: 1}"), "learning_map key must be an integer, got 1.9"),
+        (class_map_text(learning_map="{0: 0, 10: 1.5}"), "learning_map value must be an integer, got 1.5"),
         (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nignore_class: true\n",
-            "ignore_class must be an integer, got True",
+            class_map_text(learning_map_inv="{0: 0, 1: '10'}"),
+            "learning_map_inv value must be an integer, got '10'",
         ),
-        ("raw_to_train: {0: 0, 1.9: 1}\nnum_classes: 2\n", "raw_to_train key must be an integer, got 1.9"),
-        ("raw_to_train: {0: 0, 1: 1.5}\nnum_classes: 2\n", "raw_to_train value must be an integer, got 1.5"),
+        (class_map_text(labels="{0: unlabeled, true: car}"), "labels key must be an integer, got True"),
+        (class_map_text(labels="{0: unlabeled, 11: car}"), "labels has no name for raw id 10, train id 1"),
+        # a report keys each IoU by its class name
         (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\ntrain_to_raw: {0: 0, 1: '1'}\n",
-            "train_to_raw value must be an integer, got '1'",
-        ),
-        (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {true: car}\n",
-            "names key must be an integer, got True",
-        ),
-        # a report keys each IoU by its class name, the class_<id> fallback included
-        (
-            "raw_to_train: {0: 0, 1: 1, 2: 2}\nnum_classes: 3\nnames: {1: car, 2: car}\n",
+            class_map_text(labels="{0: unlabeled, 10: car, 20: car}", **THREE_CLASSES),
             "classes 1 and 2 are both named 'car'",
-        ),
-        (
-            "raw_to_train: {0: 0, 1: 1, 2: 2}\nnum_classes: 3\nnames: {2: class_1}\n",
-            "classes 1 and 2 are both named 'class_1'",
         ),
         # a name is one whitespace-free ASCII token, so each report.kv line splits in two
         (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: null, 1: car}\n",
+            class_map_text(labels="{0: null, 10: car}"),
             "class names must be non-empty ASCII strings without whitespace, got None",
         ),
-        (
-            "raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {0: road, 1: traffic sign}\n",
-            "without whitespace, got 'traffic sign'",
-        ),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: ''}\n", "without whitespace, got ''"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: [a, b]}\n", "got ['a', 'b']"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: 7}\n", "without whitespace, got 7"),
-        ("raw_to_train: {0: 0, 1: 1}\nnum_classes: 2\nnames: {1: café}\n", "got 'café'"),
+        (class_map_text(labels="{0: road, 10: traffic sign}"), "without whitespace, got 'traffic sign'"),
+        (class_map_text(labels="{0: unlabeled, 10: ''}"), "without whitespace, got ''"),
+        (class_map_text(labels="{0: unlabeled, 10: [a, b]}"), "got ['a', 'b']"),
+        (class_map_text(labels="{0: unlabeled, 10: 7}"), "without whitespace, got 7"),
+        (class_map_text(labels="{0: unlabeled, 10: café}"), "got 'café'"),
     ],
     ids=["document", "table", "integer", "swapped", "raw-overflow", "raw-negative", "key-range",
-         "names-key-range",
-         "num-classes", "no-num-classes", "raw-16-bits", "ignore-range", "num-classes-float",
-         "num-classes-string", "ignore-bool", "raw-key-float", "raw-value-float",
-         "inverse-value-string", "names-key-bool", "names-duplicate", "names-fallback-duplicate",
-         "names-null", "names-space", "names-empty", "names-list", "names-int", "names-non-ascii"],
+         "num-classes", "old-format", "raw-16-bits", "map-value-range", "ignore-none", "ignore-two",
+         "ignore-non-bool", "raw-key-float", "raw-value-float", "inverse-value-string",
+         "names-key-bool", "labels-missing", "names-duplicate", "names-null", "names-space",
+         "names-empty", "names-list", "names-int", "names-non-ascii"],
 )
 def test_class_map_errors_are_located(tmp_path, capsys, text, message):
     class_map = tmp_path / "classes.yaml"
@@ -315,17 +332,20 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
 
 REPEATED_SECTION = b"projection: {width: 256}\nmode: oracle\nprojection: {width: 128}\n"
 # class 1 keeps raw id 11, so the map is valid whichever value raw 10 gets
-REPEATED_RAW_ID = b"num_classes: 3\nraw_to_train:\n  0: 0\n  10: 1\n  11: 1\n  30: 2\n  10: 2\n"
+REPEATED_RAW_ID = (
+    b"labels: {0: unlabeled, 11: a, 30: b}\nlearning_map:\n  0: 0\n  10: 1\n  11: 1\n  30: 2\n  10: 2\n"
+    b"learning_map_inv: {0: 0, 1: 11, 2: 30}\nlearning_ignore: {0: true, 1: false, 2: false}\n"
+)
 
 
 @pytest.mark.parametrize(
     "kind, payload, problem",
     [
         ("config", b"knn: {window: [\n", "is not valid YAML"),
-        ("class map", b"num_classes: [\n", "is not valid YAML"),
+        ("class map", b"learning_map: [\n", "is not valid YAML"),
         # Latin-1 bytes in a comment: the file is not UTF-8 text
         ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
-        ("class map", b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+        ("class map", b"learning_map: {0: 0}  # caf\xe9\n", "is not UTF-8 text"),
         # a repeated key, whose last value PyYAML would keep without a word
         ("config", REPEATED_SECTION, "repeats key 'projection' at line 3"),
         ("class map", REPEATED_RAW_ID, "repeats key '10' at line 7"),
@@ -366,11 +386,11 @@ def test_malformed_yaml_is_located_by_either_loader(tmp_path, monkeypatch, loade
         ("config", b"knn: {window: [\n", "is not valid YAML"),
         ("config", b"knn: {window: 5}  # caf\xe9\n", "is not UTF-8 text"),
         # past the first chunk either parser decodes
-        ("class map", b"# padding\n" * 2000 + b"num_classes: 2  # caf\xe9\n", "is not UTF-8 text"),
+        ("class map", b"# padding\n" * 2000 + b"learning_map: {0: 0}  # caf\xe9\n", "is not UTF-8 text"),
         ("config", REPEATED_SECTION, "repeats key 'projection' at line 3"),
         ("class map", REPEATED_RAW_ID, "repeats key '10' at line 7"),
         # two spellings of one integer are one dict key
-        ("class map", b"num_classes: 2\nnames: {1: a, 0x1: b}\n", "repeats key '0x1' at line 2"),
+        ("class map", b"learning_map: {0: 0}\nlabels: {1: a, 0x1: b}\n", "repeats key '0x1' at line 2"),
     ]:
         bad.write_bytes(payload)
         with pytest.raises(DataFormatError, match=f"{kind} {bad} {problem}"):
@@ -831,6 +851,31 @@ def test_cli_empty_path_is_a_missing_file(tmp_path, capsys, corpus, option):
     out = tmp_path / "run"
     assert cli.main(["refine", "--data", str(root), "--out", str(out), option, ""]) == 2
     assert "data error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("gen", "--out"), ("train", "--data"), ("train", "--out"), ("refine", "--data"),
+     ("refine", "--out"), ("refine", "--model"), ("eval", "--pred"), ("eval", "--gt"),
+     ("eval", "--out")],
+)
+def test_cli_rejects_an_empty_path(tmp_path_factory, tmp_path, monkeypatch, capsys, corpus, command, option):
+    # "" names the working directory: gen --out "" would fill it, and
+    # refine --model "" would read it as a checkpoint
+    root, _ = corpus
+    out = tmp_path_factory.mktemp("elsewhere") / "out"
+    paths = {"--data": root, "--out": out, "--pred": root / "labels", "--gt": root / "labels"}
+    argv = [command, "--config", str(root / "config.yaml")]
+    for name in {"gen": ["--out"], "train": ["--data", "--out"], "refine": ["--data", "--out"],
+                 "eval": ["--pred", "--gt", "--out"]}[command]:
+        argv += [name, "" if name == option else str(paths[name])]
+    if option == "--model":
+        argv += ["--model", ""]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert f"data error: {option} is an empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
     assert not out.exists()
 
 
