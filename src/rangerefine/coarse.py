@@ -7,8 +7,8 @@ classes of a seeded fraction and applies a temperature power transform. It
 reproduces the two error modes the refiner targets (blurred boundaries,
 confident mistakes) with controllable strength.
 
-File format for loaded probabilities: raw little-endian float32, row-major
-(row, col, class), no header.
+File format of a corpus's ``coarse/<scan>.probs`` export: raw little-endian
+float32, row-major (row, col, class), no header.
 """
 
 from __future__ import annotations

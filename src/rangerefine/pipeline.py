@@ -1,9 +1,9 @@
 """End-to-end pipeline: project, coarse labels, KNN refine, pool, refine.
 
 A corpus directory holds ``scans/*.bin`` plus optional ``labels/*.label``
-and, for the loaded-probability mode, ``coarse/*.probs`` (raw float32
-H*W*C). Every run echoes its effective configuration into the output
-directory so results are reproducible from the artifacts alone.
+and ``coarse/*.probs`` (a backbone's export, raw float32 H*W*C, read in
+place of the oracle's). Every run echoes its effective configuration into the
+output directory so results are reproducible from the artifacts alone.
 """
 
 from __future__ import annotations
@@ -45,14 +45,11 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     oracle: OracleNoiseSpec = field(default_factory=OracleNoiseSpec)
     scene: SyntheticSceneSpec = field(default_factory=SyntheticSceneSpec)
-    mode: str = "oracle"            # coarse source: "oracle" | "loaded"
     class_map: str | None = None    # YAML path; None = packaged Semantic-KITTI map
     use_refiner: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        if self.mode not in ("oracle", "loaded"):
-            raise DataFormatError("mode must be 'oracle' or 'loaded'")
 
     def load_class_map(self) -> ClassMap:
         if self.class_map is None:
@@ -135,14 +132,16 @@ def coarse_for_scan(
     class_map: ClassMap,
     data_dir,
 ) -> CoarseSegmentation:
-    """The backbone stand-in: load exported probabilities or run the oracle."""
-    if cfg.mode == "loaded":
-        path = Path(data_dir) / "coarse" / (cloud.scan_id + COARSE_SUFFIX)
+    """The backbone stand-in: the corpus's exported probabilities when it has
+    a ``coarse/`` directory, the oracle's from the scan's labels otherwise."""
+    coarse_dir = Path(data_dir) / "coarse"
+    if coarse_dir.is_dir():
+        path = coarse_dir / (cloud.scan_id + COARSE_SUFFIX)
         if not path.exists():
             raise DataFormatError(f"missing coarse probabilities {path}")
         return load_coarse(path, img.height, img.width, class_map.num_classes)
     if cloud.labels is None:
-        raise DataFormatError("oracle mode needs ground-truth labels")
+        raise DataFormatError(f"no coarse/ under {data_dir} and no labels to synthesize probabilities from")
     return oracle_coarse(img, cloud.labels, cfg.oracle, class_map.num_classes)
 
 
@@ -306,11 +305,12 @@ def write_report(summary: dict, out_dir) -> None:
 
 
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
-    """Write ``num_scans`` synthetic scans + labels in corpus layout."""
+    """Write ``num_scans`` synthetic scans + labels in corpus layout; a stale
+    ``coarse/`` is refused too, since refine would read it for the new scans."""
     if num_scans < 1:
         raise DataFormatError("num_scans must be >= 1")
     out_dir = Path(out_dir)
-    for sub in ("scans", "labels"):
+    for sub in ("scans", "labels", "coarse"):
         _refuse_nonempty(out_dir / sub, sub)
     class_map = cfg.load_class_map()
     stems = []

@@ -62,7 +62,6 @@ def corpus(tmp_path_factory):
 def test_config_yaml_roundtrip(tmp_path):
     cfg = tiny_config()
     cfg.selection.c_u = 2.5
-    cfg.mode = "oracle"
     path = tmp_path / "config.yaml"
     cfg.save_yaml(path)
     back = PipelineConfig.from_yaml(path)
@@ -122,7 +121,9 @@ def test_config_rejects_non_integer_fields(tmp_path, capsys, section, field, val
         ("train", "class_weights", "[.nan, 1.0]", "class_weights']"),
         (None, "use_refiner", "0", "use_refiner must be true or false"),
         (None, "class_map", "5", "class_map must be a string or null"),
-        (None, "mode", "foo", "mode must be 'oracle' or 'loaded'"),
+        # the coarse source is the corpus's coarse/ directory, not a setting
+        (None, "mode", "foo", "unknown keys in config: ['mode']"),
+        (None, "mode", "loaded", "unknown keys in config: ['mode']"),
         ("oracle", "blur_radius", "-1", "blur_radius must be >= 0"),
         ("oracle", "flip_rate", "1.0", "flip_rate must be in [0, 1)"),
         ("scene", "boxes", "-1", "object counts must be >= 0"),
@@ -179,8 +180,10 @@ def test_config_rejects_removed_knobs(tmp_path, capsys, section, key):
     "flag, value, message",
     [
         ("--scans", "0", "num_scans must be >= 1"),
-        # mode and seed were flags once; gen now reads them from its config
-        ("--mode", "foo", "mode must be 'oracle' or 'loaded'"),
+        # mode and seed were flags once; gen reads seeds from its config, and
+        # mode is no setting at all
+        ("--mode", "foo", "unknown keys in config: ['mode']"),
+        ("--mode", "loaded", "unknown keys in config: ['mode']"),
         ("--seed", "18446744073709551616", "seed must be an integer"),
     ],
 )
@@ -330,7 +333,7 @@ def test_config_structure_errors_are_located(tmp_path, capsys, text, message):
     assert not (tmp_path / "c").exists()
 
 
-REPEATED_SECTION = b"projection: {width: 256}\nmode: oracle\nprojection: {width: 128}\n"
+REPEATED_SECTION = b"projection: {width: 256}\nuse_refiner: true\nprojection: {width: 128}\n"
 # class 1 keeps raw id 11, so the map is valid whichever value raw 10 gets
 REPEATED_RAW_ID = (
     b"labels: {0: unlabeled, 11: a, 30: b}\nlearning_map:\n  0: 0\n  10: 1\n  11: 1\n  30: 2\n  10: 2\n"
@@ -446,7 +449,7 @@ SETTABLE = [
     ("selection", "boundary_budget"), ("selection", "c_u"), ("selection", "n_u"),
     ("selection", "seed"),
     ("train", "epochs"), ("train", "learning_rate"), ("train", "seed"),
-    (None, "class_map"), (None, "mode"), (None, "use_refiner"),
+    (None, "class_map"), (None, "use_refiner"),
 ]
 
 
@@ -458,7 +461,7 @@ def test_config_schema_is_pinned():
             leaves |= {(key, name) for name in value}
         else:
             leaves.add((None, key))
-    assert len(SETTABLE) == 22
+    assert len(SETTABLE) == 21
     assert leaves == set(SETTABLE)
 
 
@@ -479,12 +482,17 @@ def test_generate_corpus_layout_and_determinism(tmp_path, corpus):
     assert len(gt) == len(cloud)
 
 
-@pytest.mark.parametrize("sub", ["scans", "labels"])
+@pytest.mark.parametrize("sub", ["scans", "labels", "coarse"])
 def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, sub):
     out = tmp_path / "c"
     assert cli.main(["gen", "--out", str(out), "--scans", "2"]) == 0
-    if sub == "labels":
+    if sub != "scans":
         shutil.rmtree(out / "scans")
+    if sub == "coarse":
+        # a stale export, which refine would read in place of the new scans' oracle
+        shutil.rmtree(out / "labels")
+        (out / "coarse").mkdir()
+        (out / "coarse" / "000000.probs").write_bytes(bytes(4))
     before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     seeds = tmp_path / "seeds.yaml"
     seeds.write_text("".join(f"{section}: {{seed: 9}}\n" for section in SEEDS))
@@ -610,12 +618,6 @@ def test_label_length_mismatch_is_located(tmp_path, capsys, corpus, command, cha
     assert not (out / "model.ckpt").exists()
 
 
-def loaded_config(path, cfg):
-    """Write ``cfg`` in loaded mode to ``path``; return the path as an argument."""
-    dataclasses.replace(cfg, mode="loaded").save_yaml(path)
-    return str(path)
-
-
 def export_oracle_probs(data, cfg, fill_empty_pixels=None):
     """Write each scan's oracle probabilities as ``coarse/<scan>.probs``; with
     ``fill_empty_pixels``, pixels no point projects to put all mass on that class."""
@@ -638,7 +640,7 @@ def test_loaded_mode_end_to_end_ignores_empty_pixels(tmp_path, corpus):
         data = tmp_path / name / "data"
         shutil.copytree(root, data)
         export_oracle_probs(data, cfg, fill)
-        common = ["--config", loaded_config(tmp_path / name / "loaded.yaml", cfg)]
+        common = ["--config", str(data / "config.yaml")]
         train_dir, run_dir = tmp_path / name / "train", tmp_path / name / "run"
         assert cli.main(["train", "--data", str(data), "--out", str(train_dir), *common]) == 0
         assert cli.main([
@@ -652,6 +654,30 @@ def test_loaded_mode_end_to_end_ignores_empty_pixels(tmp_path, corpus):
     assert len(preds) == 3
     for pred in preds:
         assert pred.read_bytes() == (b / "run" / "predictions" / pred.name).read_bytes()
+
+
+def test_coarse_export_replaces_the_oracle_and_needs_no_labels(tmp_path):
+    # the default config, at full size: a corpus that holds coarse/ is read from it
+    data = tmp_path / "corpus"
+    assert cli.main(["gen", "--out", str(data), "--scans", "1"]) == 0
+    cmap = ClassMap.semantic_kitti()
+    gt = read_labels(data / "labels" / "000000.label", cmap)
+    probs = np.zeros((64, 2048, cmap.num_classes), dtype="<f4")
+    probs[:, :, 11] = 1.0
+    (data / "coarse").mkdir()
+    (data / "coarse" / "000000.probs").write_bytes(probs.tobytes())
+    assert not np.all(gt == 11)  # the oracle would not predict class 11 everywhere
+    expected = tmp_path / "expected.label"
+    write_labels(np.full(len(gt), 11), cmap, expected)
+
+    assert cli.main(["refine", "--data", str(data), "--out", str(tmp_path / "labeled")]) == 0
+    assert (tmp_path / "labeled" / "report.kv").exists()
+    # refine reads labels only to score them
+    shutil.rmtree(data / "labels")
+    assert cli.main(["refine", "--data", str(data), "--out", str(tmp_path / "unlabeled")]) == 0
+    assert not (tmp_path / "unlabeled" / "report.kv").exists()
+    for run in ("labeled", "unlabeled"):
+        assert (tmp_path / run / "predictions" / "000000.label").read_bytes() == expected.read_bytes()
 
 
 def test_empty_pool_reproduces_knn_only(corpus, trained):
@@ -897,19 +923,19 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
     data = tmp_path / "data"
     shutil.copytree(root, data)
     out = tmp_path / "out"
-    run = ["refine", "--data", str(data), "--out", str(out), "--config"]
-    refine = [*run, str(data / "config.yaml")]
+    refine = ["refine", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
     if case == "unlabeled-oracle":
         (data / "labels" / "000000.label").unlink()
         argv = refine
-        message = "stage 'coarse' failed on scan 000000: oracle mode needs ground-truth labels"
+        message = (f"stage 'coarse' failed on scan 000000: no coarse/ under {data} "
+                   "and no labels to synthesize probabilities from")
     elif case == "negative-probs":
         export_oracle_probs(data, cfg)
         probs = data / "coarse" / "000000.probs"
         values = np.frombuffer(probs.read_bytes(), dtype="<f4").copy()
         values[7] = -0.5
         probs.write_bytes(values.tobytes())
-        argv = [*run, loaded_config(tmp_path / "loaded.yaml", cfg)]
+        argv = refine
         message = f"stage 'coarse' failed on scan 000000: {probs}: negative probability values"
     elif case == "empty-gt":
         (tmp_path / "gt").mkdir()
@@ -931,7 +957,9 @@ def test_cli_data_errors_are_located(tmp_path, capsys, corpus, case):
         argv = ["train", "--data", str(data), "--out", str(out), "--config", str(data / "config.yaml")]
         message = f"no labeled scans under {data}"
     elif case == "no-coarse":
-        argv = [*run, loaded_config(tmp_path / "loaded.yaml", cfg)]
+        # an empty coarse/ still names the corpus's coarse source: no oracle fallback
+        (data / "coarse").mkdir()
+        argv = refine
         message = f"stage 'coarse' failed on scan 000000: missing coarse probabilities {data / 'coarse'}"
     else:
         # label files of 2 and 3 words, or both empty
@@ -1031,7 +1059,6 @@ def test_cli_full_workflow(tmp_path, capsys):
 
 # every setting the tiny corpus varies, in one partial file
 SEEDS_YAML = """\
-mode: loaded
 projection: {height: 64, width: 128}
 scene: {seed: 9, azimuth_steps: 256, boxes: 3, cylinders: 4, planes: 1}
 oracle: {seed: 9, blur_radius: 1, flip_rate: 0.02}
@@ -1049,7 +1076,6 @@ def test_cli_runs_from_the_config_gen_echoes(tmp_path):
     echo = corpus_dir / "config.yaml"
     echoed = PipelineConfig.from_yaml(echo)
     assert [getattr(echoed, section).seed for section in SEEDS] == [9] * 4
-    assert echoed.mode == "loaded"
     export_oracle_probs(corpus_dir, echoed)
 
     runs = {}
