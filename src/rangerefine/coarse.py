@@ -87,14 +87,6 @@ def oracle_coarse(
     num_classes: int,
 ) -> CoarseSegmentation:
     """Synthesize backbone-like probabilities from ground truth plus noise."""
-    gt_labels = np.asarray(gt_labels)
-    if gt_labels.shape != (img.num_points,):
-        raise DataFormatError(
-            f"ground truth length {gt_labels.shape} does not match {img.num_points} points"
-        )
-    if gt_labels.min() < 0 or gt_labels.max() >= num_classes:
-        raise DataFormatError("ground-truth labels outside 0..C-1")
-
     h, w = img.height, img.width
     valid = img.valid_mask
     # radii beyond h - 1 (rows) or w - 1 (columns) add no pixel to any window

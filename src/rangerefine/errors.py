@@ -44,14 +44,13 @@ _FIELD_CHECKS = {
     "int": (is_integer, "an integer in [-2**63, 2**64)"),
     "float": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
 
 def check_field_types(cfg) -> None:
-    """Reject each dataclass field annotated ``int``, ``float``, ``bool``, ``str``
-    or ``str | None`` whose value does not fit it. Bools are not numbers, ints
+    """Reject each dataclass field annotated ``int``, ``float``, ``bool`` or
+    ``str | None`` whose value does not fit it. Bools are not numbers, ints
     pass as floats unconverted, and floats must be finite."""
     for f in dataclasses.fields(cfg):
         if f.type in _FIELD_CHECKS:

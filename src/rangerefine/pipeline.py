@@ -147,7 +147,7 @@ def coarse_for_scan(
 
 def _scan_front(cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir):
     """Shared front half: projection, coarse segmentation and its per-pixel labels."""
-    sid = cloud.scan_id or "<unnamed>"
+    sid = cloud.scan_id
     img = _stage("project", sid, project, cloud, cfg.projection)
     seg = _stage("coarse", sid, coarse_for_scan, cloud, img, cfg, class_map, data_dir)
     pixel_labels = np.argmax(seg.probs, axis=2).astype(np.int32)
@@ -174,13 +174,11 @@ def refine_scan(
 def build_pool_for_scan(
     cloud: PointCloud, cfg: PipelineConfig, class_map: ClassMap, data_dir
 ) -> tuple[UncertainPointSet, np.ndarray]:
-    """Pool plus per-entry ground truth, as consumed by training.
+    """Pool plus per-entry ground truth of a labeled scan, as consumed by training.
 
     Training reads only the pool's indices and features, so the pool's
     labels are the plain back-projected ones, and the KNN vote is skipped.
     """
-    if cloud.labels is None:
-        raise DataFormatError(f"scan {cloud.scan_id} has no labels; cannot build a training pool")
     sid, img, seg, pixel_labels = _scan_front(cloud, cfg, class_map, data_dir)
     labels = _stage("back-project", sid, back_project_labels, img, pixel_labels)
     pool = _stage("pool", sid, build_pool, cloud, img, seg, cfg.selection, labels)
@@ -305,13 +303,16 @@ def write_report(summary: dict, out_dir) -> None:
 
 
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
-    """Write ``num_scans`` synthetic scans + labels in corpus layout; a stale
+    """Write ``num_scans`` synthetic scans + labels in corpus layout; any
     ``coarse/`` is refused too, since refine would read it for the new scans."""
     if num_scans < 1:
         raise DataFormatError("num_scans must be >= 1")
     out_dir = Path(out_dir)
-    for sub in ("scans", "labels", "coarse"):
+    for sub in ("scans", "labels"):
         _refuse_nonempty(out_dir / sub, sub)
+    coarse_dir = out_dir / "coarse"
+    if coarse_dir.is_dir():
+        raise DataFormatError(f"coarse directory {coarse_dir} exists; refine would read it for the new scans")
     class_map = cfg.load_class_map()
     stems = []
     for i in range(num_scans):

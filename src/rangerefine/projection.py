@@ -129,12 +129,6 @@ def background_distances(img: RangeImage) -> np.ndarray:
 
 def back_project_labels(img: RangeImage, pixel_labels: np.ndarray) -> np.ndarray:
     """Every point inherits its pixel's label (the projection quantization)."""
-    pixel_labels = np.asarray(pixel_labels)
-    if pixel_labels.shape != (img.height, img.width):
-        raise DataFormatError(
-            f"pixel labels shape {pixel_labels.shape} does not match "
-            f"image ({img.height}, {img.width})"
-        )
     return pixel_labels[img.point_v, img.point_u]
 
 
@@ -156,8 +150,6 @@ def window_neighbors(
     ``delta`` (M, k'), |candidate range - query range| or +inf where invalid,
     with k' = min(k, window**2).
     """
-    if window < 1 or window % 2 == 0:
-        raise DataFormatError(f"window must be odd and >= 1, got {window}")
     if indices is None:
         pu, pv, pr = img.point_u, img.point_v, img.point_range
     else:

@@ -271,13 +271,6 @@ class RefinerModel:
 
     def forward(self, features: np.ndarray, want_cache: bool = False):
         """Logits (n, C) for feature rows (n, 5 + C)."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.dims.in_dim:
-            raise DataFormatError(
-                f"features must be (n, {self.dims.in_dim}), got {features.shape}"
-            )
-        if features.shape[0] < 1:
-            raise DataFormatError("forward needs at least one point")
         p = self.params
 
         x = ((features - self.feature_mean) / self.feature_scale).astype(self.dtype)
@@ -541,10 +534,6 @@ def _spill(pools: Iterable, spill, num_classes: int, ignore_class: int):
     row_sum, rows = None, 0
     for sid, features, gt in pools:
         if len(features):
-            if len(gt) != len(features):
-                raise DataFormatError(
-                    f"scan {sid}: {len(gt)} ground-truth labels for {len(features)} pool entries"
-                )
             kept.append((sid, spill.tell()))
             np.save(spill, features)
             np.save(spill, gt)

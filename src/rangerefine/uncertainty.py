@@ -79,10 +79,6 @@ def aggregate_features(
     the AGG_K window candidates nearest in |delta range| (the point's own
     pixel always being one of them).
     """
-    if seg.probs.shape[:2] != (img.height, img.width):
-        raise DataFormatError("segmentation shape does not match range image")
-    indices = np.asarray(indices, dtype=np.int64)
-
     num_classes = seg.num_classes
     out = np.empty((len(indices), GEOMETRY_FEATURES + num_classes), dtype=np.float64)
     out[:, 0:3] = cloud.points[indices, :3]  # float32 -> float64 on assignment
@@ -144,10 +140,6 @@ def build_pool(
     ``point_labels`` are the current per-point labels (KNN-refined when that
     stage ran, plain back-projected otherwise).
     """
-    point_labels = np.asarray(point_labels)
-    if point_labels.shape != (img.num_points,):
-        raise DataFormatError("point_labels must cover every point")
-
     flags = np.zeros(img.num_points, dtype=np.uint8)
     flags[select_boundary(img, seg, cfg)] |= REASON_BOUNDARY
     flags[select_background(img, cfg)] |= REASON_BACKGROUND
@@ -159,13 +151,11 @@ def build_pool(
         indices=indices,
         reason=reason,
         features=features,
-        coarse_label=point_labels[indices].astype(np.int32),
+        coarse_label=point_labels[indices],
     )
 
 
 def sample_positions(pool_size: int, n_u: int, seed: int) -> np.ndarray:
     """Ascending positions of a uniform no-replacement sample of the pool."""
-    if pool_size == 0:
-        raise DataFormatError("cannot sample from an empty pool")
     rng = generator("pool-sample", seed)
     return np.sort(rng.choice(pool_size, size=min(n_u, pool_size), replace=False))

@@ -184,13 +184,6 @@ def test_foreground_stability(rng):
     np.testing.assert_array_equal(out[img.is_foreground], 4)
 
 
-def test_shape_mismatch(rng):
-    cloud = random_cloud(rng, 10)
-    img = project(cloud, ProjectionConfig(width=48, height=16))
-    with pytest.raises(DataFormatError, match="shape"):
-        knn_refine(img, np.zeros((4, 4), dtype=np.int32), KnnConfig())
-
-
 def test_config_validation():
     with pytest.raises(DataFormatError):
         KnnConfig(window=4)

@@ -482,23 +482,27 @@ def test_generate_corpus_layout_and_determinism(tmp_path, corpus):
     assert len(gt) == len(cloud)
 
 
-@pytest.mark.parametrize("sub", ["scans", "labels", "coarse"])
-def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, sub):
+@pytest.mark.parametrize("case", ["scans", "labels", "coarse", "empty-coarse"])
+def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, case):
     out = tmp_path / "c"
     assert cli.main(["gen", "--out", str(out), "--scans", "2"]) == 0
+    sub = case.removeprefix("empty-")
     if sub != "scans":
         shutil.rmtree(out / "scans")
     if sub == "coarse":
-        # a stale export, which refine would read in place of the new scans' oracle
+        # refine reads any coarse/ in place of the new scans' oracle, and an
+        # empty one fails every scan with a missing-probabilities error
         shutil.rmtree(out / "labels")
         (out / "coarse").mkdir()
-        (out / "coarse" / "000000.probs").write_bytes(bytes(4))
-    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        if case == "coarse":
+            (out / "coarse" / "000000.probs").write_bytes(bytes(4))
+    before = {p: p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))}
     seeds = tmp_path / "seeds.yaml"
     seeds.write_text("".join(f"{section}: {{seed: 9}}\n" for section in SEEDS))
     assert cli.main(["gen", "--out", str(out), "--scans", "1", "--config", str(seeds)]) == 2
-    assert f"{sub} directory {out / sub} is not empty" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+    refusal = "exists; refine would read it" if sub == "coarse" else "is not empty"
+    assert f"{sub} directory {out / sub} {refusal}" in capsys.readouterr().err
+    assert {p: p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))} == before
 
 
 # --- train + refine ---

@@ -205,13 +205,6 @@ def test_back_project_shared_pixel_and_roundtrip(rng):
     np.testing.assert_array_equal(back[bg], cloud.labels[fg_of_pixel])
 
 
-def test_back_project_shape_mismatch(rng):
-    cloud = random_cloud(rng, 10)
-    img = project(cloud, ProjectionConfig(width=64, height=16))
-    with pytest.raises(DataFormatError, match="shape"):
-        back_project_labels(img, np.zeros((8, 64), dtype=np.int32))
-
-
 # --- window_neighbors ---
 
 
@@ -359,9 +352,3 @@ def test_window_block_size_does_not_change_output(rng, monkeypatch, block):
         got_pixel, got_delta = window_neighbors(img, *call)
         assert got_pixel.tobytes() == pixel.tobytes()
         assert got_delta.tobytes() == delta.tobytes()
-
-
-def test_window_rejects_even_window(rng):
-    img = project(random_cloud(rng, 10), ProjectionConfig(width=64, height=16))
-    with pytest.raises(DataFormatError, match="window"):
-        window_neighbors(img, 4, 5)

@@ -585,14 +585,6 @@ def test_parameter_count_pure_function_of_dims():
     assert sum(p.size for p in full.params.values()) == expected
 
 
-def test_forward_rejects_bad_shapes():
-    model = RefinerModel(TINY, seed=0)
-    with pytest.raises(DataFormatError):
-        model.forward(np.zeros((3, 7)))
-    with pytest.raises(DataFormatError):
-        model.forward(np.zeros((0, 25)))
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_activations_flag_layer():
     model = RefinerModel(TINY, seed=0)
@@ -784,16 +776,9 @@ def test_train_loss_decreases(rng):
 
 
 def test_train_requires_nonempty_pool(rng):
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="training needs at least one scan with a non-empty pool"):
         train(RefinerModel(TINY), [("s0", np.empty((0, 25)), np.empty(0, dtype=np.int64))],
               TrainConfig(epochs=1), n_u=16, ignore_class=0)
-
-
-def test_train_rejects_labels_that_do_not_cover_the_pool(rng):
-    features, labels = scan_pool(rng, 20)
-    pools = [("s0", *scan_pool(rng, 20)), ("s1", features, labels[:-1])]
-    with pytest.raises(DataFormatError, match="scan s1: 19 ground-truth labels for 20 pool entries"):
-        train(RefinerModel(TINY), pools, TrainConfig(epochs=1), n_u=16, ignore_class=0)
 
 
 def test_train_config_validation():
@@ -898,18 +883,6 @@ def test_refine_outputs_and_determinism(rng):
     pool.features[3] = pool.features[4]
     out = refine(model, pool)
     assert out[3] == out[4]
-
-
-def test_refine_empty_pool_rejected():
-    model = RefinerModel(TINY)
-    empty = UncertainPointSet(
-        indices=np.empty(0, dtype=np.int64),
-        reason=np.empty(0, dtype=np.uint8),
-        features=np.empty((0, 25)),
-        coarse_label=np.empty(0, dtype=np.int32),
-    )
-    with pytest.raises(DataFormatError):
-        refine(model, empty)
 
 
 # --- checkpoints ---

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rangerefine.coarse import CoarseSegmentation, OracleNoiseSpec, oracle_coarse
-from rangerefine.errors import DataFormatError
 from rangerefine.kitti_io import PointCloud
 from rangerefine.projection import ProjectionConfig, project
 from rangerefine.scanner import SyntheticSceneSpec, generate_scene
@@ -337,14 +336,3 @@ def test_sample_training_batch(rng):
     np.testing.assert_array_equal(batch, again)
     other = sample_positions(len(pool), 64, seed=2)
     assert not np.array_equal(batch, other)
-
-
-def test_sample_empty_pool_rejected(rng):
-    cloud, img, seg = scene_inputs(rng, n=50, width=32, height=8)
-    pool = build_pool(
-        cloud, img, seg, SelectionConfig(boundary_budget=0, c_u=1e9),
-        np.zeros(50, dtype=np.int32),
-    )
-    assert len(pool) == 0
-    with pytest.raises(DataFormatError, match="empty pool"):
-        sample_positions(len(pool), 10, seed=0)
