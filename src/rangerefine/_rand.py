@@ -39,10 +39,7 @@ def _to_u64(part) -> np.ndarray:
     if isinstance(part, str):
         digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
         return np.uint64(int.from_bytes(digest, "little"))
-    arr = np.asarray(part)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError(f"hash parts must be ints or strings, got {arr.dtype}")
-    return arr.astype(np.int64).view(np.uint64)
+    return np.asarray(part).astype(np.int64).view(np.uint64)
 
 
 def hash_u64(*parts) -> np.ndarray:

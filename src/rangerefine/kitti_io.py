@@ -43,18 +43,6 @@ class PointCloud:
     labels: np.ndarray | None = None
     scan_id: str = ""
 
-    def __post_init__(self):
-        self.points = np.ascontiguousarray(self.points, dtype=np.float32)
-        if self.points.ndim != 2 or self.points.shape[1] != 4:
-            raise DataFormatError(f"points must be (N, 4), got {self.points.shape}")
-        if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int32)
-            if self.labels.shape != (len(self.points),):
-                raise DataFormatError(
-                    f"labels length {self.labels.shape} does not match "
-                    f"{len(self.points)} points"
-                )
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -261,12 +249,4 @@ def read_labels(path, class_map: ClassMap) -> np.ndarray:
 
 def write_labels(labels: np.ndarray, class_map: ClassMap, path) -> None:
     """Inverse-map train ids to raw ids and write 32-bit words (instance id 0)."""
-    labels = np.asarray(labels)
-    if len(labels) and (labels.min() < 0 or labels.max() >= class_map.num_classes):
-        bad = int(
-            np.flatnonzero((labels < 0) | (labels >= class_map.num_classes))[0]
-        )
-        raise DataFormatError(
-            f"label {int(labels[bad])} at index {bad} is not a train id < {class_map.num_classes}"
-        )
     atomic_write_bytes(path, class_map.to_raw(labels).tobytes())

@@ -31,7 +31,7 @@ from .refiner import (
     train,
     TrainConfig,
 )
-from .scanner import SyntheticSceneSpec, generate_scene
+from .scanner import SHAPE_CLASS, SyntheticSceneSpec, generate_scene
 from .uncertainty import GEOMETRY_FEATURES, SelectionConfig, UncertainPointSet, build_pool
 
 COARSE_SUFFIX = ".probs"
@@ -304,7 +304,8 @@ def write_report(summary: dict, out_dir) -> None:
 
 def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
     """Write ``num_scans`` synthetic scans + labels in corpus layout; any
-    ``coarse/`` is refused too, since refine would read it for the new scans."""
+    ``coarse/`` is refused too, since refine would read it for the new scans,
+    and so is a class map without the scanner's train ids."""
     if num_scans < 1:
         raise DataFormatError("num_scans must be >= 1")
     out_dir = Path(out_dir)
@@ -314,6 +315,12 @@ def generate_corpus(out_dir, cfg: PipelineConfig, num_scans: int) -> list[str]:
     if coarse_dir.is_dir():
         raise DataFormatError(f"coarse directory {coarse_dir} exists; refine would read it for the new scans")
     class_map = cfg.load_class_map()
+    missing = sorted(t for t in SHAPE_CLASS.values() if t >= class_map.num_classes)
+    if missing:
+        raise DataFormatError(
+            f"the class map has {class_map.num_classes} classes; "
+            f"the synthetic scanner labels points with train ids {missing}"
+        )
     stems = []
     for i in range(num_scans):
         spec = dataclasses.replace(cfg.scene, seed=derive_seed(cfg.scene.seed, "scan", i))

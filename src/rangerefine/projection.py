@@ -78,12 +78,9 @@ def project(cloud: PointCloud, cfg: ProjectionConfig) -> RangeImage:
 
     xyz = cloud.points[:, :3].astype(np.float64)
     rng = np.sqrt((xyz * xyz).sum(axis=1))
-    bad = np.flatnonzero(~(np.isfinite(rng) & (rng > MIN_RANGE)))
+    bad = np.flatnonzero(rng <= MIN_RANGE)
     if len(bad):
-        i = int(bad[0])
-        if np.isfinite(rng[i]):
-            raise DataFormatError(f"point {i} is at the scanner origin (range <= {MIN_RANGE} m)")
-        raise DataFormatError(f"point {i} has a non-finite coordinate")
+        raise DataFormatError(f"point {bad[0]} is at the scanner origin (range <= {MIN_RANGE} m)")
 
     fov_down = math.radians(FOV_DOWN_DEG)
     fov_span = math.radians(FOV_UP_DEG) - fov_down
@@ -132,10 +129,12 @@ def back_project_labels(img: RangeImage, pixel_labels: np.ndarray) -> np.ndarray
     return pixel_labels[img.point_v, img.point_u]
 
 
-def row_blocks(n: int):
-    """Slices that cover ``range(n)`` in consecutive blocks of ROW_BLOCK rows."""
-    for start in range(0, n, ROW_BLOCK):
-        yield slice(start, start + ROW_BLOCK)
+def row_blocks(n: int, size: int | None = None):
+    """Slices that cover ``range(n)`` in consecutive blocks of ``size`` rows,
+    ROW_BLOCK by default."""
+    size = size or ROW_BLOCK
+    for start in range(0, n, size):
+        yield slice(start, start + size)
 
 
 def window_neighbors(
@@ -187,7 +186,9 @@ def window_neighbors(
     inf = np.float64(np.inf).view(np.int64) >> bits
     pixel = np.empty((len(pv), k), dtype=np.int64)
     delta = np.empty((len(pv), k))
-    for rows in row_blocks(len(pv)):
+    # a block ranks as many candidates as ROW_BLOCK rows of a 5 x 5 window,
+    # so memory does not grow with the window
+    for rows in row_blocks(len(pv), max(1, ROW_BLOCK * 25 // area)):
         corner = pv[rows].astype(np.int64) * padded_w + pu[rows]
         query = pr[rows, None]
         keys = flat_range[corner[:, None] + offsets]

@@ -354,8 +354,7 @@ class RefinerModel:
 
 def wce_loss(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray, ignore_class: int):
     """Weighted cross entropy, mean over non-ignored points; returns (loss, d_logits)."""
-    targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=logits.dtype)
+    weights = weights.astype(logits.dtype, copy=False)  # class weights are float64
     n = logits.shape[0]
     mask = targets != ignore_class
     m = int(mask.sum())
@@ -382,11 +381,7 @@ def lovasz_softmax_loss(probs: np.ndarray, targets: np.ndarray, ignore_class: in
     Jaccard loss along that order. Returns (loss, d_probs); the gradient
     uses the subgradient of the stable ordering.
     """
-    targets = np.asarray(targets)
     rows = np.flatnonzero(targets != ignore_class)
-    if len(rows) == 0:
-        raise DataFormatError("Lovasz loss: every target is ignored")
-
     kept_targets = targets[rows]
     present = np.unique(kept_targets)
     d_probs = np.zeros_like(probs)

@@ -72,10 +72,12 @@ def test_read_point_cloud_truncated(tmp_path):
 
 
 def test_read_point_cloud_rejects_nan(tmp_path):
-    path = tmp_path / "nan.bin"
-    path.write_bytes(struct.pack("<8f", 1, 0, 0, 0.5, float("nan"), 2, 0, 0.1))
-    with pytest.raises(DataFormatError, match="point 1"):
-        read_point_cloud(path)
+    # the one check of finite coordinates: projection takes them as read
+    for bad in (math.nan, math.inf, -math.inf):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<8f", 1, 0, 0, 0.5, bad, 2, 0, 0.1))
+        with pytest.raises(DataFormatError, match="non-finite values in .* at point 1"):
+            read_point_cloud(path)
 
 
 @settings(max_examples=25, deadline=None)
@@ -123,11 +125,6 @@ def test_write_labels_empty(tmp_path):
     path = tmp_path / "empty.label"
     write_labels(np.array([], dtype=np.int32), small_map(), path)
     assert path.read_bytes() == b""
-
-
-def test_write_labels_out_of_range(tmp_path):
-    with pytest.raises(DataFormatError, match="train id"):
-        write_labels(np.array([4]), small_map(), tmp_path / "x.label")
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

@@ -505,6 +505,30 @@ def test_gen_refuses_a_corpus_that_holds_files(tmp_path, capsys, case):
     assert {p: p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))} == before
 
 
+def test_gen_refuses_a_class_map_without_the_scanner_classes(tmp_path, capsys):
+    # ten classes: the scanner's train ids 13 and 16 have no class
+    class_map = tmp_path / "ten.yaml"
+    class_map.write_text(class_map_text(
+        labels="{" + ", ".join(f"{10 * t}: c{t}" for t in range(10)) + "}",
+        learning_map="{" + ", ".join(f"{10 * t}: {t}" for t in range(10)) + "}",
+        learning_map_inv="{" + ", ".join(f"{t}: {10 * t}" for t in range(10)) + "}",
+        learning_ignore="{" + ", ".join(f"{t}: {str(t == 0).lower()}" for t in range(10)) + "}",
+    ))
+    scene = "scene: {azimuth_steps: 64, boxes: 1, cylinders: 1, planes: 1}\n"
+    ten = tmp_path / "ten-config.yaml"
+    ten.write_text(scene + f"class_map: {class_map}\n")
+    out = tmp_path / "c"
+    assert cli.main(["gen", "--out", str(out), "--scans", "2", "--config", str(ten)]) == 2
+    err = capsys.readouterr().err
+    assert "the class map has 10 classes; the synthetic scanner labels points with train ids [13, 16]" in err
+    assert not out.exists()
+    # nothing was written, so a retry with the packaged map is not refused
+    packaged = tmp_path / "packaged-config.yaml"
+    packaged.write_text(scene)
+    assert cli.main(["gen", "--out", str(out), "--scans", "2", "--config", str(packaged)]) == 0
+    assert len(list((out / "labels").glob("*.label"))) == 2
+
+
 # --- train + refine ---
 
 

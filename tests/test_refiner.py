@@ -707,11 +707,6 @@ def test_lovasz_gradient_finite_differences(rng):
     assert fd_check(value, probs, grad, rel_tol=1e-5, h_scale=1e-7) < 1e-5
 
 
-def test_lovasz_all_ignored_errors():
-    with pytest.raises(DataFormatError):
-        lovasz_softmax_loss(np.ones((2, 2)) / 2, np.array([0, 0]), ignore_class=0)
-
-
 # --- total loss and parameter gradients ---
 
 
