@@ -3,12 +3,14 @@
 Architecture: a two-layer embedding lifts the 5 + C point features to a
 256-d token, four stacked self-attention layers follow (each layer's input
 is its predecessor's output), their outputs are concatenated and a
-three-layer head maps the 1024-d result to class logits. The embedding and
-the head are dense-layer lists that one loop runs forward and another back.
+three-layer head maps the 1024-d result to class logits. Every learned
+weight is a dense layer: one loop runs the embedding, each attention layer's
+projections and the head forward, and another runs them back.
 
 Each attention layer computes Q and K with ONE shared projection (so the raw
-score matrix Q K^T is symmetric by construction), V with a second
-projection, scales scores by 1/sqrt(d) and applies a row softmax. No
+score matrix Q K^T is symmetric by construction) and V with a second, both
+dense layers without a ReLU. The attention kernel takes (q, v) and holds no
+parameters: it scales scores by 1/sqrt(d) and applies a row softmax. No
 positional encoding is used: the points are an unordered set and the whole
 network is permutation-equivariant.
 
@@ -143,15 +145,11 @@ def _absorb(s, p, m, l, o, v, work):
     o += np.matmul(p, v, out=work)
 
 
-def _attention_forward(f_in, wp, bp, wv, bv, out=None):
-    """softmax(q q^T / sqrt(d)) v. Pair (a, b)'s score block updates rows a
-    and, transposed, rows b (once for a diagonal block). The cache keeps the
-    output and each row's log-sum-exp."""
-    n, d = f_in.shape[0], wp.shape[1]
-    q = f_in @ wp + bp
-    v = f_in @ wv + bv
-    if out is None:
-        out = np.empty_like(v)
+def _attention_forward(q, v, out):
+    """softmax(q q^T / sqrt(d)) v into ``out``; returns each row's log-sum-exp.
+    Pair (a, b)'s score block updates rows a and, transposed, rows b (once for
+    a diagonal block)."""
+    n, d = q.shape
     out[...] = 0.0
     qs = q * (1.0 / math.sqrt(d))  # a Python float keeps q's dtype
     m = np.full(n, -np.inf, dtype=q.dtype)
@@ -169,10 +167,10 @@ def _attention_forward(f_in, wp, bp, wv, bv, out=None):
     out /= l[:, None]
     lse = np.log(l, out=l)
     lse += m
-    return out, (f_in, q, v, out, lse)
+    return lse
 
 
-def _score_backward(q, v, out, lse, d_out):
+def _attention_backward(q, v, out, lse, d_out):
     """(d_q, d_v), block pair by block pair, recomputing each score block once.
 
     Rows a and rows b of a pair each give a score gradient; their sum G (a
@@ -215,22 +213,6 @@ def _score_backward(q, v, out, lse, d_out):
     return d_q, d_v
 
 
-def _attention_backward(cache, wp, wv, d_out):
-    """Input and parameter gradients of one attention layer. The score sweep's
-    workspaces are freed before these are formed."""
-    f_in, q, v, out, lse = cache
-    d_q, d_v = _score_backward(q, v, out, lse, d_out)
-    grads = {
-        "wp": f_in.T @ d_q,
-        "bp": d_q.sum(axis=0),
-        "wv": f_in.T @ d_v,
-        "bv": d_v.sum(axis=0),
-    }
-    d_in = d_q @ wp.T
-    d_in += d_v @ wv.T
-    return d_in, grads
-
-
 class RefinerModel:
     """All learnable parameters plus the (non-trained) input standardization.
 
@@ -271,8 +253,6 @@ class RefinerModel:
 
     def forward(self, features: np.ndarray, want_cache: bool = False):
         """Logits (n, C) for feature rows (n, 5 + C)."""
-        p = self.params
-
         x = ((features - self.feature_mean) / self.feature_scale).astype(self.dtype)
         layer_in, embed_cache = self._dense_forward(self.EMBED_LAYERS, x)
 
@@ -280,14 +260,14 @@ class RefinerModel:
         concat = np.empty((len(features), self.dims.concat_dim), dtype=self.dtype)
         attn_caches = []
         for i in range(self.dims.attn_layers):
-            out, cache = _attention_forward(
-                layer_in, p[f"attn{i}.p.w"], p[f"attn{i}.p.b"],
-                p[f"attn{i}.v.w"], p[f"attn{i}.v.b"], out=concat[:, i * d : (i + 1) * d],
-            )
+            q, _ = self._dense_forward(((f"attn{i}.p", False),), layer_in)
+            v, _ = self._dense_forward(((f"attn{i}.v", False),), layer_in)
+            out = concat[:, i * d : (i + 1) * d]
+            lse = _attention_forward(q, v, out)
             if not np.isfinite(out).all():
                 raise NumericError(f"non-finite activations in attention layer {i}")
             if want_cache:
-                attn_caches.append(cache)
+                attn_caches.append((layer_in, q, v, out, lse))
             layer_in = out
 
         logits, head_cache = self._dense_forward(self.HEAD_LAYERS, concat)
@@ -304,7 +284,6 @@ class RefinerModel:
         Each layer's activations are released as soon as its gradients are
         taken, so ``cache`` is consumed: it is left empty.
         """
-        p = self.params
         grads: dict[str, np.ndarray] = {}
         d_concat = self._dense_backward(self.HEAD_LAYERS, cache.pop("head"), d_logits, grads)
 
@@ -313,11 +292,11 @@ class RefinerModel:
         d_carry = np.zeros_like(d_concat[:, :d])
         for i in reversed(range(self.dims.attn_layers)):
             d_out = d_concat[:, i * d : (i + 1) * d] + d_carry
-            d_carry, layer_grads = _attention_backward(
-                attn_caches.pop(), p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
-            )
-            for key, name in (("wp", "p.w"), ("bp", "p.b"), ("wv", "v.w"), ("bv", "v.b")):
-                grads[f"attn{i}.{name}"] = layer_grads[key]
+            f_in, q, v, out, lse = attn_caches.pop()
+            d_q, d_v = _attention_backward(q, v, out, lse, d_out)
+            d_carry = self._dense_backward(((f"attn{i}.p", False),), [(f_in, q)], d_q, grads)
+            d_carry += self._dense_backward(((f"attn{i}.v", False),), [(f_in, v)], d_v, grads)
+            del d_q, d_v  # before the next layer's sweep allocates its own
 
         self._dense_backward(self.EMBED_LAYERS, cache.pop("embed"), d_carry, grads)
         return grads
@@ -619,21 +598,23 @@ def refine(model: RefinerModel, pool: UncertainPointSet) -> np.ndarray:
     return np.argmax(model.forward(pool.features), axis=1).astype(np.int32)
 
 
-def _checkpoint_arrays(model: RefinerModel) -> list[np.ndarray]:
-    """The stored arrays in file order: parameters as declared, feature mean, feature scale."""
-    return [*model.params.values(), model.feature_mean, model.feature_scale]
+def _checkpoint_blocks(model: RefinerModel) -> dict[str, np.ndarray]:
+    """The stored arrays by block name, in file order: parameters as declared,
+    feature mean, feature scale."""
+    return {**model.params, "feature_mean": model.feature_mean, "feature_scale": model.feature_scale}
 
 
 def save_checkpoint(model: RefinerModel, path) -> None:
     """Magic + version + dims header, then raw little-endian float32 blocks in declaration order."""
     header = CHECKPOINT_MAGIC + struct.pack("<8I", CHECKPOINT_VERSION, *astuple(model.dims))
-    blocks = [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in _checkpoint_arrays(model)]
+    blocks = [np.ascontiguousarray(a, dtype="<f4").tobytes() for a in _checkpoint_blocks(model).values()]
     atomic_write_bytes(path, header + b"".join(blocks))
 
 
 def load_checkpoint(path) -> RefinerModel:
     """Read a checkpoint; the header is checked against the file size before
-    any array is allocated, so a corrupt header cannot exhaust memory."""
+    any array is allocated, so a corrupt header cannot exhaust memory. Every
+    value must be finite and every feature scale > 0."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a refiner checkpoint (bad magic)")
@@ -654,7 +635,11 @@ def load_checkpoint(path) -> RefinerModel:
             f"{path}: size {len(data)} does not match header (expected {expected})"
         )
     model = RefinerModel(dims)
-    for a in _checkpoint_arrays(model):  # the fresh model's own arrays, overwritten in place
+    for name, a in _checkpoint_blocks(model).items():  # the fresh model's own arrays, overwritten in place
         a[...] = np.frombuffer(data, dtype="<f4", count=a.size, offset=offset).reshape(a.shape)
         offset += 4 * a.size
+        if not np.isfinite(a).all():
+            raise DataFormatError(f"{path}: block {name} holds a non-finite value")
+    if (model.feature_scale <= 0).any():
+        raise DataFormatError(f"{path}: block feature_scale holds a value <= 0")
     return model

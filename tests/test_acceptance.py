@@ -21,7 +21,6 @@ from rangerefine.projection import ProjectionConfig, project
 from rangerefine.refiner import (
     RefinerModel,
     TrainConfig,
-    _attention_forward,
     lovasz_softmax_loss,
     total_loss,
 )
@@ -35,7 +34,7 @@ from rangerefine.uncertainty import (
 from conftest import random_cloud
 from test_knn_refiner import knn_oracle
 from test_projection import project_oracle
-from test_refiner import NO_CLASS, TINY, attention_oracle, fd_check, float64_model, random_layer
+from test_refiner import NO_CLASS, TINY, attention_kernel, attention_oracle, fd_check, float64_model, random_layer
 from test_refiner import lovasz_oracle, softmax_oracle
 from test_uncertainty import aggregate_oracle, random_seg
 
@@ -128,7 +127,7 @@ def test_criterion_4_selection_semantics():
 def test_criterion_5_attention_correctness():
     rng = np.random.default_rng(505)
     x, wp, bp, wv, bv = random_layer(rng, 1, 8, 8)
-    assert np.abs(_attention_forward(x, wp, bp, wv, bv)[0] - (x @ wv + bv)).max() < 1e-12
+    assert np.abs(attention_kernel(x, wp, bp, wv, bv)[2] - (x @ wv + bv)).max() < 1e-12
 
     x, wp, bp, wv, bv = random_layer(rng, 32, 16, 16)
     q = x @ wp + bp
@@ -140,7 +139,7 @@ def test_criterion_5_attention_correctness():
     worst = 0.0
     for _ in range(10):
         x, wp, bp, wv, bv = random_layer(rng, 4, 8, 8)
-        got = _attention_forward(x, wp, bp, wv, bv)[0]
+        got = attention_kernel(x, wp, bp, wv, bv)[2]
         want = attention_oracle(x, wp, bp, wv, bv)
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
     assert worst < 1e-10

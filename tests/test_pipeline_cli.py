@@ -612,6 +612,26 @@ def test_refine_refuses_a_model_for_another_class_map(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "block, value, problem",
+    [("head2.b", np.nan, "non-finite value"), ("feature_scale", np.inf, "non-finite value"),
+     ("feature_scale", -1.0, "value <= 0")],
+)
+def test_refine_refuses_a_model_with_bad_values(tmp_path, capsys, corpus, block, value, problem):
+    root, _ = corpus
+    ckpt = tmp_path / "model.ckpt"
+    model = RefinerModel(ModelDims(embed_hidden=4, embed_dim=4, attn_layers=1,
+                                   head_hidden1=4, head_hidden2=4), seed=0)
+    blocks = {**model.params, "feature_scale": model.feature_scale}
+    blocks[block][0] = value
+    save_checkpoint(model, ckpt)
+    out = tmp_path / "run"
+    argv = ["refine", "--data", str(root), "--out", str(out), "--model", str(ckpt)]
+    assert cli.main(argv) == 2
+    assert f"data error: {ckpt}: block {block} holds a {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_refuses_stale_predictions(tmp_path, corpus):
     # a 3-scan run, then a 1-scan run into the same output directory
     root, cfg = corpus

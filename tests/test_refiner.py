@@ -105,9 +105,17 @@ def random_layer(rng, n, d_in, d):
     return x, wp, bp, wv, bv
 
 
+def attention_kernel(x, wp, bp, wv, bv):
+    """The attention kernel on a layer's Q/K and V projections; returns
+    (q, v, out, lse), the arguments ``_attention_backward`` takes before d_out."""
+    q, v = x @ wp + bp, x @ wv + bv
+    out = np.empty_like(v)
+    return q, v, out, refiner._attention_forward(q, v, out)
+
+
 def test_single_token_returns_v(rng):
     x, wp, bp, wv, bv = random_layer(rng, 1, 8, 8)
-    out = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    out = attention_kernel(x, wp, bp, wv, bv)[2]
     v = x @ wv + bv
     assert np.abs(out - v).max() < 1e-12
 
@@ -116,7 +124,7 @@ def test_identical_rows_average_v(rng):
     x, _, bp, wv, bv = random_layer(rng, 2, 8, 8)
     x[1] = x[0]  # identical tokens -> identical Q rows -> uniform attention
     wp = rng.normal(size=(8, 8))
-    out = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    out = attention_kernel(x, wp, bp, wv, bv)[2]
     v = x @ wv + bv
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
@@ -124,7 +132,7 @@ def test_identical_rows_average_v(rng):
 def test_attention_matches_straightline_oracle(rng):
     for _ in range(5):
         x, wp, bp, wv, bv = random_layer(rng, 4, 8, 8)
-        got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+        got = attention_kernel(x, wp, bp, wv, bv)[2]
         want = attention_oracle(x, wp, bp, wv, bv)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -189,10 +197,12 @@ def blockpair_attention(x, wp, bp, wv, bv, blocks):
     return out, lse
 
 
-def blockpair_attention_backward(cache, wp, wv, d_out, blocks):
+def blockpair_attention_backward(x, wp, bp, wv, bv, d_out, blocks):
     """The backward sweep as allocating straight-line expressions, which the
-    in-place backward must equal bit for bit."""
-    f_in, q, v, out, lse = cache
+    in-place backward must equal bit for bit; returns (d_q, d_v)."""
+    q = x @ wp + bp
+    v = x @ wv + bv
+    out, lse = blockpair_attention(x, wp, bp, wv, bv, blocks)
     qs = q * (1.0 / math.sqrt(q.shape[1]))
     row_term = np.einsum("ij,ij->i", d_out, out)
     d_q = np.zeros_like(q)
@@ -211,8 +221,7 @@ def blockpair_attention_backward(cache, wp, wv, d_out, blocks):
                 g = g + pt * (v[a] @ d_out[b].T - row_term[b][None, :])
                 d_q[b] += g.T @ qs[a]
             d_q[a] += g @ qs[b]
-    grads = {"wp": f_in.T @ d_q, "bp": d_q.sum(axis=0), "wv": f_in.T @ d_v, "bv": d_v.sum(axis=0)}
-    return d_q @ wp.T + d_v @ wv.T, grads
+    return d_q, d_v
 
 
 BLOCKINGS = {
@@ -228,13 +237,14 @@ def test_attention_forward_bitwise_block_pair_straightline(rng, monkeypatch, row
     # d = 24: 1/sqrt(d) is inexact, so scaling by it differs from dividing
     x, wp, bp, wv, bv = random_layer(rng, 50, 16, 24)
     want, want_lse = blockpair_attention(x, wp, bp, wv, bv, blocks)
-    out, (_, _, _, cached_out, lse) = refiner._attention_forward(x, wp, bp, wv, bv)
-    assert out.tobytes() == want.tobytes() and cached_out is out
+    q, v, out, lse = attention_kernel(x, wp, bp, wv, bv)
+    assert out.tobytes() == want.tobytes()
     assert lse.tobytes() == want_lse.tobytes()
     # written into a column slice, as RefinerModel.forward does
     concat = np.zeros((50, 72))
-    refiner._attention_forward(x, wp, bp, wv, bv, out=concat[:, 24:48])
+    lse = refiner._attention_forward(q, v, concat[:, 24:48])
     assert concat[:, 24:48].tobytes() == want.tobytes()
+    assert lse.tobytes() == want_lse.tobytes()
     assert not concat[:, :24].any() and not concat[:, 48:].any()
 
 
@@ -242,20 +252,18 @@ def test_attention_forward_bitwise_block_pair_straightline(rng, monkeypatch, row
 def test_attention_backward_bitwise_block_pair_straightline(rng, monkeypatch, rows, blocks):
     monkeypatch.setattr(refiner, "_BLOCK_ROWS", rows)
     x, wp, bp, wv, bv = random_layer(rng, 50, 24, 24)
-    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
     d_out = rng.normal(size=(50, 24))
-    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
-    want_in, want = blockpair_attention_backward(cache, wp, wv, d_out, blocks)
-    assert d_in.tobytes() == want_in.tobytes()
-    for key in ("wp", "bp", "wv", "bv"):
-        assert grads[key].tobytes() == want[key].tobytes(), key
+    d_q, d_v = refiner._attention_backward(*attention_kernel(x, wp, bp, wv, bv), d_out)
+    want_q, want_v = blockpair_attention_backward(x, wp, bp, wv, bv, d_out, blocks)
+    assert d_q.tobytes() == want_q.tobytes()
+    assert d_v.tobytes() == want_v.tobytes()
 
 
 def test_tiled_attention_matches_oracle(rng, monkeypatch):
     monkeypatch.setattr(refiner, "_BLOCK_ROWS", 4)  # blocks of 4, 4 and 3 rows
     for _ in range(3):
         x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
-        got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+        got = attention_kernel(x, wp, bp, wv, bv)[2]
         want = attention_oracle(x, wp, bp, wv, bv)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -269,7 +277,7 @@ def test_attention_scores_past_exp_overflow_match_oracle(rng, monkeypatch, dtype
     q = x.astype(np.float64) @ wp + bp
     scores = q @ q.T / np.sqrt(8)
     assert scores.max() > np.log(np.finfo(dtype).max)  # an unshifted exp would overflow
-    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    got = attention_kernel(x, wp, bp, wv, bv)[2]
     assert got.dtype == dtype
     want = attention_oracle(*(a.astype(np.float64) for a in (x, wp, bp, wv, bv)))
     tol = 1e-10 if dtype == np.float64 else 256 * np.finfo(np.float32).eps
@@ -285,7 +293,7 @@ def test_attention_rescales_when_a_later_block_holds_the_max(rng, monkeypatch):
     x[5] *= 3.0
     scores = x @ x.T
     assert scores[0].argmax() == 10 and scores[9].argmax() == 5
-    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    got = attention_kernel(x, wp, bp, wv, bv)[2]
     want = attention_oracle(x, wp, bp, wv, bv)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -295,7 +303,7 @@ def test_attention_one_row_last_block_matches_oracle(rng, monkeypatch, rows, n):
     monkeypatch.setattr(refiner, "_BLOCK_ROWS", rows)
     assert [b.stop - b.start for b in refiner._blocks(n)][-1] == 1
     x, wp, bp, wv, bv = random_layer(rng, n, 8, 8)
-    got = refiner._attention_forward(x, wp, bp, wv, bv)[0]
+    got = attention_kernel(x, wp, bp, wv, bv)[2]
     want = attention_oracle(x, wp, bp, wv, bv)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
@@ -306,14 +314,13 @@ def test_attention_permutation_equivariant_across_blocks(rng, monkeypatch):
     perm = rng.permutation(11)
     assert set(perm[:4]) != set(range(4))  # rows change blocks
     d_out = rng.normal(size=(11, 8))
-    out, cache = refiner._attention_forward(x, wp, bp, wv, bv)
-    out_p, cache_p = refiner._attention_forward(x[perm], wp, bp, wv, bv)
-    np.testing.assert_allclose(out_p, out[perm], rtol=0, atol=1e-12)
-    d_in, grads = refiner._attention_backward(cache, wp, wv, d_out)
-    d_in_p, grads_p = refiner._attention_backward(cache_p, wp, wv, d_out[perm])
-    np.testing.assert_allclose(d_in_p, d_in[perm], rtol=0, atol=1e-12)
-    for key in grads:
-        np.testing.assert_allclose(grads_p[key], grads[key], rtol=0, atol=1e-12)
+    state = attention_kernel(x, wp, bp, wv, bv)
+    state_p = attention_kernel(x[perm], wp, bp, wv, bv)
+    np.testing.assert_allclose(state_p[2], state[2][perm], rtol=0, atol=1e-12)
+    d_q, d_v = refiner._attention_backward(*state, d_out)
+    d_q_p, d_v_p = refiner._attention_backward(*state_p, d_out[perm])
+    np.testing.assert_allclose(d_q_p, d_q[perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_v_p, d_v[perm], rtol=0, atol=1e-12)
 
 
 def test_each_score_block_is_computed_once_per_pass(rng, monkeypatch):
@@ -327,11 +334,11 @@ def test_each_score_block_is_computed_once_per_pass(rng, monkeypatch):
 
     monkeypatch.setattr(refiner, "_scores", counted)
     x, wp, bp, wv, bv = random_layer(rng, 11, 8, 8)
-    _, cache = refiner._attention_forward(x, wp, bp, wv, bv)
+    state = attention_kernel(x, wp, bp, wv, bv)
     pairs = [(0, 0), (4, 4), (0, 4), (8, 8), (0, 8), (4, 8)]  # T (T + 1) / 2 of them
     assert calls == pairs
     calls.clear()
-    refiner._attention_backward(cache, wp, wv, rng.normal(size=(11, 8)))
+    refiner._attention_backward(*state, rng.normal(size=(11, 8)))
     assert calls == pairs
     calls.clear()
     model = RefinerModel(TINY, seed=0)
@@ -365,8 +372,9 @@ def test_tiled_gradients_match_finite_differences(rng, monkeypatch):
 
 
 def straightline_model(model, features, d_logits):
-    """The hand-unrolled embed and head, forward and backward, that the model's
-    layer loops must equal bit for bit; attention uses the kernels guarded above."""
+    """The hand-unrolled embed, Q/K and V projections and head, forward and
+    backward, that the model's layer loops must equal bit for bit; attention
+    uses the kernels guarded above."""
     p = model.params
     d = model.dims.embed_dim
     x = (features - model.feature_mean) / model.feature_scale
@@ -377,11 +385,12 @@ def straightline_model(model, features, d_logits):
     concat = np.empty((len(features), model.dims.concat_dim))
     caches = []
     for i in range(model.dims.attn_layers):
-        layer_in, cache = refiner._attention_forward(
-            layer_in, p[f"attn{i}.p.w"], p[f"attn{i}.p.b"], p[f"attn{i}.v.w"],
-            p[f"attn{i}.v.b"], out=concat[:, i * d : (i + 1) * d],
-        )
-        caches.append(cache)
+        q = layer_in @ p[f"attn{i}.p.w"] + p[f"attn{i}.p.b"]
+        v = layer_in @ p[f"attn{i}.v.w"] + p[f"attn{i}.v.b"]
+        out = concat[:, i * d : (i + 1) * d]
+        lse = refiner._attention_forward(q, v, out)
+        caches.append((layer_in, q, v, out, lse))
+        layer_in = out
     z0 = concat @ p["head0.w"] + p["head0.b"]
     r0 = np.maximum(z0, 0.0)
     z1 = r0 @ p["head1.w"] + p["head1.b"]
@@ -401,11 +410,13 @@ def straightline_model(model, features, d_logits):
     d_carry = np.zeros_like(d_concat[:, :d])
     for i in reversed(range(model.dims.attn_layers)):
         d_out = d_concat[:, i * d : (i + 1) * d] + d_carry
-        d_carry, layer = refiner._attention_backward(
-            caches[i], p[f"attn{i}.p.w"], p[f"attn{i}.v.w"], d_out
-        )
-        grads[f"attn{i}.p.w"], grads[f"attn{i}.p.b"] = layer["wp"], layer["bp"]
-        grads[f"attn{i}.v.w"], grads[f"attn{i}.v.b"] = layer["wv"], layer["bv"]
+        f_in, q, v, out, lse = caches[i]
+        d_q, d_v = refiner._attention_backward(q, v, out, lse, d_out)
+        grads[f"attn{i}.p.w"] = f_in.T @ d_q
+        grads[f"attn{i}.p.b"] = d_q.sum(axis=0)
+        grads[f"attn{i}.v.w"] = f_in.T @ d_v
+        grads[f"attn{i}.v.b"] = d_v.sum(axis=0)
+        d_carry = d_q @ p[f"attn{i}.p.w"].T + d_v @ p[f"attn{i}.v.w"].T
     d_a1 = d_carry * (a1 > 0)
     grads["embed1.w"] = h0.T @ d_a1
     grads["embed1.b"] = d_a1.sum(axis=0)
@@ -435,6 +446,39 @@ def test_model_forward_backward_bitwise_straightline(rng, monkeypatch, dims, n, 
     assert sorted(grads) == sorted(want) == sorted(model.params)
     for key, grad in want.items():
         assert grads[key].tobytes() == grad.tobytes(), key
+
+
+def test_attention_free_refiner_is_one_patch_of_the_kernel_pair(rng, monkeypatch):
+    # the ablation without attention: each layer passes its V projection on
+    def copy_v(q, v, out):
+        out[...] = v
+        return np.zeros(len(q), dtype=q.dtype)
+
+    monkeypatch.setattr(refiner, "_attention_forward", copy_v)
+    monkeypatch.setattr(refiner, "_attention_backward", lambda q, v, out, lse, d_out: (np.zeros_like(q), d_out))
+    model = float64_model(RefinerModel(TINY, seed=3))
+    feats = rng.normal(size=(6, 25))
+    p = model.params
+    h = np.maximum(feats @ p["embed0.w"] + p["embed0.b"], 0.0)
+    h = np.maximum(h @ p["embed1.w"] + p["embed1.b"], 0.0)
+    layers = []
+    for i in range(TINY.attn_layers):
+        h = h @ p[f"attn{i}.v.w"] + p[f"attn{i}.v.b"]
+        layers.append(h)
+    z = np.maximum(np.concatenate(layers, axis=1) @ p["head0.w"] + p["head0.b"], 0.0)
+    z = np.maximum(z @ p["head1.w"] + p["head1.b"], 0.0)
+    assert model.forward(feats).tobytes() == (z @ p["head2.w"] + p["head2.b"]).tobytes()
+
+    targets = np.array([0, 1, 2, 3, 1, 2])
+    weights = rng.uniform(0.5, 2.0, size=4)
+    result = total_loss(model, feats, targets, weights, NO_CLASS)
+    assert not any(result.grads[f"attn{i}.p.{w}"].any() for i in range(TINY.attn_layers) for w in "wb")
+
+    def value():
+        return total_loss(model, feats, targets, weights, NO_CLASS).total
+
+    for key, param in model.params.items():
+        fd_check(value, param, result.grads[key], rel_tol=1e-4)
 
 
 def test_forward_memory_bounded():
@@ -908,6 +952,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert model.forward(feats).tobytes() == back.forward(feats).tobytes()
 
 
+@pytest.mark.parametrize(
+    "block, value, problem",
+    [("head2.b", np.nan, "non-finite value"), ("attn0.p.w", -np.inf, "non-finite value"),
+     ("feature_mean", np.inf, "non-finite value"), ("feature_scale", np.inf, "non-finite value"),
+     ("feature_scale", -1.0, "value <= 0"), ("feature_scale", 0.0, "value <= 0")],
+)
+def test_checkpoint_rejects_bad_values(tmp_path, block, value, problem):
+    model = RefinerModel(TINY, seed=5)
+    refiner._checkpoint_blocks(model)[block].flat[1] = value  # the model's own array
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(DataFormatError, match=f"block {block} holds a {problem}") as caught:
+        load_checkpoint(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"nope" + b"\x00" * 64)
@@ -942,7 +1002,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(DataFormatError, match="dims must be >= 1"):
         load_checkpoint(path)
     # a version-1 file: default dims with float64 blocks
-    f8_blocks = b"".join(a.astype("<f8").tobytes() for a in refiner._checkpoint_arrays(RefinerModel(d)))
+    f8_blocks = b"".join(a.astype("<f8").tobytes() for a in refiner._checkpoint_blocks(RefinerModel(d)).values())
     path.write_bytes(checkpoint_header(1, *dims) + f8_blocks)
     with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
