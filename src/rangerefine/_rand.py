@@ -27,12 +27,11 @@ _INV_2_53 = float(2.0**-53)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 values (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (x + _GAMMA).astype(np.uint64)
-        z = (z ^ (z >> _S30)) * _MUL1
-        z = (z ^ (z >> _S27)) * _MUL2
-        return z ^ (z >> _S31)
+    """splitmix64 finalizer over uint64 values (wrapping: hash_u64 ignores overflow)."""
+    z = (x + _GAMMA).astype(np.uint64)
+    z = (z ^ (z >> _S30)) * _MUL1
+    z = (z ^ (z >> _S27)) * _MUL2
+    return z ^ (z >> _S31)
 
 
 def _to_u64(part) -> np.ndarray:

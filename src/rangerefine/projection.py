@@ -138,7 +138,7 @@ def row_blocks(n: int, size: int | None = None):
 
 
 def window_neighbors(
-    img: RangeImage, window: int, k: int, indices: np.ndarray | None = None
+    img: RangeImage, window: int, k: int, indices=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k window candidates nearest in |delta range|, nearest first.
 
@@ -147,12 +147,9 @@ def window_neighbors(
     delta resolve by row-major window order. Returns ``pixel`` (M, k'), the
     flat ``v * W + u`` index of each candidate or -1 where it is invalid, and
     ``delta`` (M, k'), |candidate range - query range| or +inf where invalid,
-    with k' = min(k, window**2).
+    with k' = min(k, window**2), for the points ``indices`` (all by default).
     """
-    if indices is None:
-        pu, pv, pr = img.point_u, img.point_v, img.point_range
-    else:
-        pu, pv, pr = img.point_u[indices], img.point_v[indices], img.point_range[indices]
+    pu, pv, pr = img.point_u[indices], img.point_v[indices], img.point_range[indices]
 
     # pad by half a window so every window lies inside the padded image
     half = window // 2

@@ -72,6 +72,10 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLASS_WEIGHT_EPS = 1.02
 
+# The least feature scale: a feature's std is floored here, and a checkpoint
+# with a smaller scale is refused.
+SCALE_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -246,11 +250,12 @@ class RefinerModel:
         return self.params["embed0.w"].dtype
 
     def set_feature_moments(self, mean: np.ndarray, std: np.ndarray) -> None:
-        """Standardize by a feature mean and std (floored at 1e-6), as ``train``
-        streams them over its pools."""
+        """Standardize by a feature mean and std (floored at SCALE_FLOOR), as
+        ``train`` streams them over its pools."""
         self.feature_mean = mean.astype(self.dtype)
-        self.feature_scale = np.maximum(std, 1e-6).astype(self.dtype)
+        self.feature_scale = np.maximum(std, SCALE_FLOOR).astype(self.dtype)
 
+    @np.errstate(over="ignore", invalid="ignore")  # the finite checks below decide
     def forward(self, features: np.ndarray, want_cache: bool = False):
         """Logits (n, C) for feature rows (n, 5 + C)."""
         x = ((features - self.feature_mean) / self.feature_scale).astype(self.dtype)
@@ -397,6 +402,7 @@ class LossResult:
     grads: dict[str, np.ndarray]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loss is checked below
 def total_loss(
     model: RefinerModel,
     features: np.ndarray,
@@ -431,6 +437,8 @@ class TrainConfig:
             raise DataFormatError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise DataFormatError("learning_rate must be > 0")
+        if self.learning_rate > float(np.finfo(DTYPE).max):  # inf in the float32 step
+            raise DataFormatError("learning_rate must be <= 3.4e38, the float32 maximum")
 
 
 class Adam:
@@ -443,6 +451,7 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
         self.t = 0
 
+    @np.errstate(over="ignore", invalid="ignore")  # train checks the parameters
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         correction1 = 1.0 - BETA1**self.t
@@ -477,22 +486,19 @@ def class_frequency_weights(counts: np.ndarray, ignore_class: int) -> np.ndarray
     return weights
 
 
-def _add_rows(carry: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """carry + rows[0] + rows[1] + ..., added left to right (``rows.sum(axis=0)``
-    when there is no carry yet).
+def _add_rows(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """carry + rows[0] + rows[1] + ..., added left to right.
 
     numpy reduces a C-contiguous 2-D array over axis 0 by adding its rows in
-    order to a row of +0.0, so carrying this sum from pool to pool adds the
-    rows of the concatenated pools in the same order, bit for bit. (A sum
-    that starts at +0.0 is never -0.0, so the carry passes unchanged through
-    the +0.0 that the concatenated sum starts from.)
+    order to a row of +0.0, so carrying this sum from pool to pool, starting
+    at a row of +0.0, adds the rows of the concatenated pools in the same
+    order, bit for bit. (A sum that starts at +0.0 is never -0.0, so the
+    carry passes unchanged through the +0.0 that each reduction starts from.)
     """
-    if carry is None:
-        return rows.sum(axis=0)
     return np.concatenate([carry[None], rows]).sum(axis=0)
 
 
-def _spill(pools: Iterable, spill, num_classes: int, ignore_class: int):
+def _spill(pools: Iterable, spill, dims: ModelDims, ignore_class: int):
     """Append each non-empty pool's features and ground truth to ``spill`` as
     it arrives; returns the (scan id, file offset) of each, the class weights,
     and the feature mean and std over every pool, holding one pool at a time.
@@ -504,21 +510,21 @@ def _spill(pools: Iterable, spill, num_classes: int, ignore_class: int):
     ``features.std(axis=0)``.
     """
     kept = []
-    counts = np.zeros(num_classes, dtype=np.int64)
-    row_sum, rows = None, 0
+    counts = np.zeros(dims.num_classes, dtype=np.int64)
+    row_sum, rows = np.zeros(dims.in_dim), 0
     for sid, features, gt in pools:
         if len(features):
             kept.append((sid, spill.tell()))
             np.save(spill, features)
             np.save(spill, gt)
-            counts += np.bincount(gt, minlength=num_classes)
+            counts += np.bincount(gt, minlength=dims.num_classes)
             row_sum = _add_rows(row_sum, features)
             rows += len(features)
         del features, gt  # this pool goes before the next one is built
     if not kept:
         raise DataFormatError("training needs at least one scan with a non-empty pool")
     mean = row_sum / rows
-    square_sum = None
+    square_sum = np.zeros(dims.in_dim)
     for _, offset in kept:
         spill.seek(offset)
         deviation = np.load(spill) - mean
@@ -554,12 +560,11 @@ def train(
     among those with a non-empty pool, so identical runs produce
     bit-identical parameters. The coarse probabilities inside the features
     are plain inputs: nothing upstream of the refiner is updated. A failing
-    step names its epoch and its scan id.
+    step names its epoch and its scan id, and an epoch that leaves a
+    non-finite parameter names its epoch and the parameter's block.
     """
     with tempfile.TemporaryFile() as spill:
-        scans, weights, feature_mean, feature_std = _spill(
-            pools, spill, model.dims.num_classes, ignore_class
-        )
+        scans, weights, feature_mean, feature_std = _spill(pools, spill, model.dims, ignore_class)
         model.set_feature_moments(feature_mean, feature_std)
 
         optimizer = Adam(model, cfg)
@@ -583,6 +588,10 @@ def train(
                     result = total_loss(model, features[pos], gt[pos], weights, ignore_class)
                 optimizer.step(result.grads)
                 totals += (result.total, result.wce, result.lovasz)
+            for name, param in model.params.items():
+                if not np.isfinite(param).all():
+                    raise NumericError(f"training failed at epoch {epoch}: "
+                                       f"block {name} holds a non-finite value")
             mean = totals / len(scans)
             log.append(EpochStats(epoch=epoch, loss=mean[0], wce=mean[1], lovasz=mean[2]))
     return log
@@ -614,7 +623,8 @@ def save_checkpoint(model: RefinerModel, path) -> None:
 def load_checkpoint(path) -> RefinerModel:
     """Read a checkpoint; the header is checked against the file size before
     any array is allocated, so a corrupt header cannot exhaust memory. Every
-    value must be finite and every feature scale > 0."""
+    value must be finite and every feature scale at least SCALE_FLOOR, as
+    ``train`` writes them."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a refiner checkpoint (bad magic)")
@@ -640,6 +650,6 @@ def load_checkpoint(path) -> RefinerModel:
         offset += 4 * a.size
         if not np.isfinite(a).all():
             raise DataFormatError(f"{path}: block {name} holds a non-finite value")
-    if (model.feature_scale <= 0).any():
-        raise DataFormatError(f"{path}: block feature_scale holds a value <= 0")
+    if (model.feature_scale < DTYPE(SCALE_FLOOR)).any():
+        raise DataFormatError(f"{path}: block feature_scale holds a value below {SCALE_FLOOR:g}")
     return model

@@ -297,7 +297,7 @@ def window_oracle(img, window, indices):
     by |delta range|; an invalid one reads pixel -1 and delta +inf.
     """
     half = window // 2
-    rows = range(img.num_points) if indices is None else indices
+    rows = np.arange(img.num_points)[indices]
     pixel = np.empty((len(rows), window * window), dtype=np.int64)
     delta = np.empty((len(rows), window * window))
     for row, i in enumerate(rows):
@@ -323,7 +323,7 @@ def test_window_matches_straight_line_oracle_on_ties(rng, monkeypatch):
         img = project(cloud, ProjectionConfig(width=32, height=8))
         subset = rng.choice(len(cloud), size=60, replace=False)
         for window in (1, 3, 5, 7):
-            for indices in (None, subset):
+            for indices in (slice(None), subset):
                 pixel_all, delta_all = window_oracle(img, window, indices)
                 for k in range(1, window * window + 2):
                     kk = min(k, window * window)
@@ -342,7 +342,7 @@ def test_window_block_size_does_not_change_output(rng, monkeypatch, block):
     img = project(tie_heavy_cloud(rng, 800), ProjectionConfig(width=32, height=8))
     subset = rng.choice(800, size=90, replace=False)
     calls = [(window, k, indices) for window in (1, 3, 5, 7) for k in (1, 5, 50)
-             for indices in (None, subset)]
+             for indices in (slice(None), subset)]
     default = [window_neighbors(img, *call) for call in calls]
     monkeypatch.setattr(projection, "ROW_BLOCK", block)
     for call, (pixel, delta) in zip(calls, default):

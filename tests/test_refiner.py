@@ -629,7 +629,6 @@ def test_parameter_count_pure_function_of_dims():
     assert sum(p.size for p in full.params.values()) == expected
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_activations_flag_layer():
     model = RefinerModel(TINY, seed=0)
     model.params["attn1.p.w"][:] = np.inf
@@ -856,13 +855,11 @@ def test_adam_steps_bitwise_textbook(rng):
         assert optimizer.v[k].tobytes() == v[k].tobytes(), k
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_reports_context(rng):
-    # the epoch-0 step at lr 1e200 wrecks the parameters; epoch 1 hits them
+    # the epoch-0 step at lr 1e30 leaves finite parameters near 1e30; epoch 1's forward overflows
     model = RefinerModel(TINY, seed=0)
     with pytest.raises(NumericError, match="training failed at epoch 1, scan s0"):
-        train(model, [("s0", *scan_pool(rng, 20))], TrainConfig(epochs=2, learning_rate=1e200, seed=0), n_u=8, ignore_class=0)
+        train(model, [("s0", *scan_pool(rng, 20))], TrainConfig(epochs=2, learning_rate=1e30, seed=0), n_u=8, ignore_class=0)
 
 
 def test_streamed_statistics_equal_concatenated_bitwise():
@@ -871,15 +868,17 @@ def test_streamed_statistics_equal_concatenated_bitwise():
     rng = np.random.default_rng(11)
     regrouped_differs = False
     for chunking in range(5):
-        sizes = [1, 0, *rng.integers(25_000, 40_000, size=4)]  # > 100k rows in all
+        sizes = [1, 0, 2, *rng.integers(25_000, 40_000, size=4)]  # > 100k rows in all
         rng.shuffle(sizes)
         pools = []
         for n in sizes:
             feats = rng.normal(size=(n, 25)) * rng.uniform(0.1, 50, size=25) + rng.uniform(-1e3, 1e3, size=25)
             feats[:, 7] = -0.0  # a carry that started from the first row would keep -0.0
+            if n == 2:
+                feats[:] = -0.0  # so would a pool of -0.0 throughout, wherever it falls
             pools.append((f"s{len(pools)}", feats, rng.integers(0, TINY.num_classes, size=n)))
         with tempfile.TemporaryFile() as spill:
-            kept, weights, mean, std = refiner._spill(pools, spill, TINY.num_classes, ignore_class=0)
+            kept, weights, mean, std = refiner._spill(pools, spill, TINY, ignore_class=0)
         feats = np.concatenate([f for _, f, _ in pools])
         labels = np.concatenate([gt for _, _, gt in pools])
         assert [sid for sid, _ in kept] == [f"s{i}" for i, n in enumerate(sizes) if n]
@@ -956,7 +955,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     "block, value, problem",
     [("head2.b", np.nan, "non-finite value"), ("attn0.p.w", -np.inf, "non-finite value"),
      ("feature_mean", np.inf, "non-finite value"), ("feature_scale", np.inf, "non-finite value"),
-     ("feature_scale", -1.0, "value <= 0"), ("feature_scale", 0.0, "value <= 0")],
+     ("feature_scale", -1.0, "value below 1e-06"), ("feature_scale", 0.0, "value below 1e-06")],
 )
 def test_checkpoint_rejects_bad_values(tmp_path, block, value, problem):
     model = RefinerModel(TINY, seed=5)
