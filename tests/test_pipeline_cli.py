@@ -617,7 +617,8 @@ def test_refine_refuses_a_model_for_another_class_map(
 @pytest.mark.parametrize(
     "block, value, problem",
     [("head2.b", np.nan, "non-finite value"), ("feature_scale", np.inf, "non-finite value"),
-     ("feature_scale", -1.0, "value below 1e-06"),
+     # the id names the case, a scale <= 0; the message is the floor's
+     pytest.param("feature_scale", -1.0, "value below 1e-06", id="feature_scale--1.0-value <= 0"),
      # > 0, but below the floor train applies: standardizing by it overflows
      ("feature_scale", 1e-45, "value below 1e-06")],
 )
